@@ -13,11 +13,15 @@
 //
 // Rows are stored as uint64 bitset words: a fits/reserve/unreserve over a
 // window of rows is a handful of word-mask operations instead of per-row
-// modulo arithmetic, which is what makes the scheduler's inner placement
+// modulo arithmetic, and FirstFit finds the first free row of a window
+// with a bit scan, which is what makes the scheduler's inner placement
 // loop cheap.
 package mrt
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Class selects a resource class of the VLIW machine.
 type Class int
@@ -96,7 +100,9 @@ func (t *Table) init(ii, buses, fpus int) {
 					ur.bits[w] = 0
 				}
 			} else {
-				ur.bits = make([]uint64, t.words)
+				// Twice the need: the II search walks upward one II at a
+				// time, so the rows grow geometrically, not per word.
+				ur.bits = make([]uint64, t.words, 2*t.words)
 			}
 			ur.used = 0
 		}
@@ -319,6 +325,92 @@ func sign(x int) int {
 	return 0
 }
 
+// FirstFit returns the first cycle of the scan from, from+step, ..., to
+// (step is 1 or -1) at which PlaceInto(c, cycle, occ) would succeed, and
+// false when it would succeed nowhere; a window that runs against its step
+// is empty. It reserves nothing. Rows repeat every II cycles, so only the
+// first II cycles of a longer window are scanned.
+//
+// For occ == 1 the scan is word-level: a row is free when some unit of the
+// class has it free, so the units' busy words are ANDed and the first free
+// row is a trailing-zero count forward or a leading-zero count backward,
+// in at most two runs around the wrap. Other occupancies probe cycle by
+// cycle.
+func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
+	if step != 1 && step != -1 {
+		panic(fmt.Sprintf("mrt: FirstFit step %d is not 1 or -1", step))
+	}
+	n := min((to-from)*step+1, t.ii)
+	if n <= 0 {
+		return 0, false
+	}
+	if occ != 1 {
+		for i, cycle := 0, from; i < n; i, cycle = i+1, cycle+step {
+			if t.RowFree(c, cycle, occ) {
+				return cycle, true
+			}
+		}
+		return 0, false
+	}
+	s := mod(from, t.ii)
+	if step > 0 {
+		// Rows s, s+1, ..., wrapping from II-1 to 0.
+		if r := t.lowestFree(c, s, min(s+n, t.ii)); r >= 0 {
+			return from + r - s, true
+		}
+		if end := s + n - t.ii; end > 0 {
+			if r := t.lowestFree(c, 0, end); r >= 0 {
+				return from + t.ii - s + r, true
+			}
+		}
+		return 0, false
+	}
+	// Rows s, s-1, ..., wrapping from 0 to II-1.
+	lo := s - n + 1
+	if r := t.highestFree(c, max(lo, 0), s+1); r >= 0 {
+		return from - (s - r), true
+	}
+	if lo < 0 {
+		if r := t.highestFree(c, lo+t.ii, t.ii); r >= 0 {
+			return from - (s + t.ii - r), true
+		}
+	}
+	return 0, false
+}
+
+// freeRows returns the rows of word w that some unit of class c has free.
+func (t *Table) freeRows(c Class, w int) uint64 {
+	busy := ^uint64(0)
+	for u := range t.units[c] {
+		busy &= t.units[c][u].bits[w]
+	}
+	return ^busy
+}
+
+// lowestFree returns the lowest row in [lo, hi) that some unit of class c
+// has free, or -1; 0 <= lo < hi <= II.
+func (t *Table) lowestFree(c Class, lo, hi int) int {
+	for w := lo >> 6; w<<6 < hi; w++ {
+		base := w << 6
+		if free := t.freeRows(c, w) & wordMask(max(lo-base, 0), min(hi-base, 64)); free != 0 {
+			return base + bits.TrailingZeros64(free)
+		}
+	}
+	return -1
+}
+
+// highestFree returns the highest row in [lo, hi) that some unit of class
+// c has free, or -1; 0 <= lo < hi <= II.
+func (t *Table) highestFree(c Class, lo, hi int) int {
+	for w := (hi - 1) >> 6; w >= lo>>6; w-- {
+		base := w << 6
+		if free := t.freeRows(c, w) & wordMask(max(lo-base, 0), min(hi-base, 64)); free != 0 {
+			return base + 63 - bits.LeadingZeros64(free)
+		}
+	}
+	return -1
+}
+
 // PlaceExact reserves exactly the spans of a previously computed
 // reservation (schedule validators use it to replay a recorded placement).
 // It returns false, reserving nothing, if any row is busy or out of range.
@@ -374,7 +466,7 @@ func (t *Table) Utilization(c Class) float64 {
 }
 
 // RowFree reports whether a reservation of the given occupancy could start
-// at this cycle.
+// at this cycle: exactly when PlaceInto would succeed there.
 func (t *Table) RowFree(c Class, cycle, occ int) bool {
 	if occ <= t.ii {
 		for u := range t.units[c] {
@@ -384,8 +476,8 @@ func (t *Table) RowFree(c Class, cycle, occ int) bool {
 		}
 		return false
 	}
-	// Cheap conservative probe for multi-unit reservations: count free
-	// units and a remainder slot.
+	// Multi-unit reservations: count fully free units and a remainder
+	// slot, as PlaceInto assigns them.
 	full := occ / t.ii
 	rem := occ % t.ii
 	free := 0

@@ -761,7 +761,9 @@ func refModuloSchedule(l *ddg.Loop, m machine.Machine, minII int) (*refSchedule,
 // TestDifferentialScheduler pins the optimized scheduler against the
 // retained reference path: identical II and identical per-op start cycles
 // for every workbench loop, across all machine widths of the paper's
-// factor-8 row and all four cycle models (two in -short mode).
+// factor-8 and factor-16 rows and all four cycle models (two in -short
+// mode). The wide factor-16 configurations are where Figure 9's placement
+// evicts the most.
 func TestDifferentialScheduler(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 150
@@ -775,7 +777,7 @@ func TestDifferentialScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, cfg := range machine.ConfigsWithFactor(8) {
+	for _, cfg := range append(machine.ConfigsWithFactor(8), machine.ConfigsWithFactor(16)...) {
 		for _, model := range models {
 			m := machine.New(cfg, 256, model)
 			for _, src := range loops {
@@ -808,7 +810,9 @@ func TestDifferentialScheduler(t *testing.T) {
 }
 
 // TestDifferentialSchedulerMinII exercises the spill pass's II-floor path
-// (Options.MinII) against the reference at a raised floor.
+// (Options.MinII) against the reference at raised floors: a few cycles
+// above the base II on 2w2, and two and four times it on the one-bus wide
+// 1w16, where the candidate windows span several row words and wrap.
 func TestDifferentialSchedulerMinII(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 30
@@ -816,26 +820,35 @@ func TestDifferentialSchedulerMinII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := machine.New(machine.Config{Buses: 2, Width: 2}, 256, machine.FourCycle)
-	for _, src := range loops {
-		l, _ := widen.Transform(src, 2)
-		base, err := sched.ModuloSchedule(l, m, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		minII := base.II + 3
-		want, ok := refModuloSchedule(l, m, minII)
-		got, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: minII})
-		if !ok || err != nil {
-			t.Fatalf("%s: ok=%v err=%v", src.Name, ok, err)
-		}
-		if got.II != want.ii {
-			t.Fatalf("%s: II = %d, reference %d", src.Name, got.II, want.ii)
-		}
-		for v := range want.time {
-			if got.Time[v] != want.time[v] {
-				t.Fatalf("%s: op %d starts at %d, reference %d",
-					src.Name, v, got.Time[v], want.time[v])
+	for _, c := range []struct {
+		cfg    machine.Config
+		floors func(base int) []int
+	}{
+		{machine.Config{Buses: 2, Width: 2}, func(base int) []int { return []int{base + 3} }},
+		{machine.Config{Buses: 1, Width: 16}, func(base int) []int { return []int{2 * base, 4 * base} }},
+	} {
+		m := machine.New(c.cfg, 256, machine.FourCycle)
+		for _, src := range loops {
+			l, _ := widen.Transform(src, c.cfg.Width)
+			base, err := sched.ModuloSchedule(l, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, minII := range c.floors(base.II) {
+				want, ok := refModuloSchedule(l, m, minII)
+				got, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: minII})
+				if !ok || err != nil {
+					t.Fatalf("%s %s MinII %d: ok=%v err=%v", src.Name, c.cfg, minII, ok, err)
+				}
+				if got.II != want.ii {
+					t.Fatalf("%s %s MinII %d: II = %d, reference %d", src.Name, c.cfg, minII, got.II, want.ii)
+				}
+				for v := range want.time {
+					if got.Time[v] != want.time[v] {
+						t.Fatalf("%s %s MinII %d: op %d starts at %d, reference %d",
+							src.Name, c.cfg, minII, v, got.Time[v], want.time[v])
+					}
+				}
 			}
 		}
 	}

@@ -176,8 +176,9 @@ type Options struct {
 	// spill pass uses it to trade cycles for register pressure when no
 	// spill candidate remains.
 	MinII int
-	// MaxII caps the II search; 0 derives a safe cap from the loop (the
-	// cap at which a schedule provably exists for the greedy placement).
+	// MaxII caps the II search; 0 derives the cap from the loop (see
+	// safeMaxII). The cap is a search budget, not a guarantee: when no II
+	// up to it admits a schedule, ModuloSchedule returns ErrNoSchedule.
 	MaxII int
 	// Workspace, when set, serves the call's ordering and placement
 	// scratch from a reusable arena instead of fresh allocations — the
@@ -188,17 +189,26 @@ type Options struct {
 
 // Workspace is a reusable scheduling scratch arena: the ordering and
 // placement state that does not escape into the returned Schedule
-// (ranks, frontier marks, the lazy-deletion heap, the modulo reservation
-// table and its per-unit index). A zero Workspace is ready to use; it
-// grows to the largest loop it has scheduled and is NOT safe for
-// concurrent use — callers pool one per worker (see perfcost).
+// (ranks, victim stamps, the lazy-deletion heap, the modulo reservation
+// table and its row-owner index). It also remembers the last HRMS order
+// with the loop analysis snapshot and cycle model it was computed for, so
+// a call that reschedules the same loop at another II (every candidate
+// of the spill pass's II growth) reuses the order. A zero Workspace is
+// ready to use; it grows to the largest loop it has scheduled and is NOT
+// safe for concurrent use — callers pool one per worker (see perfcost).
+// The remembered snapshot keeps its loop reachable, so each pooled
+// workspace pins at most one loop.
 type Workspace struct {
-	ints      []int  // rank + lastForced + heap seed, one 3n slab
+	ints      []int  // rank + lastForced + heap + stamp, one 4n slab
 	placed    []bool // placement marks
 	hrmsInts  []int  // HRMS slack + occupancy, one 2n slab
 	hrmsBools []bool // HRMS ordered + frontier marks, one 2n slab
 	order     []int  // HRMS output, reused across calls
-	p         placer // placer header (holds the reservation table across calls)
+	// orderFor and orderModel identify the loop snapshot and cycle model
+	// order belongs to; a nil orderFor memoizes nothing.
+	orderFor   *ddg.Analysis
+	orderModel machine.CycleModel
+	p          placer // placer header (holds the reservation table and owner index across calls)
 }
 
 // NewWorkspace returns an empty scheduling workspace.
@@ -219,8 +229,9 @@ var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
 //
 // Every graph analysis the schedule needs (validation, ordering inputs,
 // the MII bound, ASAP times, adjacency) is served from the loop's
-// analysis cache, so rescheduling the same loop — the spill pass does it
-// at every II retry — pays for the traversals once.
+// analysis cache, and the HRMS order from the workspace, so rescheduling
+// the same loop — the spill pass does it at every II retry — pays for the
+// traversals and the ordering once.
 func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -233,19 +244,24 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if opts != nil {
 		o = *opts
 	}
-	if o.Workspace == nil {
-		ws := wsPool.Get().(*Workspace)
+	ws := o.Workspace
+	if ws == nil {
+		ws = wsPool.Get().(*Workspace)
 		defer wsPool.Put(ws)
-		o.Workspace = ws
 	}
 	buses, fpus := m.Slots()
 	model := m.Model
 
 	var order []int
-	if o.Order != nil {
+	switch {
+	case o.Order != nil:
 		order = o.Order(l, model)
-	} else {
-		order = hrmsOrder(l, model, o.Workspace)
+	case ws.orderFor == a && ws.orderModel == model:
+		order = ws.order // the order depends on the loop and model, not the II
+	default:
+		ws.order = hrmsOrder(l, model, ws)
+		ws.orderFor, ws.orderModel = a, model
+		order = ws.order
 	}
 	if len(order) != l.NumOps() {
 		return nil, fmt.Errorf("sched: ordering returned %d of %d ops", len(order), l.NumOps())
@@ -261,9 +277,9 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	}
 
 	// One scratch arena serves the whole II search: the placement state
-	// (times, reservations, heap, reservation table) is reset in place at
-	// each candidate II instead of being reallocated.
-	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), o.Workspace)
+	// (times, reservations, heap, reservation table, owner index) is reset
+	// in place at each candidate II instead of being reallocated.
+	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), ws)
 	for ii := mii; ii <= maxII; ii++ {
 		if s, ok := sc.tryPlace(buses, fpus, ii); ok {
 			s.Buses, s.FPUs = buses, fpus
@@ -273,9 +289,14 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
 }
 
-// safeMaxII returns an II at which the greedy placement provably succeeds:
-// large enough that any window of II rows contains a free run of the
-// largest occupancy on some unit even under worst-case fragmentation.
+// safeMaxII returns the II search budget: MII plus the critical path plus
+// room for every reservation to fragment the table ((maxOcc+1) rows per
+// reserved row). It bounds the search; it does not prove that placement
+// succeeds below it. The greedy placement gives up at an II when its
+// eviction budget runs out, and on some loops it does so at every II up
+// to the cap (loop scalar0020 of the 30-loop default workbench, widened
+// for 1w16 with 32 registers under the 3-cycle model, fails its spill
+// reschedule this way at MII=378, cap=1263).
 func safeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
 	totalOcc, maxOcc := 0, 1
 	for _, op := range l.Ops {
@@ -318,10 +339,18 @@ type placer struct {
 
 	table *mrt.Table
 
-	// unitOps[class][unit] lists the placed operations holding a span on
-	// that unit — the eviction path's per-unit reservation index, replacing
-	// a scan of all operations per unit.
-	unitOps [2][][]int
+	// owners is the row-owner eviction index: for each unit of each
+	// class, II entries holding the operation that reserves the row, or
+	// -1. Unit u of class c owns owners[(unitBase[c]+u)*ii:][:ii]. A
+	// forced placement reads its victims off the rows it needs instead of
+	// testing every placed reservation.
+	owners   []int32
+	unitBase [2]int
+	ii       int
+	// stamp[w] == epoch marks w as seen by the current victim scan, so an
+	// operation holding several rows of the window counts once.
+	stamp   []int
+	epoch   int
 	victims []int
 }
 
@@ -329,30 +358,27 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	preds, succs [][]ddg.Edge, asap []int, ws *Workspace) *placer {
 
 	n := l.NumOps()
-	var p *placer
-	var ints []int
-	if ws != nil {
-		// Reuse the workspace's placer header (it carries the reservation
-		// table and per-unit index across calls) and its scratch slab.
-		p = &ws.p
-		if cap(ws.ints) < 3*n {
-			ws.ints = make([]int, 3*n)
-		}
-		ints = ws.ints
-		if cap(ws.placed) < n {
-			ws.placed = make([]bool, n)
-		}
-		p.placed = ws.placed[:n]
-	} else {
-		p = &placer{}
-		ints = make([]int, 3*n)
-		p.placed = make([]bool, n)
+	// Reuse the workspace's placer header (it carries the reservation
+	// table and owner index across calls) and its scratch slabs.
+	p := &ws.p
+	if cap(ws.ints) < 4*n {
+		ws.ints = make([]int, 4*n)
 	}
+	ints := ws.ints
+	if cap(ws.placed) < n {
+		ws.placed = make([]bool, n)
+	}
+	p.placed = ws.placed[:n]
 	p.l, p.model, p.order = l, model, order
 	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
 	p.heap = ints[2*n : 2*n : 3*n]
+	p.stamp = ints[3*n : 4*n : 4*n]
+	for v := range p.stamp {
+		p.stamp[v] = 0
+	}
+	p.epoch = 0
 	p.victims = p.victims[:0]
 
 	// time and res escape into the returned Schedule, so they are always
@@ -384,15 +410,17 @@ func (p *placer) reset(buses, fpus, ii int) {
 	} else {
 		p.table.Reset(ii, buses, fpus)
 	}
-	counts := [2]int{mrt.Mem: buses, mrt.FPU: fpus}
-	for c := range p.unitOps {
-		if cap(p.unitOps[c]) < counts[c] {
-			p.unitOps[c] = make([][]int, counts[c])
-		}
-		p.unitOps[c] = p.unitOps[c][:counts[c]]
-		for u := range p.unitOps[c] {
-			p.unitOps[c][u] = p.unitOps[c][u][:0]
-		}
+	p.ii = ii
+	p.unitBase = [2]int{mrt.Mem: 0, mrt.FPU: buses}
+	rows := (buses + fpus) * ii
+	if cap(p.owners) < rows {
+		// Twice the need: the spill pass walks the II upward one step at
+		// a time, so the index grows geometrically, not per II.
+		p.owners = make([]int32, rows, 2*rows)
+	}
+	p.owners = p.owners[:rows]
+	for i := range p.owners {
+		p.owners[i] = -1
 	}
 }
 
@@ -447,27 +475,48 @@ func (p *placer) popUnplaced() int {
 	return -1
 }
 
-// indexAdd records v's reservation spans in the per-unit index.
-func (p *placer) indexAdd(v int) {
-	r := &p.res[v]
-	for _, sp := range r.Spans {
-		p.unitOps[r.Class][sp.Unit] = append(p.unitOps[r.Class][sp.Unit], v)
-	}
+// unitOwners returns the row owners of unit u of class c.
+func (p *placer) unitOwners(c mrt.Class, u int) []int32 {
+	base := (p.unitBase[c] + u) * p.ii
+	return p.owners[base : base+p.ii]
 }
 
-// indexRemove drops v's reservation spans from the per-unit index.
-func (p *placer) indexRemove(v int) {
+// own writes owner (v when placing v, -1 when evicting it) into every row
+// v's reservation holds.
+func (p *placer) own(v int, owner int32) {
 	r := &p.res[v]
 	for _, sp := range r.Spans {
-		list := p.unitOps[r.Class][sp.Unit]
-		for i, w := range list {
-			if w == v {
-				list[i] = list[len(list)-1]
-				p.unitOps[r.Class][sp.Unit] = list[:len(list)-1]
-				break
+		rows := p.unitOwners(r.Class, sp.Unit)
+		row := mod(sp.Cycle, p.ii)
+		for i := 0; i < sp.Occ; i++ {
+			rows[row] = owner
+			if row++; row == p.ii {
+				row = 0
 			}
 		}
 	}
+}
+
+// rowOwners counts the distinct operations owning the occ rows of unit u
+// of class c that start at row, appending them to victims when collect is
+// set.
+func (p *placer) rowOwners(c mrt.Class, u, row, occ int, collect bool) int {
+	p.epoch++
+	rows := p.unitOwners(c, u)
+	n := 0
+	for i := 0; i < occ; i++ {
+		if w := rows[row]; w >= 0 && p.stamp[w] != p.epoch {
+			p.stamp[w] = p.epoch
+			n++
+			if collect {
+				p.victims = append(p.victims, int(w))
+			}
+		}
+		if row++; row == p.ii {
+			row = 0
+		}
+	}
+	return n
 }
 
 // tryPlace attempts a schedule at a fixed II following the placer's order.
@@ -517,9 +566,9 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		// Self edges (dist >= 1) constrain II, not the start time, and MII
 		// already accounts for them.
 
-		// Candidate cycles are scanned directly — a window of at most II
-		// cycles, forward or backward depending on which neighbours are
-		// placed — instead of materializing a candidate slice per op.
+		// The candidate window — at most II cycles, forward or backward
+		// depending on which neighbours are placed — goes to the table's
+		// first-fit search, and PlaceInto runs once, at the cycle found.
 		var from, to, step int
 		switch {
 		case hasPred && !hasSucc:
@@ -555,18 +604,11 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			from, to, step = base, base+ii-1, 1
 		}
 
-		done := false
-		for t := from; (step > 0 && t <= to) || (step < 0 && t >= to); t += step {
-			if table.PlaceInto(&res[v], class, t, occ) {
-				time[v], placed[v] = t, true
-				p.indexAdd(v)
-				done = true
-				break
-			}
-		}
-		if done {
-			if time[v] > frontier {
-				frontier = time[v]
+		if t, ok := table.FirstFit(class, from, to, step, occ); ok && table.PlaceInto(&res[v], class, t, occ) {
+			time[v], placed[v] = t, true
+			p.own(v, int32(v))
+			if t > frontier {
+				frontier = t
 			}
 			remaining--
 			continue
@@ -594,7 +636,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		evict := func(u int) {
 			if placed[u] {
 				table.Release(res[u])
-				p.indexRemove(u)
+				p.own(u, -1)
 				placed[u] = false
 				p.heapPush(u)
 				remaining++
@@ -615,36 +657,26 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			}
 		}
 
-		// Resource victims, found through the per-unit reservation index.
+		// Resource victims, read off the row-owner index. v itself is
+		// unplaced, so it owns no row.
 		p.victims = p.victims[:0]
 		if occ <= ii {
 			// Free one unit's conflicting rows: pick the unit of the class
 			// with the fewest conflicting reservations.
+			row := mod(tf, ii)
 			bestUnit, bestCount := -1, inf
-			for u := range p.unitOps[class] {
-				cnt := 0
-				for _, w := range p.unitOps[class][u] {
-					if w != v && reservationTouchesUnit(res[w], u, tf, occ, ii) {
-						cnt++
-					}
-				}
-				if cnt < bestCount {
+			for u := 0; u < table.Units(class); u++ {
+				if cnt := p.rowOwners(class, u, row, occ, false); cnt < bestCount {
 					bestUnit, bestCount = u, cnt
 				}
 			}
-			for _, w := range p.unitOps[class][bestUnit] {
-				if w != v && reservationTouchesUnit(res[w], bestUnit, tf, occ, ii) {
-					p.victims = append(p.victims, w)
-				}
-			}
+			p.rowOwners(class, bestUnit, row, occ, true)
 		} else {
 			// Multi-unit reservation: evict every operation of the class
 			// (rare: a non-pipelined op at an II below its occupancy).
-			for u := range p.unitOps[class] {
-				for _, w := range p.unitOps[class][u] {
-					if w != v {
-						p.victims = append(p.victims, w)
-					}
+			for w, ok := range placed {
+				if ok && res[w].Class == class {
+					p.victims = append(p.victims, w)
 				}
 			}
 		}
@@ -655,7 +687,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			return nil, false // class too small for the reservation at this II
 		}
 		time[v], placed[v] = tf, true
-		p.indexAdd(v)
+		p.own(v, int32(v))
 		if tf > frontier {
 			frontier = tf
 		}
@@ -681,22 +713,4 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 	}
 
 	return &Schedule{Loop: l, II: ii, Time: time, Res: res, Model: model}, true
-}
-
-// reservationTouchesUnit reports whether any span of r on the given unit
-// overlaps the occ rows starting at cycle tf: a circular-interval
-// intersection test per span instead of comparing rows pairwise.
-func reservationTouchesUnit(r mrt.Reservation, unit, tf, occ, ii int) bool {
-	for _, sp := range r.Spans {
-		if sp.Unit != unit {
-			continue
-		}
-		// Rows [a, a+sp.Occ) and [b, b+occ) intersect mod ii iff one
-		// start falls within the other interval.
-		a, b := mod(sp.Cycle, ii), mod(tf, ii)
-		if mod(b-a, ii) < sp.Occ || mod(a-b, ii) < occ {
-			return true
-		}
-	}
-	return false
 }

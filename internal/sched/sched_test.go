@@ -2,11 +2,13 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/ddg"
+	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/mrt"
 	"repro/internal/widen"
@@ -471,6 +473,69 @@ func TestScheduleLengthAndRows(t *testing.T) {
 		}
 		if st := s.Stage(v); st != s.Time[v]/s.II {
 			t.Errorf("Stage(%d) = %d", v, st)
+		}
+	}
+}
+
+// TestWarmWorkspaceAllocatesOnlySchedule pins the spill pass's II growth
+// access pattern: one warm Workspace scheduling the same loop at a rising
+// MinII allocates only the returned Schedule (the struct plus its time,
+// reservation and span slabs). The row-owner index, the victim stamps and
+// the memoized order must not allocate once per II.
+func TestWarmWorkspaceAllocatesOnlySchedule(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 8
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _ := widen.Transform(loops[3], 8)
+	m := machine.New(machine.Config{Buses: 1, Width: 8}, 256, machine.ThreeCycle)
+	ws := NewWorkspace()
+	base, err := ModuloSchedule(l, m, &Options{Workspace: ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ii := base.II
+	allocs := testing.AllocsPerRun(200, func() {
+		ii++
+		if _, err = ModuloSchedule(l, m, &Options{MinII: ii, Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 4 {
+		t.Errorf("warm ModuloSchedule over a rising MinII allocates %v times per call, want 4 (the Schedule)", allocs)
+	}
+	if ws.orderFor != l.Analysis() || ws.orderModel != m.Model {
+		t.Error("the workspace does not hold the loop's HRMS order")
+	}
+}
+
+// TestWorkspaceOrderFollowsLoop: a workspace that alternates between loops
+// and cycle models schedules each exactly as a fresh workspace does, so
+// the memoized order is never served to the wrong loop or model.
+func TestWorkspaceOrderFollowsLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	var loops []*ddg.Loop
+	for i := 0; i < 6; i++ {
+		loops = append(loops, randomLoop(rng, 4+rng.Intn(20)))
+	}
+	ws := NewWorkspace()
+	for round := 0; round < 3; round++ {
+		for i, l := range loops {
+			m := machine.New(machine.Config{Buses: 2, Width: 1}, 256, machine.CycleModels()[(i+round)%4])
+			got, err := ModuloSchedule(l, m, &Options{Workspace: ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ModuloSchedule(l, m, &Options{Workspace: NewWorkspace()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.II != want.II || fmt.Sprint(got.Time) != fmt.Sprint(want.Time) {
+				t.Fatalf("round %d loop %d: shared workspace II %d %v, fresh %d %v",
+					round, i, got.II, got.Time, want.II, want.Time)
+			}
 		}
 	}
 }

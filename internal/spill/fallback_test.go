@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/ddg"
@@ -8,6 +9,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/regalloc"
 	"repro/internal/sched"
+	"repro/internal/widen"
+	"repro/internal/workload"
 )
 
 // carriedLoop builds a loop whose register pressure is dominated by
@@ -163,5 +166,28 @@ func TestCandidatesExclusions(t *testing.T) {
 	}
 	if !found {
 		t.Error("the long-lived load must be the prime candidate")
+	}
+}
+
+// TestRescheduleExhaustsIIBudget pins the slowest cell of Figure 9: loop
+// scalar0020 of the 30-loop default workbench, widened for 1w16 with 32
+// registers under the 3-cycle model. Its eighth spill reschedule walks
+// every II from MII to the sched.safeMaxII cap and fails, so the cap is a
+// search budget, not a proof that placement succeeds; the cell then takes
+// the flat fallback, whose schedule must exist.
+func TestRescheduleExhaustsIIBudget(t *testing.T) {
+	w, err := workload.Build("default", 30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Config{Buses: 1, Width: 16}
+	l, _ := widen.Transform(w.Loops[20], cfg.Width)
+	_, err = Schedule(l, machine.New(cfg, 32, machine.ThreeCycle), nil)
+	want := `spill: reschedule round 8: sched: no feasible schedule within II budget (MII=378, cap=1263, loop "scalar0020/w16")`
+	if err == nil || err.Error() != want || !errors.Is(err, sched.ErrNoSchedule) {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if _, err := sched.ModuloSchedule(l, machine.New(cfg, 1<<20, machine.ThreeCycle), nil); err != nil {
+		t.Fatalf("flat fallback: %v", err)
 	}
 }
