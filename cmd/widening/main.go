@@ -240,6 +240,6 @@ func usage() {
   widening schedule -config 4w2 -regs 64 -kernel daxpy|list
   widening bench [-json] [-benchtime 1x] [-workload NAME] [-run Scheduler,RegisterPressure,Table5Implementable]
   widening serve [-addr HOST:PORT] [-budget UNITS] [-preload default,kernels] [-loops N] [-seed S] [-cache DIR] [-join URL] [-shutdown-timeout D]
-  widening route -addr HOST:PORT -backends host:port,... [-replication R] [-quota-qps N] [-quota-sweeps N] [-breaker-threshold N] [-retry-budget F] [-hedge-after D]
+  widening route -addr HOST:PORT -backends host:port,... [-replication R] [-quota-qps N] [-quota-sweeps N] [-fail-after N] [-retry-budget F]
   widening fleet status|join|leave -router URL [-addr HOST:PORT]`)
 }

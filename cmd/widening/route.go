@@ -15,15 +15,14 @@ import (
 )
 
 // runRoute starts the fleet router: a consistent-hash front door over N
-// `widening serve` backends with health-checked membership, retries,
-// hedging and mid-stream sweep failover (see internal/fleet).
+// `widening serve` backends with health-checked membership, retries and
+// mid-stream sweep failover (see internal/fleet).
 //
 //	widening route -addr HOST:PORT -backends host:port,host:port,...
 //	               [-replication 2] [-probe-interval 2s] [-probe-timeout 1s]
 //	               [-fail-after 2] [-rejoin-after 2]
-//	               [-retries 3] [-retry-budget 0.1] [-hedge-after 0]
+//	               [-retries 3] [-retry-budget 0.1]
 //	               [-quota-qps 0] [-quota-burst 0] [-quota-sweeps 0]
-//	               [-breaker-threshold 3] [-breaker-cooldown 5s]
 //	               [-attempt-timeout 2m] [-shutdown-timeout 10s]
 //
 // The process runs until SIGINT/SIGTERM, then drains in-flight requests
@@ -36,20 +35,17 @@ func runRoute(args []string) error {
 		"ownership replication factor R: each workload is kept warm on R distinct backends (0 = default 2, 1 = single-owner)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "health probe period")
 	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe timeout")
-	failAfter := fs.Int("fail-after", 2, "consecutive failures before a backend is drained from the ring")
-	rejoinAfter := fs.Int("rejoin-after", 2, "consecutive probe successes before a drained backend rejoins (and is prewarmed)")
+	failAfter := fs.Int("fail-after", 2, "consecutive failures (probes and requests alike) before a backend is drained from the ring")
+	rejoinAfter := fs.Int("rejoin-after", 2,
+		"consecutive probe successes before a drained backend rejoins half-open (and is prewarmed)")
 	retries := fs.Int("retries", 3, "total attempts per proxied request (idempotent failures only)")
 	retryBudget := fs.Float64("retry-budget", 0,
-		"retry/hedge budget as a fraction of admitted traffic (0 = default 0.1, negative = unlimited)")
-	hedgeAfter := fs.Duration("hedge-after", 0,
-		"eval straggler threshold before racing a second replica (0 = adaptive from observed p95, negative = off)")
+		"retry budget as a fraction of admitted traffic (0 = default 0.1, negative = unlimited)")
 	quotaQPS := fs.Float64("quota-qps", 0, "per-tenant admitted requests per second (0 = no rate quota)")
 	quotaBurst := fs.Int("quota-burst", 0, "per-tenant burst above -quota-qps (0 = 2x the QPS)")
 	quotaSweeps := fs.Int("quota-sweeps", 0, "per-tenant concurrent sweep cap (0 = unlimited)")
-	breakerThreshold := fs.Int("breaker-threshold", 0,
-		"consecutive data-path failures before a backend's circuit breaker opens (0 = default 3, negative = off)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open breaker cooldown before the half-open trial (0 = default 5s)")
-	attemptTimeout := fs.Duration("attempt-timeout", 2*time.Minute, "per-attempt timeout for buffered proxied requests")
+	attemptTimeout := fs.Duration("attempt-timeout", 2*time.Minute,
+		"per-attempt timeout for buffered proxied requests (what bounds a straggling backend when a request carries no X-Deadline)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "bound on the graceful drain at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,15 +72,10 @@ func runRoute(args []string) error {
 		RejoinAfter:      *rejoinAfter,
 		Retry:            fleet.RetryPolicy{MaxAttempts: *retries},
 		RetryBudgetRatio: *retryBudget,
-		HedgeAfter:       *hedgeAfter,
 		Quota: fleet.QuotaConfig{
 			QPS:              *quotaQPS,
 			Burst:            *quotaBurst,
 			ConcurrentSweeps: *quotaSweeps,
-		},
-		Breaker: fleet.BreakerConfig{
-			Threshold: *breakerThreshold,
-			Cooldown:  *breakerCooldown,
 		},
 		AttemptTimeout: *attemptTimeout,
 		Logf: func(format string, args ...any) {

@@ -16,6 +16,9 @@ func TestRunRouteErrors(t *testing.T) {
 		{"positional args", []string{"-backends", "127.0.0.1:1", "extra"}, "unexpected arguments"},
 		{"duplicate backends", []string{"-backends", "127.0.0.1:1,http://127.0.0.1:1"}, "duplicate backend"},
 		{"bad flag", []string{"-nope"}, "flag provided but not defined"},
+		{"removed breaker threshold", []string{"-backends", "127.0.0.1:1", "-breaker-threshold", "3"}, "flag provided but not defined"},
+		{"removed breaker cooldown", []string{"-backends", "127.0.0.1:1", "-breaker-cooldown", "5s"}, "flag provided but not defined"},
+		{"removed hedge threshold", []string{"-backends", "127.0.0.1:1", "-hedge-after", "1s"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		err := runRoute(tc.args)

@@ -101,14 +101,14 @@ func NewServer(opts ServeOptions) (*Server, error) { return serve.New(opts) }
 func NewServeClient(base string) *ServeClient { return serve.NewClient(base) }
 
 // Fleet re-exports: the sharded serving tier — a consistent-hash router
-// over N serve backends with health-checked membership, idempotent
-// retries, hedged evaluations and mid-stream sweep failover. See
-// `widening route` and the README's Fleet section.
+// over N serve backends with one failure state machine per backend,
+// idempotent retries and mid-stream sweep failover. See `widening
+// route` and the README's Fleet section.
 type (
 	// FleetRouter is the fault-tolerant consistent-hash front door.
 	FleetRouter = fleet.Router
 	// FleetOptions configures a FleetRouter (backends, probe cadence,
-	// retry policy, hedge threshold).
+	// failure thresholds, retry policy).
 	FleetOptions = fleet.Options
 	// FleetRetryPolicy bounds per-request retries.
 	FleetRetryPolicy = fleet.RetryPolicy

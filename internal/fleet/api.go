@@ -7,7 +7,7 @@
 //	GET  /healthz                   fleet membership health
 //	GET  /v1/workloads              merged registry + imported listing
 //	POST /v1/workloads              import, routed to the owning backend
-//	GET  /v1/eval                   routed + retried + hedged
+//	GET  /v1/eval                   routed + retried
 //	POST /v1/sweep                  routed + retried (streams resume on survivors)
 //	GET  /v1/experiments/{id}       routed + retried
 //	GET  /v1/stats                  fleet counters + per-backend stats
@@ -24,42 +24,42 @@
 //     fails over to the already-warm standby — no rehash beyond the
 //     replica set, no cold engine build on the read path.
 //   - Membership is dynamic and health-checked: /v1/fleet/join adds a
-//     backend (unhealthy until probed, prewarmed before it takes keys),
-//     /v1/fleet/leave retires one, and /healthz probes mark members
-//     unhealthy after FailAfter consecutive failures and healthy again
-//     after RejoinAfter successes. The hash ring rebuilds only on
-//     join/leave — never on health flaps — so a rejoin restores the
-//     exact pre-failure replica map.
+//     backend (out of rotation until probed, prewarmed before it takes
+//     keys) and /v1/fleet/leave retires one. Each member runs one failure
+//     state machine (healthy → suspect → open → half-open): FailAfter
+//     consecutive failures — /healthz probes and proxied requests share
+//     the counter — drain it, RejoinAfter probe successes readmit it
+//     half-open, and there its first request success makes it healthy
+//     while its first failure drains it again. So a backend whose
+//     /healthz answers but whose requests fail leaves rotation on its
+//     first failed request after each rejoin. The hash ring rebuilds
+//     only on join/leave — never on health flaps — so a rejoin restores
+//     the exact pre-failure replica map.
 //   - Requests are admitted per tenant (the X-Tenant header): a token
 //     bucket caps each tenant's QPS and concurrent sweeps, refusing
 //     excess with a structured 429 + Retry-After so one greedy client
 //     cannot evict every other tenant's engines.
 //   - Deadlines propagate end to end: a client's X-Deadline becomes
-//     shrinking per-attempt budgets across retries and hedges, is
-//     forwarded to the backend (which aborts evaluation between sweep
-//     cells), and expires as a structured 504.
-//   - Every proxied request retries transport-level failures with capped
-//     exponential backoff and jitter, walking the key's replica order —
-//     but retries and hedges spend a shared token-bucket retry budget
-//     (~10% of traffic), so they can never storm a degraded fleet. Only
-//     idempotent failures retry (see Retryable); a backend's
-//     deterministic answer is forwarded, never re-asked.
-//   - Each backend has a circuit breaker over data-path failures:
-//     Threshold consecutive failures open it (even while /healthz still
-//     answers), a cooldown later one half-open trial request decides
-//     whether it closes.
-//   - Evaluations that straggle past the hedge threshold (fixed, or
-//     adaptive from the observed p95) race a second replica; first
-//     response wins. Safe because evaluation is a pure function and the
-//     backends' singleflight + shared disk cache make duplicates cheap.
+//     shrinking per-attempt budgets across retries, is forwarded to the
+//     backend (which aborts evaluation between sweep cells), and expires
+//     as a structured 504. The slices also bound a straggling backend:
+//     it is abandoned after its slice and the next replica answers.
+//     Without a deadline, AttemptTimeout bounds each buffered attempt.
+//   - Every proxied request, buffered or streamed, takes one retry walk
+//     over the key's in-rotation replicas in ring order: a failure moves
+//     to an untried replica at once, and only re-asking a member already
+//     tried waits out capped exponential backoff with jitter. Retries
+//     spend a shared token-bucket retry budget (~10% of traffic), so
+//     they can never storm a degraded fleet. Only idempotent failures
+//     retry (see Retryable); a backend's deterministic answer is
+//     forwarded, never re-asked.
 //   - Streaming sweeps resume: points are forwarded as they arrive, and
 //     when a backend dies mid-stream the router replays the sweep on the
 //     next replica, skips the deterministic prefix it already delivered,
 //     and continues — the client sees one complete, byte-identical
 //     stream ending in the PR 6 trailer.
-//   - When every replica for a key is down (or breaker-open), the router
-//     answers 503 with a structured Retry-After body immediately instead
-//     of hanging.
+//   - When no replica for a key is in rotation, the router answers 503
+//     with a structured Retry-After body immediately instead of hanging.
 package fleet
 
 import "repro/internal/serve"
@@ -100,9 +100,10 @@ type BackendStats struct {
 	// hung backend must not stall the aggregate), or "unreachable"
 	// (scrape failed outright).
 	Health string `json:"health"`
-	// Breaker is the backend's circuit state: "closed", "open" or
-	// "half-open".
-	Breaker string `json:"breaker"`
+	// State is the backend's failure state machine: "healthy",
+	// "suspect" (failing, still in rotation), "open" (drained) or
+	// "half-open" (readmitted; its next request decides).
+	State string `json:"state"`
 	// Requests counts proxied attempts the router sent here; Failures
 	// counts the ones that failed at transport level.
 	Requests int64 `json:"requests"`
@@ -141,13 +142,16 @@ type FleetInfo struct {
 	// their replica set (the replicated-ownership read path); Rehashes
 	// counts requests served outside the replica set entirely (the PR 7
 	// cold path — with R>=2 this stays zero unless R-1 replicas die
-	// together). Retries counts extra attempts after a failure; Hedges
-	// counts straggler races fired and HedgeWins how often the hedge
-	// answered first; Unavailable counts requests refused 503 because no
-	// replica was healthy.
-	Failovers   int64 `json:"failovers"`
-	Rehashes    int64 `json:"rehashes"`
-	Retries     int64 `json:"retries"`
+	// together). Retries counts extra attempts after a failure;
+	// Unavailable counts requests refused 503 because no replica was
+	// healthy.
+	Failovers int64 `json:"failovers"`
+	Rehashes  int64 `json:"rehashes"`
+	Retries   int64 `json:"retries"`
+	// Hedges and HedgeWins always read 0: the router no longer hedges
+	// (the deadline slices bound stragglers), but the benchmark module
+	// decodes both fields, so they stay in the wire format until it
+	// changes.
 	Hedges      int64 `json:"hedges"`
 	HedgeWins   int64 `json:"hedge_wins"`
 	Unavailable int64 `json:"unavailable"`
@@ -160,14 +164,12 @@ type FleetInfo struct {
 	Prewarms      int64 `json:"prewarms"`
 	PrewarmsBuilt int64 `json:"prewarms_built"`
 	PrewarmsCold  int64 `json:"prewarms_cold"`
-	// RetryBudgetExhausted counts retries/hedges suppressed by the retry
+	// RetryBudgetExhausted counts retries suppressed by the retry
 	// budget; QuotaRejected counts tenant 429s; DeadlineExceeded counts
 	// requests answered with the structured 504.
 	RetryBudgetExhausted int64 `json:"retry_budget_exhausted"`
 	QuotaRejected        int64 `json:"quota_rejected"`
 	DeadlineExceeded     int64 `json:"deadline_exceeded"`
-	// HedgeAfterMS is the current hedge threshold (fixed or adaptive).
-	HedgeAfterMS float64 `json:"hedge_after_ms"`
 	// Routing maps each registered workload to the backend currently
 	// answering for it — after a failure this is where the failover
 	// shows. Replicas maps each to its full current replica set
@@ -184,10 +186,9 @@ type StatsResponse struct {
 	Backends []BackendStats `json:"backends"`
 }
 
-// Unavailable is the structured 503 body: every replica for the key is
-// down (or breaker-open), and RetryAfterSeconds (also sent as the
-// Retry-After header) is the horizon after which membership or the
-// breaker may have recovered.
+// Unavailable is the structured 503 body: no replica for the key is in
+// rotation, and RetryAfterSeconds (also sent as the Retry-After header)
+// is the probe horizon after which membership may have recovered.
 type Unavailable struct {
 	Error             string `json:"error"`
 	RetryAfterSeconds int    `json:"retry_after_seconds"`

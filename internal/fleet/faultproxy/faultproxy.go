@@ -28,7 +28,7 @@ const (
 	// dead process whose port is still bound.
 	Refuse
 	// Delay forwards traffic after sleeping the configured delay on the
-	// first backend byte — a stalled or overloaded backend (hedge bait).
+	// first backend byte — a stalled or overloaded backend (a straggler).
 	Delay
 	// Reset closes the client connection with SO_LINGER=0 after the
 	// configured number of response bytes, producing a TCP RST — a

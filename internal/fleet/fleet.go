@@ -37,44 +37,38 @@ type Options struct {
 	// ProbeTimeout bounds one /healthz probe (default 1s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// FailAfter consecutive failures mark a backend unhealthy (default
-	// 2); RejoinAfter consecutive probe successes mark it healthy again
-	// (default 2) and trigger a prewarm fan-out for the keys rehashing
-	// back.
+	// FailAfter consecutive failures, probe and request alike, drain a
+	// backend from rotation (default 2); RejoinAfter consecutive probe
+	// successes readmit it half-open (default 2) and trigger a prewarm
+	// fan-out for the keys rehashing back. The package doc describes
+	// the states.
 	FailAfter   int
 	RejoinAfter int
 	// Retry bounds per-request retries (see RetryPolicy).
 	Retry RetryPolicy
 	// AttemptTimeout bounds one buffered proxied attempt (default 2m —
-	// a cold full-workbench experiment is the slow case). Streaming
+	// a cold full-workbench experiment is the slow case), and so a
+	// straggling backend when the request carries no deadline. Streaming
 	// sweeps are bounded by the client's context instead. An X-Deadline
 	// header tightens this further (see reqMeta).
 	AttemptTimeout time.Duration
-	// HedgeAfter is the eval straggler threshold: an evaluation not
-	// answered within it races a second replica. 0 means adaptive —
-	// twice the observed p95 once enough samples exist, 250ms before
-	// that. Negative disables hedging.
-	HedgeAfter time.Duration
 	// Quota is the per-tenant admission control (zero value = no limits;
 	// tenant identity comes from the X-Tenant header).
 	Quota QuotaConfig
-	// Breaker is the per-backend circuit breaker over data-path failures
-	// (see BreakerConfig; zero value = defaults, Threshold < 0 disables).
-	Breaker BreakerConfig
-	// RetryBudgetRatio funds the shared retry/hedge token bucket: every
-	// admitted request adds this many tokens and every retry or hedge
-	// spends one, so retries amplify a degraded fleet's traffic by at
-	// most ~this fraction (default 0.1). Negative disables the budget.
+	// RetryBudgetRatio funds the shared retry token bucket: every
+	// admitted request adds this many tokens and every retry spends one,
+	// so retries amplify a degraded fleet's traffic by at most ~this
+	// fraction (default 0.1). Negative disables the budget.
 	RetryBudgetRatio float64
-	// Logf receives membership transitions and retry/hedge events
-	// (nil = silent).
+	// Logf receives membership transitions and retry events (nil =
+	// silent).
 	Logf func(format string, args ...any)
 }
 
 // Router is the fleet front door: an http.Handler that consistently
 // hashes workload keys onto healthy backends, with replicated ownership,
-// retries, hedging and stream resumption. Build one with New, stop it
-// with Shutdown or Close.
+// retries and stream resumption. Build one with New, stop it with
+// Shutdown or Close.
 type Router struct {
 	opts    Options
 	mux     *http.ServeMux
@@ -82,14 +76,20 @@ type Router struct {
 	hs      *http.Server
 	started time.Time
 
+	// ctx bounds every background probe and fan-out; Close and Shutdown
+	// cancel it under mu, and spawn registers goroutines under mu only
+	// while it is live, so none can start after Close returns.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
 	mu       sync.Mutex
 	ring     *ring // rebuilt on join/leave only; health never rebuilds it
 	backends map[string]*backendState
 
-	rehashes, failovers, retries, hedges, hedgeWins, unavailable atomic.Int64
-	prewarms, prewarmsBuilt, prewarmsCold                        atomic.Int64
-	retryExhausted, quotaRejected, deadlineExceeded              atomic.Int64
-	lat                                                          latencyTracker
+	rehashes, failovers, retries, unavailable       atomic.Int64
+	prewarms, prewarmsBuilt, prewarmsCold           atomic.Int64
+	retryExhausted, quotaRejected, deadlineExceeded atomic.Int64
 
 	admission *admission
 	budget    *retryBudget
@@ -101,23 +101,16 @@ type Router struct {
 	fanoutActive bool
 	fanoutDirty  bool
 	fanoutRepair bool
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // backendState is one backend's membership record; all fields are
 // guarded by the router's mutex.
 type backendState struct {
-	addr        string
-	healthy     bool
-	consecFails int
-	consecOKs   int
-	lastErr     string
-	requests    int64
-	failures    int64
-	brk         breakerState
+	addr string
+	health
+	lastErr  string
+	requests int64
+	failures int64
 }
 
 // normalizeAddr canonicalizes a backend address the way New always has:
@@ -183,7 +176,6 @@ func New(opts Options) (*Router, error) {
 		opts.AttemptTimeout = 2 * time.Minute
 	}
 	opts.Retry = opts.Retry.withDefaults()
-	opts.Breaker = opts.Breaker.withDefaults()
 
 	rt := &Router{
 		opts: opts,
@@ -197,10 +189,10 @@ func New(opts Options) (*Router, error) {
 		admission: newAdmission(opts.Quota),
 		budget:    newRetryBudget(opts.RetryBudgetRatio),
 		started:   time.Now(),
-		stop:      make(chan struct{}),
 	}
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	for _, a := range addrs {
-		rt.backends[a] = &backendState{addr: a, healthy: true}
+		rt.backends[a] = &backendState{addr: a}
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
 	rt.mux.HandleFunc("GET /v1/workloads", rt.handleWorkloads)
@@ -219,8 +211,7 @@ func New(opts Options) (*Router, error) {
 	})
 	rt.hs = &http.Server{Handler: rt.mux}
 
-	rt.wg.Add(1)
-	go rt.probeLoop()
+	rt.spawn(rt.probeLoop)
 	// Startup fan-out: push warmth to every workload's replica set so the
 	// first primary failure already has a warm standby. R=1 keeps the
 	// PR 7 lazy behavior (engines build on first traffic or rejoin).
@@ -268,18 +259,38 @@ func (rt *Router) Close() error {
 	return rt.hs.Close()
 }
 
+// stopProbes cancels every background probe and fan-out and waits for
+// their goroutines to exit.
 func (rt *Router) stopProbes() {
-	rt.stopOnce.Do(func() { close(rt.stop) })
+	rt.mu.Lock()
+	rt.cancel()
+	rt.mu.Unlock()
 	rt.wg.Wait()
+	rt.hc.CloseIdleConnections()
+}
+
+// spawn runs f on a goroutine that Close waits for, and reports whether
+// it did: once the router is stopping it starts nothing.
+func (rt *Router) spawn(f func()) bool {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.ctx.Err() != nil {
+		return false
+	}
+	rt.wg.Add(1)
+	go func() {
+		defer rt.wg.Done()
+		f()
+	}()
+	return true
 }
 
 func (rt *Router) probeLoop() {
-	defer rt.wg.Done()
 	t := time.NewTicker(rt.opts.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-t.C:
 			rt.CheckNow()
@@ -320,20 +331,21 @@ func (rt *Router) CheckNow() {
 }
 
 func (rt *Router) probe(addr string) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, rt.opts.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
 		return
 	}
-	var probeErr error
-	if resp, err := rt.hc.Do(req); err != nil {
-		probeErr = err
-	} else {
+	resp, err := rt.hc.Do(req)
+	if err == nil {
 		resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
-			probeErr = fmt.Errorf("healthz returned HTTP %d", resp.StatusCode)
+			err = fmt.Errorf("healthz returned HTTP %d", resp.StatusCode)
 		}
+	}
+	if err != nil && rt.ctx.Err() != nil {
+		return // the router is stopping, not the backend
 	}
 
 	rt.mu.Lock()
@@ -343,27 +355,21 @@ func (rt *Router) probe(addr string) {
 		rt.mu.Unlock()
 		return
 	}
-	rejoined, drained := false, false
-	if probeErr != nil {
-		b.consecFails++
-		b.consecOKs = 0
-		b.lastErr = probeErr.Error()
-		if b.healthy && b.consecFails >= rt.opts.FailAfter {
-			b.healthy = false
-			drained = true
-			rt.logf("fleet: backend %s unhealthy after %d consecutive failures (%v)", addr, b.consecFails, probeErr)
-		}
-	} else {
-		b.consecOKs++
-		b.consecFails = 0
-		if !b.healthy && b.consecOKs >= rt.opts.RejoinAfter {
-			b.healthy = true
-			rejoined = true
-			rt.logf("fleet: backend %s healthy again after %d consecutive successes", addr, b.consecOKs)
-		}
+	ev := probeOK
+	if err != nil {
+		ev = probeFailed
+		b.lastErr = err.Error()
 	}
+	drained, rejoined := b.step(ev, rt.opts.FailAfter, rt.opts.RejoinAfter)
+	fails := b.fails
 	rt.mu.Unlock()
 
+	switch {
+	case drained:
+		rt.logf("fleet: backend %s unhealthy after %d consecutive failures (%v)", addr, fails, err)
+	case rejoined:
+		rt.logf("fleet: backend %s healthy again after %d consecutive probe successes (half-open)", addr, rt.opts.RejoinAfter)
+	}
 	if rejoined || drained {
 		// Repair fan-out, async: prewarm builds engines, which can take
 		// seconds — it must not stall the probe cycle that keeps the rest
@@ -385,23 +391,14 @@ func (rt *Router) scheduleFanout(repair bool) {
 		// (the PR 7 prewarm-on-rejoin path) fans out.
 		return
 	}
-	select {
-	case <-rt.stop:
-		return
-	default:
-	}
 	rt.fanoutMu.Lock()
+	defer rt.fanoutMu.Unlock()
 	if rt.fanoutActive {
 		rt.fanoutDirty = true
 		rt.fanoutRepair = rt.fanoutRepair || repair
-		rt.fanoutMu.Unlock()
 		return
 	}
-	rt.fanoutActive = true
-	rt.fanoutMu.Unlock()
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
+	rt.fanoutActive = rt.spawn(func() {
 		for {
 			rt.fanout(repair)
 			rt.fanoutMu.Lock()
@@ -416,7 +413,7 @@ func (rt *Router) scheduleFanout(repair bool) {
 			rt.fanoutMu.Unlock()
 			return
 		}
-	}()
+	})
 }
 
 // fanout pushes engine warmth to every workload's current replica set:
@@ -425,7 +422,7 @@ func (rt *Router) scheduleFanout(repair bool) {
 // it actually had to build). Keys covered: the scenario registry plus
 // the imported workloads visible on any healthy backend.
 func (rt *Router) fanout(repair bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.opts.AttemptTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, rt.opts.AttemptTimeout)
 	defer cancel()
 	names := append([]string(nil), workload.Names()...)
 	seen := map[string]bool{}
@@ -521,7 +518,7 @@ func (rt *Router) candidates(key string) []string {
 	order := rt.ring.order(key)
 	out := make([]string, 0, len(order))
 	for _, addr := range order {
-		if b := rt.backends[addr]; b != nil && b.healthy {
+		if b := rt.backends[addr]; b != nil && b.inRotation() {
 			out = append(out, addr)
 		}
 	}
@@ -545,12 +542,6 @@ func (rt *Router) replicaSet(key string) []string {
 // (the PR 7 cold path).
 func (rt *Router) warmSet(key string) []string {
 	return rt.curRing().replicaSet(key, rt.opts.Replication)
-}
-
-// primary is the key's owner over the full current membership,
-// health-blind.
-func (rt *Router) primary(key string) string {
-	return rt.curRing().order(key)[0]
 }
 
 // classifyServed books the served-by counters: primary hits are free,
@@ -577,10 +568,9 @@ func (rt *Router) noteRequest(addr string) {
 	rt.mu.Unlock()
 }
 
-// noteFailure records a data-path transport failure; it feeds the same
-// fail threshold as probes — so a killed backend drains from the ring at
-// request speed instead of waiting out a probe cycle — and the backend's
-// circuit breaker.
+// noteFailure records a data-path transport failure against addr's
+// state machine: it shares the probes' failure counter, so a killed
+// backend drains at request speed instead of waiting out a probe cycle.
 func (rt *Router) noteFailure(addr string, err error) {
 	rt.mu.Lock()
 	b := rt.backends[addr]
@@ -589,60 +579,28 @@ func (rt *Router) noteFailure(addr string, err error) {
 		return
 	}
 	b.failures++
-	b.consecFails++
-	b.consecOKs = 0
 	b.lastErr = err.Error()
-	drained := false
-	if b.healthy && b.consecFails >= rt.opts.FailAfter {
-		b.healthy = false
-		drained = true
-		rt.logf("fleet: backend %s unhealthy after %d consecutive failures (%v)", addr, b.consecFails, err)
-	}
-	if opened := b.brk.onFailure(rt.opts.Breaker, time.Now()); opened {
-		rt.logf("fleet: breaker open for %s (%d consecutive data-path failures, cooldown %s)", addr, b.brk.fails, rt.opts.Breaker.Cooldown)
-	}
+	drained, _ := b.step(requestFailed, rt.opts.FailAfter, rt.opts.RejoinAfter)
+	fails := b.fails
 	rt.mu.Unlock()
 	if drained {
+		rt.logf("fleet: backend %s unhealthy after %d consecutive failures (%v)", addr, fails, err)
 		// The dead member's replica sets gained a new deepest member that
 		// may be cold; warm it in the background.
 		rt.scheduleFanout(true)
 	}
 }
 
-// noteSuccess resets the failure streak and closes the breaker. It never
-// flips an unhealthy backend back by itself: rejoin is the prober's job,
-// because rejoin also triggers the prewarm fan-out.
+// noteSuccess records a data-path success: it clears a suspect streak
+// and closes a half-open backend. It never readmits an open one:
+// rejoin is the prober's job, because rejoin also triggers the prewarm
+// fan-out.
 func (rt *Router) noteSuccess(addr string) {
 	rt.mu.Lock()
-	b := rt.backends[addr]
-	if b == nil {
-		rt.mu.Unlock()
-		return
-	}
-	if b.healthy {
-		b.consecFails = 0
-	}
-	if closed := b.brk.onSuccess(); closed {
-		rt.logf("fleet: breaker closed for %s (data-path success)", addr)
+	if b := rt.backends[addr]; b != nil {
+		b.step(requestOK, rt.opts.FailAfter, rt.opts.RejoinAfter)
 	}
 	rt.mu.Unlock()
-}
-
-// breakerAllow reports whether the breaker admits a request to addr. In
-// the half-open window exactly one caller gets the probe slot; a true
-// return is a commitment to actually send the request (its outcome is
-// what resets or re-opens the breaker).
-func (rt *Router) breakerAllow(addr string) bool {
-	if rt.opts.Breaker.Threshold < 0 {
-		return true
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b := rt.backends[addr]
-	if b == nil {
-		return false
-	}
-	return b.brk.allow(time.Now())
 }
 
 // healthSnapshot returns the per-backend health rows and the healthy
@@ -653,13 +611,13 @@ func (rt *Router) healthSnapshot() ([]BackendHealth, int) {
 	out := make([]BackendHealth, 0, len(rt.backends))
 	healthy := 0
 	for _, b := range rt.backends {
-		if b.healthy {
+		if b.inRotation() {
 			healthy++
 		}
 		out = append(out, BackendHealth{
 			Addr:                b.addr,
-			Healthy:             b.healthy,
-			ConsecutiveFailures: b.consecFails,
+			Healthy:             b.inRotation(),
+			ConsecutiveFailures: b.fails,
 			LastError:           b.lastErr,
 		})
 	}
@@ -676,49 +634,4 @@ func fleetStatus(healthy, total int) string {
 	default:
 		return "down"
 	}
-}
-
-// latencyTracker keeps a sliding window of successful eval latencies for
-// the adaptive hedge threshold.
-type latencyTracker struct {
-	mu  sync.Mutex
-	buf [256]time.Duration
-	n   int // total recorded (saturating at len(buf) for windowing)
-	idx int
-}
-
-func (t *latencyTracker) record(d time.Duration) {
-	t.mu.Lock()
-	t.buf[t.idx] = d
-	t.idx = (t.idx + 1) % len(t.buf)
-	if t.n < len(t.buf) {
-		t.n++
-	}
-	t.mu.Unlock()
-}
-
-// p95 returns the window's 95th percentile; ok is false until 20
-// samples exist (too little signal to beat the fixed default).
-func (t *latencyTracker) p95() (time.Duration, bool) {
-	t.mu.Lock()
-	n := t.n
-	window := make([]time.Duration, n)
-	copy(window, t.buf[:n])
-	t.mu.Unlock()
-	if n < 20 {
-		return 0, false
-	}
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	return window[n*95/100], true
-}
-
-// hedgeDelay is the current straggler threshold.
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.opts.HedgeAfter > 0 {
-		return rt.opts.HedgeAfter
-	}
-	if p95, ok := rt.lat.p95(); ok {
-		return max(2*p95, 25*time.Millisecond)
-	}
-	return 250 * time.Millisecond
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // Join adds a backend to the fleet without a router restart. The member
-// starts unhealthy-until-probed: it begins taking traffic only after
-// RejoinAfter consecutive probe successes, which also fires the prewarm
-// fan-out — so the keys the ring moves onto it arrive warm, exactly
-// like a rejoin.
+// starts open (out of rotation until probed): it begins taking traffic
+// only after RejoinAfter consecutive probe successes, which also fires
+// the prewarm fan-out — so the keys the ring moves onto it arrive warm,
+// exactly like a rejoin.
 func (rt *Router) Join(addr string) error {
 	a, err := normalizeAddr(addr)
 	if err != nil {
@@ -23,12 +23,12 @@ func (rt *Router) Join(addr string) error {
 		rt.mu.Unlock()
 		return fmt.Errorf("fleet: %s is already a member", a)
 	}
-	rt.backends[a] = &backendState{addr: a, healthy: false}
+	rt.backends[a] = &backendState{addr: a, health: health{state: stateOpen}}
 	rt.ring = newRing(append(append([]string(nil), rt.ring.backends...), a), rt.opts.Replicas)
 	rt.mu.Unlock()
 	rt.logf("fleet: backend %s joined (unhealthy until probed)", a)
 	// Probe immediately so adoption starts now, not at the next tick.
-	go rt.probe(a)
+	rt.spawn(func() { rt.probe(a) })
 	return nil
 }
 

@@ -9,21 +9,23 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/serve"
 )
 
-// RetryPolicy bounds the router's retries: capped exponential backoff
-// with full jitter between attempts. The zero value means the defaults
-// documented per field.
+// RetryPolicy bounds the router's retries. A retry moves to a replica
+// this request has not tried yet at once; capped exponential backoff
+// with full jitter applies only before retrying a member it already
+// tried. The zero value means the defaults documented per field.
 type RetryPolicy struct {
 	// MaxAttempts is the total tries per request, first included
 	// (default 3).
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 25ms);
-	// it doubles per retry up to MaxDelay (default 1s).
+	// BaseDelay is the backoff before retry 1 (default 25ms); it doubles
+	// per retry up to MaxDelay (default 1s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
 }
@@ -65,9 +67,9 @@ func (p RetryPolicy) sleep(ctx context.Context, n int) error {
 	}
 }
 
-// retryBudget is the router-wide token bucket that bounds retry and
-// hedge amplification: every admitted request funds it by ratio tokens,
-// every retry or hedge spends one. When a chunk of the fleet degrades,
+// retryBudget is the router-wide token bucket that bounds retry
+// amplification: every admitted request funds it by ratio tokens, every
+// retry spends one. When a chunk of the fleet degrades,
 // first attempts keep flowing but the extra attempts that would multiply
 // the load dry up at ~ratio of traffic. The bucket starts full so a
 // cold router can still retry its very first failures.
@@ -103,8 +105,8 @@ func (b *retryBudget) fund() {
 	b.mu.Unlock()
 }
 
-// spend takes one token for a retry or hedge; false means the budget is
-// exhausted and the extra attempt must not be sent.
+// spend takes one token for a retry; false means the budget is exhausted
+// and the extra attempt must not be sent.
 func (b *retryBudget) spend() bool {
 	if b == nil {
 		return true
@@ -134,6 +136,84 @@ func (e *StatusError) Error() string {
 // errClientGone marks a failure writing to OUR client: retrying against
 // another backend cannot help, the requester hung up.
 var errClientGone = errors.New("fleet: client connection gone")
+
+// errNoBackend is walk's answer when no candidate for the key is in
+// rotation at all: the structured 503, not a failed retry.
+var errNoBackend = errors.New("fleet: no backend in rotation")
+
+// walk is the retry walk every proxied request takes, buffered or
+// streamed. try makes attempt n against addr; walk owns everything
+// around it:
+//   - the candidates: key's in-rotation members in ring order,
+//     refreshed before every retry and skipping members this request
+//     already tried, so a drain mid-request moves on to the warm standby
+//     instead of shifting the walk past it;
+//   - retry-budget spend and the retries / retry_budget_exhausted
+//     counters;
+//   - backoff, only before retrying a member already tried — moving to
+//     an untried replica is immediate;
+//   - the deadline check before each attempt;
+//   - feeding each outcome to the member's state machine and booking
+//     the served-by counters.
+//
+// It returns the member that served, or the error that ended the walk:
+// errNoBackend, context.DeadlineExceeded when the deadline passed
+// before an attempt, else the last attempt's error.
+func (rt *Router) walk(ctx context.Context, key string, m reqMeta, try func(addr string, n int) error) (string, error) {
+	pol := rt.opts.Retry
+	cands := rt.candidates(key)
+	if len(cands) == 0 {
+		return "", errNoBackend
+	}
+	addr := cands[0]
+	var tried []string // members this request already tried; each failed
+	var lastErr error
+	for n := 0; n < pol.MaxAttempts; n++ {
+		if n > 0 {
+			if !rt.budget.spend() {
+				rt.retryExhausted.Add(1)
+				rt.logf("fleet: retry budget exhausted for %q (last error: %v)", key, lastErr)
+				break
+			}
+			rt.retries.Add(1)
+			if cands = rt.candidates(key); len(cands) == 0 {
+				break
+			}
+			if addr = firstUntried(cands, tried); addr == "" {
+				addr = cands[n%len(cands)]
+				if pol.sleep(ctx, n) != nil {
+					break
+				}
+			}
+		}
+		if m.expired() {
+			return "", context.DeadlineExceeded
+		}
+		err := try(addr, n)
+		if err == nil {
+			rt.noteSuccess(addr)
+			rt.classifyServed(key, addr)
+			return addr, nil
+		}
+		rt.noteFailure(addr, err)
+		lastErr = err
+		if !Retryable(err) {
+			break
+		}
+		tried = append(tried, addr)
+	}
+	return "", lastErr
+}
+
+// firstUntried returns the first of cands not in tried, or "".
+func firstUntried(cands, tried []string) string {
+	for _, c := range cands {
+		if !slices.Contains(tried, c) {
+			return c
+		}
+	}
+	return ""
+}
 
 // Retryable classifies an error as safe and useful to retry against
 // another replica. Only idempotent failures qualify: transport errors

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -283,22 +286,31 @@ func TestRouterDeadlineAgainstStalledBackend(t *testing.T) {
 	}
 }
 
-func TestRouterBreakerOpensAndRecovers(t *testing.T) {
-	c := newCluster(t, 2, Options{
-		FailAfter: 1000, // keep health static: this test isolates the breaker
-		Breaker:   BreakerConfig{Threshold: 2, Cooldown: 150 * time.Millisecond},
-	})
+// TestRouterBrownoutLeavesRotation pins the state machine's answer to
+// a backend whose /healthz answers while its data path fails: failed
+// requests drain it, every probe rejoin readmits it half-open, and the
+// first request after each rejoin reopens it — so it costs one request
+// per probe cycle, and no client ever sees its failures.
+func TestRouterBrownoutLeavesRotation(t *testing.T) {
+	c := newCluster(t, 2, Options{FailAfter: 2})
+	c.waitWarm()
 	primary := c.rt.candidates("default")[0]
-	c.proxyFor(primary).Set(faultproxy.Config{Mode: faultproxy.Refuse})
+	c.brownoutFor(primary).on.Store(true)
 
-	// Two failed primary attempts (each eval retries onto the standby and
-	// succeeds) trip the breaker.
-	for i := 0; i < 2; i++ {
-		if resp, body := c.get(evalPath); resp.StatusCode != http.StatusOK {
-			t.Fatalf("eval %d: HTTP %d: %s", i, resp.StatusCode, body)
+	eval := func() *http.Response {
+		t.Helper()
+		resp, body := c.get(evalPath)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("eval during brownout: HTTP %d: %s", resp.StatusCode, body)
 		}
+		return resp
 	}
-	breakerOf := func(addr string) string {
+	requests := func() int64 {
+		c.rt.mu.Lock()
+		defer c.rt.mu.Unlock()
+		return c.rt.backends[primary].requests
+	}
+	stateOf := func() string {
 		t.Helper()
 		_, body := c.get("/v1/stats")
 		var st StatsResponse
@@ -306,42 +318,105 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range st.Backends {
-			if b.Addr == addr {
-				return b.Breaker
+			if b.Addr == primary {
+				return b.State
 			}
 		}
-		t.Fatalf("no stats row for %s", addr)
+		t.Fatalf("no stats row for %s", primary)
 		return ""
 	}
-	if got := breakerOf(primary); got != BreakerOpen {
-		t.Fatalf("primary breaker = %q after %d failures, want %q", got, 2, BreakerOpen)
+
+	// Two failed requests (each eval fails over to the standby) open it.
+	for i := 0; i < 2; i++ {
+		eval()
 	}
-	// While open, the primary receives no traffic: the request count is
-	// frozen even though requests keep succeeding via the standby.
-	c.rt.mu.Lock()
-	frozen := c.rt.backends[primary].requests
-	c.rt.mu.Unlock()
+	if got := stateOf(); got != "open" {
+		t.Fatalf("primary state = %q after 2 failed requests, want open", got)
+	}
+	// Open: its request counter stops rising while evals keep succeeding.
+	frozen := requests()
 	for i := 0; i < 3; i++ {
-		if resp, body := c.get(evalPath); resp.StatusCode != http.StatusOK {
-			t.Fatalf("eval with open breaker: HTTP %d: %s", resp.StatusCode, body)
-		}
+		eval()
 	}
-	c.rt.mu.Lock()
-	after := c.rt.backends[primary].requests
-	c.rt.mu.Unlock()
-	if after != frozen {
-		t.Fatalf("open breaker let %d request(s) through", after-frozen)
+	if n := requests() - frozen; n != 0 {
+		t.Fatalf("open primary received %d request(s)", n)
 	}
 
-	// Recovery: fix the backend, wait out the cooldown; the half-open
-	// trial succeeds and closes the breaker.
-	c.revive(primary)
-	time.Sleep(200 * time.Millisecond)
-	if resp, body := c.get(evalPath); resp.StatusCode != http.StatusOK {
-		t.Fatalf("half-open trial eval: HTTP %d: %s", resp.StatusCode, body)
+	// Each rejoin lets exactly one serial eval reach it, which reopens it.
+	for round := 0; round < 3; round++ {
+		c.rt.CheckNow()
+		if got := stateOf(); got != "half-open" {
+			t.Fatalf("round %d: primary state = %q after a probe rejoin, want half-open", round, got)
+		}
+		c.waitWarm() // the rejoin fan-out talks to the primary too
+		before := requests()
+		for i := 0; i < 3; i++ {
+			eval()
+		}
+		if n := requests() - before; n != 1 {
+			t.Fatalf("round %d: %d request(s) reached the half-open primary, want exactly 1", round, n)
+		}
+		if got := stateOf(); got != "open" {
+			t.Fatalf("round %d: primary state = %q after its failed request, want open", round, got)
+		}
 	}
-	if got := breakerOf(primary); got != BreakerClosed {
-		t.Fatalf("primary breaker = %q after successful trial, want %q", got, BreakerClosed)
+
+	// Fixed data path: one rejoin and one eval make it healthy, and it
+	// serves its keys again.
+	c.brownoutFor(primary).on.Store(false)
+	c.rt.CheckNow()
+	c.waitWarm()
+	for i := 0; i < 3; i++ {
+		if got := eval().Header.Get("X-Fleet-Backend"); got != primary {
+			t.Fatalf("eval %d after recovery answered by %s, want the primary %s", i, got, primary)
+		}
+	}
+	if got := stateOf(); got != "healthy" {
+		t.Fatalf("primary state = %q after a request success, want healthy", got)
+	}
+}
+
+// TestRouterCloseStopsProbes pins the router's goroutine lifetime: Close
+// cancels a probe in flight instead of returning while it still holds a
+// connection open for up to ProbeTimeout.
+func TestRouterCloseStopsProbes(t *testing.T) {
+	rt, err := New(Options{
+		Backends:      []string{"127.0.0.1:1"},
+		Replication:   1,
+		ProbeInterval: time.Hour,
+		ProbeTimeout:  5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A member that accepts connections and never answers.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := l.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	if err := rt.Join(l.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	var conn net.Conn
+	select {
+	case conn = <-accepted:
+		defer conn.Close()
+	case <-time.After(5 * time.Second):
+		rt.Close()
+		t.Fatal("the join probe never connected")
+	}
+
+	rt.Close()
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("the probe's connection was still open 1s after Close returned")
 	}
 }
 
@@ -448,10 +523,12 @@ func TestRouterRetryBudgetExhaustion(t *testing.T) {
 	c := newCluster(t, 2, Options{
 		RetryBudgetRatio: 0.0001, // fund essentially nothing: the initial 10 tokens are the whole budget
 		FailAfter:        1000,   // keep the broken primary in rotation
-		Breaker:          BreakerConfig{Threshold: -1},
 	})
+	c.waitWarm()
 	primary := c.rt.candidates("default")[0]
-	c.proxyFor(primary).Set(faultproxy.Config{Mode: faultproxy.Refuse})
+	// kill also severs the startup fan-out's pooled connection, which
+	// was accepted in Pass mode and would otherwise serve every eval.
+	c.kill(primary)
 
 	// Every eval burns one retry (primary fails, standby answers) until
 	// the bucket runs dry; after that the failure is terminal.

@@ -50,26 +50,22 @@ func (m reqMeta) apply(h http.Header) {
 	}
 }
 
+// expired reports that the request carries a deadline and it passed.
+func (m reqMeta) expired() bool {
+	return m.hasDeadline && time.Until(m.deadline) <= 0
+}
+
 // attemptBudget splits the remaining deadline evenly over the attempts
 // still available — each retry gets a shrinking slice instead of the
-// first attempt eating the whole budget — floored at 5ms so an attempt
-// is never pointless. expired reports the deadline already passed.
-func (m reqMeta) attemptBudget(attemptsLeft int) (budget time.Duration, expired bool) {
+// first attempt eating the whole budget, so a straggling replica is
+// abandoned in time for the next one to answer — floored at 5ms so an
+// attempt is never pointless. 0 means no deadline.
+func (m reqMeta) attemptBudget(attemptsLeft int) time.Duration {
 	if !m.hasDeadline {
-		return 0, false
+		return 0
 	}
-	remaining := time.Until(m.deadline)
-	if remaining <= 0 {
-		return 0, true
-	}
-	if attemptsLeft < 1 {
-		attemptsLeft = 1
-	}
-	budget = remaining / time.Duration(attemptsLeft)
-	if budget < 5*time.Millisecond {
-		budget = 5 * time.Millisecond
-	}
-	return budget, false
+	budget := time.Until(m.deadline) / time.Duration(max(attemptsLeft, 1))
+	return max(budget, 5*time.Millisecond)
 }
 
 // admit is the per-request front door: deadline parsing, per-tenant
@@ -154,174 +150,24 @@ func deliver(w http.ResponseWriter, addr string, pr *proxyResult) {
 	w.Write(pr.body)
 }
 
-// pickCandidate walks cands from *next, skipping backends whose circuit
-// breaker refuses traffic, and returns the first admitted one. A true
-// return may hold a half-open probe slot, so the caller must actually
-// send the request.
-func (rt *Router) pickCandidate(cands []string, next *int) (string, bool) {
-	for range cands {
-		addr := cands[*next%len(cands)]
-		*next++
-		if rt.breakerAllow(addr) {
-			return addr, true
-		}
-	}
-	return "", false
-}
-
-// breakerClosed is a read-only check (no half-open slot taken), used to
-// decide whether a hedge may target addr.
-func (rt *Router) breakerClosed(addr string) bool {
-	if rt.opts.Breaker.Threshold < 0 {
-		return true
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	b := rt.backends[addr]
-	return b != nil && b.brk.openUntil.IsZero()
-}
-
-// forward proxies a buffered request for key: candidates in ring order,
-// idempotent-only retries with capped jittered backoff (spending the
-// retry budget), optional straggler hedging on the first attempt, and
-// per-attempt deadline slices when the request carries one. It writes
-// the response (or the structured error) itself.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte, hedge bool, m reqMeta) {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
+// forward proxies a buffered request for key over the retry walk, each
+// attempt bounded by its slice of the request's deadline, and writes the
+// response (or the structured error) itself.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte, m reqMeta) {
+	var pr *proxyResult
+	addr, err := rt.walk(r.Context(), key, m, func(addr string, n int) (err error) {
+		pr, err = rt.tryOnce(r.Context(), addr, method, path, body, m, m.attemptBudget(rt.opts.Retry.MaxAttempts-n))
+		return err
+	})
+	switch {
+	case err == nil:
+		deliver(w, addr, pr)
+	case errors.Is(err, errNoBackend):
 		rt.writeUnavailable(w, key)
-		return
-	}
-	pol := rt.opts.Retry
-	var lastErr error
-	next := 0 // index into cands, wrapped
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if !rt.budget.spend() {
-				rt.retryExhausted.Add(1)
-				rt.logf("fleet: retry budget exhausted for %s %s (last error: %v)", method, path, lastErr)
-				break
-			}
-			rt.retries.Add(1)
-			if err := pol.sleep(r.Context(), attempt); err != nil {
-				break
-			}
-		}
-		budget, expired := m.attemptBudget(pol.MaxAttempts - attempt)
-		if expired {
-			rt.writeDeadlineExceeded(w, key, m)
-			return
-		}
-		var pr *proxyResult
-		var addr string
-		var err error
-		if attempt == 0 && hedge && len(cands) > 1 && rt.opts.HedgeAfter >= 0 &&
-			rt.breakerClosed(cands[0]) && rt.breakerClosed(cands[1]) {
-			start := time.Now()
-			pr, addr, err = rt.hedgedAttempt(r.Context(), cands[0], cands[1], method, path, body, m, budget)
-			if err == nil {
-				rt.lat.record(time.Since(start))
-			}
-			next = 2
-		} else {
-			var ok bool
-			addr, ok = rt.pickCandidate(cands, &next)
-			if !ok {
-				// Every healthy candidate is breaker-open: refuse
-				// structurally rather than hammering backends the breaker
-				// just decided to protect.
-				if lastErr == nil {
-					rt.writeBreakerOpen(w, key)
-					return
-				}
-				break
-			}
-			pr, err = rt.tryOnce(r.Context(), addr, method, path, body, m, budget)
-		}
-		if err == nil {
-			rt.noteSuccess(addr)
-			rt.classifyServed(key, addr)
-			deliver(w, addr, pr)
-			return
-		}
-		if addr != "" {
-			rt.noteFailure(addr, err)
-		}
-		lastErr = err
-		if !Retryable(err) {
-			break
-		}
-	}
-	if m.hasDeadline && time.Until(m.deadline) <= 0 {
+	case m.expired():
 		rt.writeDeadlineExceeded(w, key, m)
-		return
-	}
-	writeError(w, http.StatusBadGateway, "fleet: %s %s failed after retries: %v", method, path, lastErr)
-}
-
-// hedgedAttempt races the primary against a delayed second replica: the
-// hedge fires when the primary straggles past the threshold, or
-// immediately when it fails outright. Both the hedge and the immediate
-// failover spend the retry budget. First success wins and the loser is
-// cancelled.
-func (rt *Router) hedgedAttempt(ctx context.Context, a, b, method, path string, body []byte, m reqMeta, budget time.Duration) (*proxyResult, string, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		pr   *proxyResult
-		err  error
-		addr string
-	}
-	ch := make(chan result, 2)
-	launch := func(addr string) {
-		pr, err := rt.tryOnce(hctx, addr, method, path, body, m, budget)
-		ch <- result{pr, err, addr}
-	}
-	go launch(a)
-	timer := time.NewTimer(rt.hedgeDelay())
-	defer timer.Stop()
-	outstanding := 1
-	secondLaunched := false
-	hedged := false
-	var errs []error
-	for {
-		select {
-		case res := <-ch:
-			outstanding--
-			if res.err == nil {
-				if hedged && res.addr == b {
-					rt.hedgeWins.Add(1)
-				}
-				return res.pr, res.addr, nil
-			}
-			rt.noteFailure(res.addr, res.err)
-			errs = append(errs, fmt.Errorf("%s: %w", res.addr, res.err))
-			if !secondLaunched {
-				// The primary failed before the hedge fired: fail over
-				// immediately (no point waiting out the timer) — if the
-				// retry budget still allows it.
-				if !rt.budget.spend() {
-					rt.retryExhausted.Add(1)
-					return nil, "", errors.Join(errs...)
-				}
-				secondLaunched = true
-				rt.retries.Add(1)
-				outstanding++
-				go launch(b)
-			} else if outstanding == 0 {
-				return nil, "", errors.Join(errs...)
-			}
-		case <-timer.C:
-			if !secondLaunched && rt.budget.spend() {
-				secondLaunched = true
-				hedged = true
-				rt.hedges.Add(1)
-				outstanding++
-				go launch(b)
-			}
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		}
+	default:
+		writeError(w, http.StatusBadGateway, "fleet: %s %s failed after retries: %v", method, path, err)
 	}
 }
 
@@ -342,31 +188,6 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, key string) {
 		Error: fmt.Sprintf(
 			"fleet: no healthy backend for workload %q (%d/%d backends healthy); retry after the probe horizon",
 			key, healthy, total),
-		RetryAfterSeconds: retryAfter,
-		BackendsTotal:     total,
-		BackendsHealthy:   healthy,
-	})
-}
-
-// writeBreakerOpen is the structured 503 for "members are nominally
-// healthy but every candidate's circuit breaker refuses traffic".
-func (rt *Router) writeBreakerOpen(w http.ResponseWriter, key string) {
-	rt.unavailable.Add(1)
-	_, healthy := rt.healthSnapshot()
-	total := len(rt.members())
-	retryAfter := int((rt.opts.Breaker.Cooldown + time.Second - 1) / time.Second)
-	if retryAfter < 1 {
-		retryAfter = 1
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(Unavailable{
-		Error: fmt.Sprintf(
-			"fleet: circuit breaker open for every replica of workload %q; retry after the breaker cooldown",
-			key),
 		RetryAfterSeconds: retryAfter,
 		BackendsTotal:     total,
 		BackendsHealthy:   healthy,
@@ -477,7 +298,7 @@ func (rt *Router) healthyBackends() []string {
 	defer rt.mu.Unlock()
 	var out []string
 	for _, addr := range rt.ring.backends {
-		if b := rt.backends[addr]; b != nil && b.healthy {
+		if b := rt.backends[addr]; b != nil && b.inRotation() {
 			out = append(out, addr)
 		}
 	}
@@ -503,7 +324,7 @@ func (rt *Router) handleImport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rt.forward(w, r, wl.Name, http.MethodPost, "/v1/workloads", body, false, m)
+	rt.forward(w, r, wl.Name, http.MethodPost, "/v1/workloads", body, m)
 }
 
 func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -515,7 +336,7 @@ func (rt *Router) handleEval(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = workload.Default
 	}
-	rt.forward(w, r, key, http.MethodGet, "/v1/eval?"+r.URL.RawQuery, nil, true, m)
+	rt.forward(w, r, key, http.MethodGet, "/v1/eval?"+r.URL.RawQuery, nil, m)
 }
 
 func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -531,7 +352,7 @@ func (rt *Router) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
 	}
-	rt.forward(w, r, key, http.MethodGet, path, nil, false, m)
+	rt.forward(w, r, key, http.MethodGet, path, nil, m)
 }
 
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -561,7 +382,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rt.admission.endSweep(m.tenant)
 	if !streaming(r) {
-		rt.forward(w, r, key, http.MethodPost, "/v1/sweep", body, false, m)
+		rt.forward(w, r, key, http.MethodPost, "/v1/sweep", body, m)
 		return
 	}
 	rt.streamSweep(w, r, key, body, m)
@@ -569,16 +390,11 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // streamSweep proxies an NDJSON sweep with mid-stream failover: points
 // forward (and flush) as they arrive; when the backend dies before the
-// trailer, the sweep replays on the next replica and the deterministic
-// prefix already delivered is skipped, so the client sees one seamless
-// complete stream. The router writes the terminating trailer itself once
-// some attempt reaches the backend's trailer.
+// trailer, the retry walk replays the sweep on the next replica and the
+// deterministic prefix already delivered is skipped, so the client sees
+// one seamless complete stream. The router writes the terminating
+// trailer itself once some attempt reaches the backend's trailer.
 func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, key string, body []byte, m reqMeta) {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		rt.writeUnavailable(w, key)
-		return
-	}
 	ctx := r.Context()
 	if m.hasDeadline {
 		// The deadline rides both the context (kills the proxy leg) and
@@ -588,81 +404,26 @@ func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, key string
 		defer cancel()
 	}
 	flusher, _ := w.(http.Flusher)
-	pol := rt.opts.Retry
 	sent := 0
-	next := 0
 	headerWritten := false
-	tried := make(map[string]bool, len(cands))
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if !rt.budget.spend() {
-				rt.retryExhausted.Add(1)
-				rt.logf("fleet: retry budget exhausted for sweep stream %q (last error: %v)", key, lastErr)
-				break
-			}
-			rt.retries.Add(1)
-			if err := pol.sleep(ctx, attempt); err != nil {
-				break
-			}
-			// Refresh membership between attempts: noteFailure may have
-			// drained the backend that just died mid-stream. Walk the
-			// fresh list from its head, skipping members already tried
-			// this request — the drain shifts everyone left, and keeping
-			// the old numeric index would skip the warm standby.
-			if live := rt.candidates(key); len(live) > 0 {
-				fresh := make([]string, 0, len(live))
-				for _, a := range live {
-					if !tried[a] {
-						fresh = append(fresh, a)
-					}
-				}
-				if len(fresh) > 0 {
-					cands, next = fresh, 0
-				}
-			}
-		}
-		if m.hasDeadline && time.Until(m.deadline) <= 0 {
-			break
-		}
-		addr, ok := rt.pickCandidate(cands, &next)
-		if !ok {
-			if !headerWritten {
-				rt.writeBreakerOpen(w, key)
-				return
-			}
-			break
-		}
-		tried[addr] = true
-		err := rt.streamAttempt(ctx, addr, body, m, &sent, &headerWritten, w, flusher)
-		if err == nil {
-			rt.noteSuccess(addr)
-			rt.classifyServed(key, addr)
-			if !headerWritten {
-				writeStreamHeader(w)
-			}
-			enc := json.NewEncoder(w)
-			enc.Encode(serve.SweepTrailer{Done: true, Points: sent})
-			return
-		}
-		rt.noteFailure(addr, err)
-		lastErr = err
-		if !Retryable(err) {
-			break
-		}
+	_, err := rt.walk(ctx, key, m, func(addr string, _ int) error {
+		return rt.streamAttempt(ctx, addr, body, m, &sent, &headerWritten, w, flusher)
+	})
+	switch {
+	case err == nil:
+		// streamAttempt wrote the trailer, or the backend's rejection.
+	case headerWritten:
+		// Points already went out and HTTP cannot take them back: ending
+		// without the trailer is the protocol's truncation signal, which
+		// serve.Client surfaces as a retryable ErrTruncatedStream.
+		rt.logf("fleet: sweep stream for %q abandoned after %d point(s): %v", key, sent, err)
+	case errors.Is(err, errNoBackend):
+		rt.writeUnavailable(w, key)
+	case m.expired():
+		rt.writeDeadlineExceeded(w, key, m)
+	default:
+		writeError(w, http.StatusBadGateway, "fleet: sweep stream failed after retries: %v", err)
 	}
-	if !headerWritten {
-		if m.hasDeadline && time.Until(m.deadline) <= 0 {
-			rt.writeDeadlineExceeded(w, key, m)
-			return
-		}
-		writeError(w, http.StatusBadGateway, "fleet: sweep stream failed after retries: %v", lastErr)
-		return
-	}
-	// Points already went out and HTTP cannot take them back: ending
-	// without the trailer is the protocol's truncation signal, which
-	// serve.Client surfaces as a retryable ErrTruncatedStream.
-	rt.logf("fleet: sweep stream for %q abandoned after %d point(s): %v", key, sent, lastErr)
 }
 
 func writeStreamHeader(w http.ResponseWriter) {
@@ -673,8 +434,9 @@ func writeStreamHeader(w http.ResponseWriter) {
 // streamAttempt runs one backend sweep stream, skipping the first *sent
 // point lines (already delivered by a previous attempt — the sweep is
 // deterministic and ordered, so the retry's prefix is byte-identical)
-// and forwarding the rest. Returns nil once the backend's trailer
-// confirms a complete stream.
+// and forwarding the rest. Returns nil once the stream is answered: the
+// backend's trailer confirmed it complete and the router's own trailer
+// went out, or the backend's deterministic rejection was forwarded.
 func (rt *Router) streamAttempt(ctx context.Context, addr string, body []byte, m reqMeta, sent *int, headerWritten *bool, w http.ResponseWriter, flusher http.Flusher) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/sweep?stream=1", bytes.NewReader(body))
 	if err != nil {
@@ -732,6 +494,11 @@ func (rt *Router) streamAttempt(ctx context.Context, addr string, body []byte, m
 					return fmt.Errorf("fleet: %w: backend %s trailer reports %d point(s), saw %d (already delivered %d)",
 						serve.ErrTruncatedStream, addr, t.Points, n, *sent)
 				}
+				if !*headerWritten {
+					writeStreamHeader(w)
+					*headerWritten = true
+				}
+				json.NewEncoder(w).Encode(serve.SweepTrailer{Done: true, Points: *sent})
 				return nil
 			}
 		}
@@ -775,8 +542,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			Failovers:            rt.failovers.Load(),
 			Rehashes:             rt.rehashes.Load(),
 			Retries:              rt.retries.Load(),
-			Hedges:               rt.hedges.Load(),
-			HedgeWins:            rt.hedgeWins.Load(),
 			Unavailable:          rt.unavailable.Load(),
 			Prewarms:             rt.prewarms.Load(),
 			PrewarmsBuilt:        rt.prewarmsBuilt.Load(),
@@ -784,7 +549,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			RetryBudgetExhausted: rt.retryExhausted.Load(),
 			QuotaRejected:        rt.quotaRejected.Load(),
 			DeadlineExceeded:     rt.deadlineExceeded.Load(),
-			HedgeAfterMS:         float64(rt.hedgeDelay()) / float64(time.Millisecond),
 			Routing:              map[string]string{},
 			Replicas:             map[string][]string{},
 		},
@@ -796,7 +560,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Fleet.Replicas[name] = rs
 		}
 	}
-	now := time.Now()
 	var wg sync.WaitGroup
 	for i, row := range rows {
 		resp.Backends[i] = BackendStats{
@@ -805,13 +568,12 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			ConsecutiveFailures: row.ConsecutiveFailures,
 			LastError:           row.LastError,
 			Health:              "unhealthy",
-			Breaker:             BreakerClosed,
 		}
 		rt.mu.Lock()
 		if b := rt.backends[row.Addr]; b != nil {
 			resp.Backends[i].Requests = b.requests
 			resp.Backends[i].Failures = b.failures
-			resp.Backends[i].Breaker = b.brk.state(now)
+			resp.Backends[i].State = b.state.String()
 		}
 		rt.mu.Unlock()
 		if !row.Healthy {

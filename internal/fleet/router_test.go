@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,13 +24,31 @@ import (
 // a fault-injection proxy, with a router in front. Probing is manual
 // (ProbeInterval is an hour): tests step membership with CheckNow.
 type cluster struct {
-	t       *testing.T
-	servers []*serve.Server
-	backs   []*httptest.Server
-	proxies []*faultproxy.Proxy
-	addrs   []string // router-side backend addresses ("http://127.0.0.1:p")
-	rt      *Router
-	front   *httptest.Server
+	t         *testing.T
+	servers   []*serve.Server
+	brownouts []*brownout
+	backs     []*httptest.Server
+	proxies   []*faultproxy.Proxy
+	addrs     []string // router-side backend addresses ("http://127.0.0.1:p")
+	rt        *Router
+	front     *httptest.Server
+}
+
+// brownout wraps a backend handler: while on, /healthz still answers but
+// every /v1/ request is a 503 — a backend alive to the prober whose data
+// path fails. faultproxy cannot produce this: it faults whole
+// connections.
+type brownout struct {
+	on atomic.Bool
+	h  http.Handler
+}
+
+func (b *brownout) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if b.on.Load() && strings.HasPrefix(r.URL.Path, "/v1/") {
+		http.Error(w, "brownout", http.StatusServiceUnavailable)
+		return
+	}
+	b.h.ServeHTTP(w, r)
 }
 
 func newCluster(t *testing.T, n int, opts Options) *cluster {
@@ -40,7 +59,8 @@ func newCluster(t *testing.T, n int, opts Options) *cluster {
 		if err != nil {
 			t.Fatalf("serve.New: %v", err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		bo := &brownout{h: srv.Handler()}
+		ts := httptest.NewServer(bo)
 		t.Cleanup(ts.Close)
 		p, err := faultproxy.New(strings.TrimPrefix(ts.URL, "http://"))
 		if err != nil {
@@ -48,6 +68,7 @@ func newCluster(t *testing.T, n int, opts Options) *cluster {
 		}
 		t.Cleanup(p.Close)
 		c.servers = append(c.servers, srv)
+		c.brownouts = append(c.brownouts, bo)
 		c.backs = append(c.backs, ts)
 		c.proxies = append(c.proxies, p)
 		c.addrs = append(c.addrs, "http://"+p.Addr())
@@ -64,9 +85,6 @@ func newCluster(t *testing.T, n int, opts Options) *cluster {
 	}
 	if opts.AttemptTimeout == 0 {
 		opts.AttemptTimeout = 10 * time.Second
-	}
-	if opts.HedgeAfter == 0 {
-		opts.HedgeAfter = -1 // deterministic by default; hedge tests opt in
 	}
 	if opts.Retry.BaseDelay == 0 {
 		opts.Retry = RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond}
@@ -92,6 +110,17 @@ func (c *cluster) proxyFor(addr string) *faultproxy.Proxy {
 		}
 	}
 	c.t.Fatalf("no proxy for %s", addr)
+	return nil
+}
+
+// brownoutFor maps a router-side backend address to its data-path switch.
+func (c *cluster) brownoutFor(addr string) *brownout {
+	for i, a := range c.addrs {
+		if a == addr {
+			return c.brownouts[i]
+		}
+	}
+	c.t.Fatalf("no backend for %s", addr)
 	return nil
 }
 
@@ -401,37 +430,100 @@ func TestRouterRejoinTriggersPrewarm(t *testing.T) {
 	}
 }
 
-func TestRouterHedgesStragglers(t *testing.T) {
-	c := newCluster(t, 2, Options{HedgeAfter: 30 * time.Millisecond})
-	// Warm both backends so the hedge's replica answers fast.
-	for _, ts := range c.backs {
-		resp, err := http.Get(ts.URL + "/v1/eval?config=2w2&regs=64&workload=default")
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("warmup: %v (HTTP %v)", err, resp)
-		}
-		resp.Body.Close()
-	}
-	primary := c.rt.candidates("default")[0]
+// TestRouterStragglerAbandonedAtDeadlineSlice pins what bounds a slow
+// replica: the request's X-Deadline is split across its attempts, so a
+// stalled primary is abandoned after its slice and the standby answers
+// well inside the deadline.
+func TestRouterStragglerAbandonedAtDeadlineSlice(t *testing.T) {
+	c := newCluster(t, 2, Options{})
 	c.waitWarm() // the startup fan-out must not race the fault injection
+	primary := c.rt.candidates("default")[0]
 	c.proxyFor(primary).Set(faultproxy.Config{Mode: faultproxy.Delay, Delay: 2 * time.Second})
 	// Sever pooled keep-alive connections: they were accepted in Pass mode
 	// and would bypass the injected delay.
 	c.proxyFor(primary).CloseActive()
 
 	start := time.Now()
-	resp, body := c.get(evalPath)
+	resp, body := c.do(http.MethodGet, evalPath, map[string]string{serve.DeadlineHeader: "1500ms"})
+	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hedged eval: HTTP %d: %s", resp.StatusCode, body)
+		t.Fatalf("deadlined eval vs straggling primary: HTTP %d: %s", resp.StatusCode, body)
 	}
 	if got := resp.Header.Get("X-Fleet-Backend"); got == primary {
-		t.Fatalf("stalled primary %s answered; hedge never won", got)
+		t.Fatalf("straggling primary %s answered; its deadline slice never expired", got)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedged eval took %v, want well under the 2s stall", elapsed)
+	if elapsed > time.Second {
+		t.Fatalf("eval took %v, want well under the 1.5s deadline (the primary's slice is 500ms)", elapsed)
 	}
-	if c.rt.hedges.Load() < 1 || c.rt.hedgeWins.Load() < 1 {
-		t.Fatalf("hedges = %d, hedgeWins = %d, want both >= 1",
-			c.rt.hedges.Load(), c.rt.hedgeWins.Load())
+}
+
+// TestRouterFailoverSkipsBackoff pins the retry walk's backoff rule:
+// moving to a replica the request has not tried is immediate, for
+// buffered requests and streams alike. Only re-asking a member already
+// tried waits out the (here 500ms) backoff.
+func TestRouterFailoverSkipsBackoff(t *testing.T) {
+	c := newCluster(t, 2, Options{
+		FailAfter: 1000, // keep the refused primary first in line for both requests
+		Retry:     RetryPolicy{MaxAttempts: 3, BaseDelay: 500 * time.Millisecond, MaxDelay: time.Second},
+	})
+	c.waitWarm()
+	primary, standby := c.rt.candidates("default")[0], c.rt.candidates("default")[1]
+	// Warm the standby's cells directly, so the timings below measure
+	// routing, not evaluation.
+	_, standbyTS := c.serverFor(standby)
+	body := sweepBody(t, 4)
+	for _, warm := range []func() (*http.Response, error){
+		func() (*http.Response, error) { return http.Get(standbyTS.URL + evalPath) },
+		func() (*http.Response, error) {
+			return http.Post(standbyTS.URL+"/v1/sweep?stream=1", "application/json", bytes.NewReader(body))
+		},
+	} {
+		resp, err := warm()
+		if err != nil {
+			t.Fatalf("warm standby: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	c.kill(primary)
+
+	start := time.Now()
+	resp, data := c.get(evalPath)
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("eval failover took %v, want no backoff before the untried standby", elapsed)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Fleet-Backend") != standby {
+		t.Fatalf("eval: HTTP %d from %q, want 200 from the standby %s: %s",
+			resp.StatusCode, resp.Header.Get("X-Fleet-Backend"), standby, data)
+	}
+
+	start = time.Now()
+	data, resp = c.streamThroughRouter(body)
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("stream failover took %v, want no backoff before the untried standby", elapsed)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	var tr serve.SweepTrailer
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(lines[len(lines)-1], &tr) != nil || !tr.Done || tr.Points != 4 {
+		t.Fatalf("stream: HTTP %d, want a complete 4-point stream: %s", resp.StatusCode, data)
+	}
+	if n := c.rt.retries.Load(); n != 2 {
+		t.Fatalf("retries = %d, want 2 (one immediate failover per request)", n)
+	}
+}
+
+// TestRouterStreamRejectionForwardedVerbatim pins that a backend's
+// deterministic rejection of a streamed sweep reaches the client as that
+// backend's answer alone, with no router trailer appended.
+func TestRouterStreamRejectionForwardedVerbatim(t *testing.T) {
+	c := newCluster(t, 2, Options{})
+	data, resp := c.streamThroughRouter([]byte(`{"workload":"default","cells":[{"config":"bogus","regs":64}]}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad streamed sweep: HTTP %d, want 400: %s", resp.StatusCode, data)
+	}
+	var e serve.Error
+	if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
+		t.Fatalf("rejection body is not one serve.Error (err %v): %s", err, data)
 	}
 }
 
