@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
+//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-cpuprofile FILE] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
 //	widening workload list | show | export | import
 //	widening cache stats | gc | clear -dir DIR
 //	widening schedule -config 4w2 -regs 64 -kernel daxpy
@@ -29,6 +29,8 @@
 // nearly free: sweep cells and whole artifacts are memoized in a
 // persistent content-addressed store (see internal/resultcache and the
 // README's Result cache section; `widening cache` inspects it).
+// -cpuprofile writes a runtime/pprof CPU profile of the experiment run
+// (`go tool pprof FILE` reads it).
 // `widening serve` runs the long-lived HTTP/JSON design-space server
 // over warm per-workload engines (see internal/serve and the README's
 // Serving section), `widening route` shards a fleet of such servers
@@ -42,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -93,6 +96,7 @@ func run(args []string) error {
 	backend := fs.String("backend", "heuristic",
 		"scheduling backend: heuristic, or exact (branch-and-bound refinement of small loops; see the README's Optimality gap section)")
 	exactBudget := fs.Int("exact-budget", 0, "exact backend node budget per loop (0 = default)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the experiment run to FILE (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -149,7 +153,11 @@ func run(args []string) error {
 		targets = experiments.IDs()
 	}
 	start := time.Now()
-	results, err := ctx.RunMany(targets)
+	var results []experiments.Result
+	err = profiled(*cpuProfile, func() (err error) {
+		results, err = ctx.RunMany(targets)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -198,6 +206,30 @@ func run(args []string) error {
 	return nil
 }
 
+// profiled runs fn under a CPU profile written to path, or without one
+// when path is empty. The profile is stopped and its file closed before
+// profiled returns; a failed Close is an error, since the profile may be
+// incomplete.
+func profiled(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	err = fn()
+	pprof.StopCPUProfile()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func runSchedule(args []string) error {
 	fs := flag.NewFlagSet("schedule", flag.ContinueOnError)
 	cfgStr := fs.String("config", "2w2", "configuration XwY")
@@ -230,7 +262,7 @@ func runSchedule(args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
+  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-cpuprofile FILE] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
   widening workload list
   widening workload show -name divheavy [-loops N] [-seed S]
   widening workload export -name divheavy [-o div.json] [-loops N] [-seed S]

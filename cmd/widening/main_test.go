@@ -1,6 +1,8 @@
 package main
 
 import (
+	"compress/gzip"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +30,30 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunFastExperiment(t *testing.T) {
 	if err := run([]string{"-loops", "5", "table1", "table6"}); err != nil {
 		t.Fatalf("table1 table6: %v", err)
+	}
+}
+
+// TestRunCPUProfile: -cpuprofile writes a pprof profile of the run, a
+// non-empty gzip stream.
+func TestRunCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	if err := run([]string{"-loops", "4", "-cpuprofile", path, "fig3"}); err != nil {
+		t.Fatalf("-cpuprofile run: %v", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	if data, err := io.ReadAll(zr); err != nil || len(data) == 0 {
+		t.Fatalf("profile decompresses to %d bytes (err %v), want a non-empty pprof profile", len(data), err)
+	}
+	if err := run([]string{"-loops", "4", "-cpuprofile", filepath.Join(t.TempDir(), "no", "dir", "cpu.pprof"), "table1"}); err == nil {
+		t.Error("an unwritable -cpuprofile path must error")
 	}
 }
 

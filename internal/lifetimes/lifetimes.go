@@ -98,21 +98,36 @@ func (s *Set) PressureInto(dst []int) []int {
 	return dst
 }
 
-// fillPressure accumulates the per-row live counts into p (len II, zeroed).
-// It neither retains nor returns p, so callers can pass stack buffers.
+// fillPressure writes the per-row live counts into p (len II, zeroed) in
+// O(values + II): the full kernel turns of every value add one constant to
+// all rows, and each partial run of L mod II rows is a +1 at its start row
+// and a -1 just past its end row (split in two where it wraps), so one
+// prefix sum over p yields the counts. It neither retains nor returns p,
+// so callers can pass stack buffers.
 func (s *Set) fillPressure(p []int) {
+	ii := s.II
+	full := 0
 	for _, v := range s.Values {
-		full := v.Len / s.II
-		rem := v.Len % s.II
-		if full > 0 {
-			for r := range p {
-				p[r] += full
-			}
+		full += v.Len / ii
+		rem := v.Len % ii
+		if rem <= 0 {
+			continue
 		}
-		start := v.Start % s.II
-		for i := 0; i < rem; i++ {
-			p[(start+i)%s.II]++
+		start := v.Start % ii
+		p[start]++
+		switch end := start + rem; {
+		case end < ii:
+			p[end]--
+		case end > ii:
+			// Rows [start, II) and [0, end-II).
+			p[0]++
+			p[end-ii]--
 		}
+	}
+	live := full
+	for r := range p {
+		live += p[r]
+		p[r] = live
 	}
 }
 

@@ -243,17 +243,30 @@ func TestLowerIIRaisesPressure(t *testing.T) {
 	}
 }
 
-// Property: MaxLive is consistent with a brute-force recount over absolute
-// cycles, and pressure rows are non-negative.
+// Property: Pressure is consistent with a brute-force recount over
+// absolute cycles, and MaxLive is its maximum. The IIs run past MaxLive's
+// 64-entry stack buffer, and the lengths include exact multiples of II
+// (no partial run) and partial runs that end exactly at row II-1 (the
+// prefix sum's no-wrap edge).
 func TestPressureBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		ii := 1 + rng.Intn(8)
+		if trial%3 == 0 {
+			ii = 1 + rng.Intn(80)
+		}
 		n := 1 + rng.Intn(12)
 		set := &Set{II: ii}
 		horizon := 0
 		for i := 0; i < n; i++ {
-			v := Value{Op: i, Start: rng.Intn(20), Len: 1 + rng.Intn(25)}
+			v := Value{Op: i, Start: rng.Intn(20 + ii), Len: 1 + rng.Intn(25+3*ii)}
+			switch rng.Intn(4) {
+			case 0: // whole kernel turns only
+				v.Len = ii * (1 + rng.Intn(4))
+			case 1: // the partial run ends at row II-1
+				row := v.Start % ii
+				v.Len = ii*rng.Intn(3) + ii - row
+			}
 			set.Values = append(set.Values, v)
 			if v.End() > horizon {
 				horizon = v.End()
@@ -264,6 +277,7 @@ func TestPressureBruteForce(t *testing.T) {
 		// from the boundary by summing over shifts within a generous
 		// window.
 		p := set.Pressure()
+		max := 0
 		for r := 0; r < ii; r++ {
 			count := 0
 			for _, v := range set.Values {
@@ -280,9 +294,15 @@ func TestPressureBruteForce(t *testing.T) {
 				}
 			}
 			if p[(horizon+r)%ii] != count {
-				t.Fatalf("trial %d: pressure[%d] = %d, brute force %d",
-					trial, (horizon+r)%ii, p[(horizon+r)%ii], count)
+				t.Fatalf("trial %d (II %d, values %+v): pressure[%d] = %d, brute force %d",
+					trial, ii, set.Values, (horizon+r)%ii, p[(horizon+r)%ii], count)
 			}
+			if count > max {
+				max = count
+			}
+		}
+		if got := set.MaxLive(); got != max {
+			t.Fatalf("trial %d (II %d): MaxLive = %d, max of Pressure %d", trial, ii, got, max)
 		}
 	}
 }

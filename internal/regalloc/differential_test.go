@@ -10,6 +10,8 @@ package regalloc
 // as sched/differential_test.go pins the scheduler overhaul.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -190,7 +192,10 @@ func equalOffsets(a, b []int) bool {
 // retained reference path: identical MinRegs and bit-identical offsets at
 // a spread of register sizes around the minimum and at the paper's
 // register file sizes, for every workbench loop across all factor-8
-// machine widths and both placement strategies.
+// machine widths and both placement strategies. Each loop is also
+// rescheduled at two and four times its base II (Options.MinII, as the
+// spill pass's II growth does): long lifetimes on a sparse torus, where
+// the end-fit scan jumps furthest.
 func TestDifferentialRegalloc(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 150
@@ -208,34 +213,41 @@ func TestDifferentialRegalloc(t *testing.T) {
 		m := machine.New(cfg, 256, machine.FourCycle)
 		for _, src := range loops {
 			l, _ := widen.Transform(src, cfg.Width)
-			s, err := sched.ModuloSchedule(l, m, nil)
+			base, err := sched.ModuloSchedule(l, m, nil)
 			if err != nil {
 				t.Fatalf("%s %s: %v", src.Name, cfg, err)
 			}
-			lifetimes.ComputeInto(&ls, s)
-			search.Reset(&ls)
-			for _, strat := range []Strategy{EndFit, FirstFit} {
-				want := refMinRegs(&ls, strat)
-				if got := search.MinRegs(strat); got != want {
-					t.Fatalf("%s %s %v: MinRegs = %d, reference %d",
-						src.Name, cfg, strat, got, want)
+			for _, minII := range []int{0, 2 * base.II, 4 * base.II} {
+				s := base
+				if minII > 0 {
+					if s, err = sched.ModuloSchedule(l, m, &sched.Options{MinII: minII}); err != nil {
+						t.Fatalf("%s %s MinII %d: %v", src.Name, cfg, minII, err)
+					}
 				}
-				for _, regs := range []int{want - 1, want, want + 1, 32, 64, 128} {
-					refA, refOK := refTryAllocate(&ls, regs, strat)
-					a, ok := search.TryAllocate(regs, strat)
-					if ok != refOK {
-						t.Fatalf("%s %s %v regs=%d: ok = %v, reference %v",
-							src.Name, cfg, strat, regs, ok, refOK)
+				lifetimes.ComputeInto(&ls, s)
+				search.Reset(&ls)
+				where := fmt.Sprintf("%s %s II=%d", src.Name, cfg, s.II)
+				for _, strat := range []Strategy{EndFit, FirstFit} {
+					want := refMinRegs(&ls, strat)
+					if got := search.MinRegs(strat); got != want {
+						t.Fatalf("%s %v: MinRegs = %d, reference %d", where, strat, got, want)
 					}
-					if !ok {
-						continue
-					}
-					if !equalOffsets(a.Offset, refA.Offset) {
-						t.Fatalf("%s %s %v regs=%d: offsets %v, reference %v",
-							src.Name, cfg, strat, regs, a.Offset, refA.Offset)
-					}
-					if err := a.Validate(&ls); err != nil {
-						t.Fatalf("%s %s %v regs=%d: %v", src.Name, cfg, strat, regs, err)
+					for _, regs := range []int{want - 1, want, want + 1, 32, 64, 128, 256} {
+						refA, refOK := refTryAllocate(&ls, regs, strat)
+						a, ok := search.TryAllocate(regs, strat)
+						if ok != refOK {
+							t.Fatalf("%s %v regs=%d: ok = %v, reference %v", where, strat, regs, ok, refOK)
+						}
+						if !ok {
+							continue
+						}
+						if !equalOffsets(a.Offset, refA.Offset) {
+							t.Fatalf("%s %v regs=%d: offsets %v, reference %v",
+								where, strat, regs, a.Offset, refA.Offset)
+						}
+						if err := a.Validate(&ls); err != nil {
+							t.Fatalf("%s %v regs=%d: %v", where, strat, regs, err)
+						}
 					}
 				}
 			}
@@ -327,13 +339,17 @@ func TestEndFitNearMaxLiveOnWorkbench(t *testing.T) {
 
 // FuzzTorusMatchesOverlaps lets the fuzzer search for arc sequences on
 // which the bitset occupancy map diverges from the arithmetic overlaps
-// predicate — conflict verdicts and end-fit gap scores both (mirroring
-// mrt's FuzzBitsetMatchesBoolSlice).
+// predicate — conflict verdicts (freeAhead, the forward scan the candidate
+// jump reads) and end-fit gap scores (freeBehind) both (mirroring mrt's
+// FuzzBitsetMatchesBoolSlice).
 func FuzzTorusMatchesOverlaps(f *testing.F) {
 	f.Add(uint8(4), uint8(3), []byte{0, 4, 4, 4, 2, 6})
 	f.Add(uint8(7), uint8(1), []byte{0, 7, 1, 1})
 	f.Add(uint8(64), uint8(2), []byte{63, 2, 0, 64, 120, 9})
 	f.Add(uint8(13), uint8(5), []byte{60, 13, 7, 1, 0, 65})
+	// II 4, 3 registers: the occupied cycle behind start 0 is found by
+	// wrapping to cycle 7, and the one ahead of start 9 by wrapping to 0.
+	f.Add(uint8(3), uint8(2), []byte{5, 2, 0, 1, 9, 1})
 	f.Fuzz(func(t *testing.T, ii8, regs8 uint8, data []byte) {
 		ii := int(ii8)%37 + 1
 		regs := int(regs8)%9 + 1
@@ -345,28 +361,88 @@ func FuzzTorusMatchesOverlaps(f *testing.F) {
 			length := int(data[i+1])%circ + 1
 			cand := arc{start: start, len: length}
 
-			refConflict := false
-			for _, a := range placed {
-				if overlaps(cand, a, circ) {
-					refConflict = true
-					break
+			conflicts := func(length int) bool {
+				for _, a := range placed {
+					if overlaps(arc{start: start, len: length}, a, circ) {
+						return true
+					}
 				}
+				return false
 			}
-			if got := occ.busy(start, length); got != refConflict {
-				t.Fatalf("step %d: busy(%d, %d) = %v, overlaps reference %v (circ %d, placed %v)",
-					i, start, length, got, refConflict, circ, placed)
+			refConflict := conflicts(length)
+			ahead := occ.freeAhead(start)
+			if got := ahead < length; got != refConflict {
+				t.Fatalf("step %d: freeAhead(%d) = %d against length %d, overlaps reference conflict %v (circ %d, placed %v)",
+					i, start, ahead, length, refConflict, circ, placed)
+			}
+			// The jump reads the distance itself, not just the verdict: an
+			// arc of exactly freeAhead cycles fits and one cycle more
+			// collides.
+			if (ahead > 0 && conflicts(ahead)) || (ahead < circ && !conflicts(ahead+1)) {
+				t.Fatalf("step %d: freeAhead(%d) = %d is not the free run ahead (circ %d, placed %v)",
+					i, start, ahead, circ, placed)
 			}
 			// The end-fit score is only defined (and only queried) at free
 			// candidate starts.
-			if !occ.busy(start, 1) {
-				if got, want := occ.gapBefore(start), refGapBefore(cand, placed, circ); got != want {
-					t.Fatalf("step %d: gapBefore(%d) = %d, reference %d (circ %d, placed %v)",
+			if ahead > 0 {
+				if got, want := occ.freeBehind(start), refGapBefore(cand, placed, circ); got != want {
+					t.Fatalf("step %d: freeBehind(%d) = %d, reference %d (circ %d, placed %v)",
 						i, start, got, want, circ, placed)
 				}
 			}
 			if !refConflict {
 				occ.set(start, length)
 				placed = append(placed, cand)
+			}
+		}
+	})
+}
+
+// FuzzPlaceMatchesReference lets the fuzzer search for lifetime sets on
+// which the jumping candidate scan picks a different offset than the
+// reference allocator's test of every candidate against every placed arc.
+// An input is an II in [1, 80], a register count in [1, 300] (each taken
+// as is when already in range) and 1 to 40 values, each two little-endian
+// uint16s: a start in [0, 500] and a length minus one, giving a length in
+// [1, 6*II]. Both strategies must match the reference's verdict and
+// offsets at that size, and MinRegs must match refMinRegs.
+//
+// The committed corpus (testdata/fuzz/FuzzPlaceMatchesReference) puts
+// circ = regs*II at 63, 64, 65 and 128, around the bitset's word
+// boundaries; places a first arc that starts at 18 on a torus of 20 and
+// wraps past cycle 19; and places length-1 arcs at II 1, where the
+// candidate just past an occupied cycle is free and scores 0, so a jump
+// one candidate too far changes the offset.
+func FuzzPlaceMatchesReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ii8 uint8, regs16 uint16, data []byte) {
+		ii := int(ii8-1)%80 + 1
+		regs := int(regs16-1)%300 + 1
+		set := &lifetimes.Set{II: ii}
+		for i := 0; i+3 < len(data) && len(set.Values) < 40; i += 4 {
+			set.Values = append(set.Values, lifetimes.Value{
+				Op:    len(set.Values),
+				Start: int(binary.LittleEndian.Uint16(data[i:])) % 501,
+				Len:   int(binary.LittleEndian.Uint16(data[i+2:]))%(6*ii) + 1,
+			})
+		}
+		if len(set.Values) == 0 {
+			return
+		}
+		search := NewSearch(set)
+		for _, strat := range []Strategy{EndFit, FirstFit} {
+			refA, refOK := refTryAllocate(set, regs, strat)
+			a, ok := search.TryAllocate(regs, strat)
+			if ok != refOK {
+				t.Fatalf("%v II=%d regs=%d values %+v: ok = %v, reference %v",
+					strat, ii, regs, set.Values, ok, refOK)
+			}
+			if ok && !equalOffsets(a.Offset, refA.Offset) {
+				t.Fatalf("%v II=%d regs=%d values %+v: offsets %v, reference %v",
+					strat, ii, regs, set.Values, a.Offset, refA.Offset)
+			}
+			if got, want := search.MinRegs(strat), refMinRegs(set, strat); got != want {
+				t.Fatalf("%v II=%d values %+v: MinRegs = %d, reference %d",
+					strat, ii, set.Values, got, want)
 			}
 		}
 	})

@@ -16,9 +16,10 @@
 // already-placed arc, minimizing wasted space.
 //
 // The packing engine keeps the occupied cycles of the torus in a uint64
-// bitset (mirroring the scheduler's bitset reservation table): a conflict
-// test over a candidate arc is a handful of word-mask ANDs instead of a
-// scan over every placed arc, and end-fit's snugness score is a
+// bitset (mirroring the scheduler's bitset reservation table). The
+// candidate scan of one arc is a forward bit scan to the next occupied
+// cycle, which both tests the candidate and skips every later candidate
+// that lies at or before that cycle; end-fit's snugness score is a
 // nearest-set-bit walk backwards from the candidate start. A Search value
 // carries the per-set analyses (placement orders, total/max lifetime
 // length, MaxLive) and the attempt scratch across the upward
@@ -35,8 +36,10 @@
 package regalloc
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/lifetimes"
@@ -224,30 +227,27 @@ func sortOrder(buf []int, vals []lifetimes.Value, longestFirst bool) []int {
 	for i := range vals {
 		buf = append(buf, i)
 	}
-	sort.Slice(buf, func(a, b int) bool {
-		va, vb := vals[buf[a]], vals[buf[b]]
+	slices.SortFunc(buf, func(a, b int) int {
+		va, vb := vals[a], vals[b]
 		if longestFirst {
-			if va.Len != vb.Len {
-				return va.Len > vb.Len
+			if c := cmp.Compare(vb.Len, va.Len); c != 0 {
+				return c
 			}
-			if va.Start != vb.Start {
-				return va.Start < vb.Start
+			if c := cmp.Compare(va.Start, vb.Start); c != 0 {
+				return c
 			}
-			if va.Op != vb.Op {
-				return va.Op < vb.Op
+		} else {
+			if c := cmp.Compare(va.Start, vb.Start); c != 0 {
+				return c
 			}
-			return buf[a] < buf[b]
+			if c := cmp.Compare(vb.Len, va.Len); c != 0 {
+				return c
+			}
 		}
-		if va.Start != vb.Start {
-			return va.Start < vb.Start
+		if c := cmp.Compare(va.Op, vb.Op); c != 0 {
+			return c
 		}
-		if va.Len != vb.Len {
-			return va.Len > vb.Len
-		}
-		if va.Op != vb.Op {
-			return va.Op < vb.Op
-		}
-		return buf[a] < buf[b]
+		return cmp.Compare(a, b)
 	})
 	return buf
 }
@@ -276,34 +276,12 @@ func (s *Search) place(regs int, strat Strategy, longestFirst bool) bool {
 
 	for _, i := range order {
 		v := set.Values[i]
-		bestK, bestScore := -1, circ+1
-		start := mod(v.Start, circ)
-		for k := 0; k < regs; k++ {
-			if !occ.busy(start, v.Len) {
-				if strat == FirstFit {
-					bestK = k
-					break
-				}
-				// End-fit: distance from the end of the nearest
-				// preceding occupied arc to our start; smaller =
-				// snugger fit. A zero gap cannot be beaten, and ties
-				// keep the earlier offset, so stop scanning at zero.
-				if score := occ.gapBefore(start); score < bestScore {
-					bestScore, bestK = score, k
-					if bestScore == 0 {
-						break
-					}
-				}
-			}
-			if start += ii; start >= circ {
-				start -= circ
-			}
-		}
-		if bestK < 0 {
+		k := occ.fit(mod(v.Start, circ), v.Len, ii, regs, strat)
+		if k < 0 {
 			return false
 		}
-		s.offsets[i] = bestK
-		occ.set(mod(v.Start+bestK*ii, circ), v.Len)
+		s.offsets[i] = k
+		occ.set(mod(v.Start+k*ii, circ), v.Len)
 	}
 	return true
 }
@@ -387,14 +365,85 @@ type torus struct {
 	words []uint64
 }
 
-// busy reports whether any cycle of the window [start, start+length) mod
-// circ is occupied. length must be in [1, circ] and start in [0, circ).
-func (t torus) busy(start, length int) bool {
-	if end := start + length; end <= t.circ {
-		return anyBusy(t.words, start, end)
-	} else {
-		return anyBusy(t.words, start, t.circ) || anyBusy(t.words, 0, end-t.circ)
+// fit returns the register offset k in [0, regs) the strategy picks for an
+// arc of the given length whose candidate starts are (start + k*ii) mod
+// circ, or -1 when every candidate overlaps a placed arc. start must be in
+// [0, circ) and length in [1, circ].
+//
+// The scan jumps between occupied cycles instead of testing every
+// candidate. For an evaluated candidate p, let b be the first occupied
+// cycle at or after p (wrapping); p is free iff b lies at least length
+// cycles ahead. Every later candidate up to and including b is busy when p
+// is, and either busy or a multiple of ii further from the occupied cycle
+// behind it when p is free (the nearest occupied cycle behind it is the
+// same). None of them can beat p or tie with it, so the scan moves to the
+// first candidate past b. The end-fit score of a candidate reached that way
+// is found within the ii cycles just stepped over, which contain b; only
+// k = 0 can walk further back. Offsets are those of testing every
+// candidate in turn.
+func (t torus) fit(start, length, ii, regs int, strat Strategy) int {
+	bestK, bestScore := -1, t.circ+1
+	p := start
+	for k := 0; k < regs; {
+		ahead := t.freeAhead(p)
+		if ahead >= length {
+			if strat == FirstFit {
+				return k
+			}
+			// End-fit: distance from the end of the nearest preceding
+			// occupied arc to our start; smaller = snugger fit. A zero gap
+			// cannot be beaten, and ties keep the earlier offset, so stop
+			// scanning at zero.
+			if score := t.freeBehind(p); score < bestScore {
+				bestScore, bestK = score, k
+				if bestScore == 0 {
+					break
+				}
+			}
+		}
+		// Skip every candidate up to and including the occupied cycle b.
+		// step*ii < circ whenever the scan goes on (k+step < regs), so one
+		// subtraction wraps p. Most busy candidates start on an occupied
+		// cycle (ahead == 0), so the division runs only for real jumps.
+		step := 1
+		if ahead >= ii {
+			step += ahead / ii
+		}
+		k += step
+		if p += step * ii; p >= t.circ {
+			p -= t.circ
+		}
 	}
+	return bestK
+}
+
+// freeAhead returns the number of free cycles from p forward (wrapping)
+// up to the first occupied cycle, or circ when the torus is empty. An arc
+// of length L fits at a start p in [0, circ) iff freeAhead(p) >= L.
+func (t torus) freeAhead(p int) int {
+	if b := nextSet(t.words, p, t.circ-1); b >= 0 {
+		return b - p
+	}
+	if b := nextSet(t.words, 0, p-1); b >= 0 {
+		return b + t.circ - p
+	}
+	return t.circ
+}
+
+// freeBehind returns the number of free cycles immediately preceding p
+// (walking backwards, wrapping), or circ when the torus is empty. When p
+// itself is free this equals the distance from the end of the nearest
+// preceding placed arc — the end-fit snugness score: the nearest occupied
+// cycle b walking backwards has b+1 free, so b+1 is exactly where the arc
+// covering b ends, and every other arc end lies at or behind it.
+func (t torus) freeBehind(p int) int {
+	if b := prevSet(t.words, 0, p-1); b >= 0 {
+		return p - 1 - b
+	}
+	if b := prevSet(t.words, p, t.circ-1); b >= 0 {
+		return p + t.circ - 1 - b
+	}
+	return t.circ
 }
 
 // set marks the window [start, start+length) mod circ occupied.
@@ -407,42 +456,9 @@ func (t torus) set(start, length int) {
 	}
 }
 
-// gapBefore returns the number of free cycles immediately preceding start
-// (walking backwards, wrapping), or circ when the torus is empty. When
-// start itself is free this equals the distance from the end of the
-// nearest preceding placed arc — the end-fit snugness score: the nearest
-// occupied cycle b walking backwards has b+1 free, so b+1 is exactly where
-// the arc covering b ends, and every other arc end lies at or behind it.
-func (t torus) gapBefore(start int) int {
-	if b := prevSet(t.words, 0, start-1); b >= 0 {
-		return start - 1 - b
-	}
-	if b := prevSet(t.words, start, t.circ-1); b >= 0 {
-		return start + t.circ - 1 - b
-	}
-	return t.circ
-}
-
 // wordMask returns the mask with bits [lo, hi) set; 0 <= lo < hi <= 64.
 func wordMask(lo, hi int) uint64 {
 	return (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-}
-
-// anyBusy reports whether any bit in [from, to) is set (no wrap).
-func anyBusy(words []uint64, from, to int) bool {
-	fw, lw := from>>6, (to-1)>>6
-	if fw == lw {
-		return words[fw]&wordMask(from&63, (to-1)&63+1) != 0
-	}
-	if words[fw]&wordMask(from&63, 64) != 0 {
-		return true
-	}
-	for w := fw + 1; w < lw; w++ {
-		if words[w] != 0 {
-			return true
-		}
-	}
-	return words[lw]&wordMask(0, (to-1)&63+1) != 0
 }
 
 // setBusy sets bits [from, to) (no wrap).
@@ -486,6 +502,27 @@ func prevSet(words []uint64, lo, hi int) int {
 		return -1
 	}
 	return fw<<6 + 63 - bits.LeadingZeros64(w)
+}
+
+// nextSet returns the smallest set bit index in [lo, hi], or -1.
+func nextSet(words []uint64, lo, hi int) int {
+	if hi < lo {
+		return -1
+	}
+	i, lw := lo>>6, hi>>6
+	w := words[i] & wordMask(lo&63, 64)
+	for {
+		if i == lw {
+			w &= wordMask(0, hi&63+1)
+		}
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+		if i++; i > lw {
+			return -1
+		}
+		w = words[i]
+	}
 }
 
 // valEvent is one arc endpoint of the Validate sweep.

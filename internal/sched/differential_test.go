@@ -9,6 +9,8 @@ package sched_test
 // + heap-driven placement) produces identical schedules loop for loop.
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -486,6 +488,47 @@ func refHRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
 		}
 	}
 	return order
+}
+
+// TestHRMSOrderMatchesReference pins the ranked-frontier ordering against
+// the reference's best-candidate scans: the same order for every loop of
+// the default 1180-loop workbench (40 in -short mode) widened to each
+// factor-8 width under every cycle model, and for random graphs (dense
+// recurrences, non-pipelined operations, disconnected components).
+func TestHRMSOrderMatchesReference(t *testing.T) {
+	p := loopgen.Defaults()
+	if testing.Short() {
+		p.Loops = 40
+	}
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(l *ddg.Loop, model machine.CycleModel, what string) {
+		t.Helper()
+		got, want := sched.HRMSOrder(l, model), refHRMSOrder(l, model)
+		if len(got) != len(want) {
+			t.Fatalf("%s %s: %d ops ordered, reference %d", what, model, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %s: order %v, reference %v", what, model, got, want)
+			}
+		}
+	}
+	for _, cfg := range machine.ConfigsWithFactor(8) {
+		for _, src := range loops {
+			l, _ := widen.Transform(src, cfg.Width)
+			for _, model := range machine.CycleModels() {
+				check(l, model, src.Name+" "+cfg.String())
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 200; trial++ {
+		l := sched.RandomLoop(rng, 1+rng.Intn(40))
+		check(l, machine.CycleModels()[trial%4], fmt.Sprintf("random loop %d", trial))
+	}
 }
 
 // --- reference placement (linear smallest-rank scan, slice candidates) ---

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/ddg"
@@ -23,9 +25,16 @@ func HRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
 }
 
 // hrmsOrder is HRMSOrder with an optional scratch workspace: with one,
-// the slack/occupancy and mark arrays (and the returned order, which the
-// caller consumes before the next scheduling call) come from reusable
+// the key, rank and heap arrays, the marks and the returned order (which
+// the caller consumes before the next scheduling call) come from reusable
 // slabs instead of per-call allocations.
+//
+// The preference between two operations is a fixed strict total order, so
+// hrmsOrder sorts the operations by it once and works on ranks: the next
+// seed is the first unordered operation of the sorted list (a cursor that
+// only moves forward), and the frontier is a min-heap of ranks that each
+// operation enters once, when it first neighbours the ordered set. Every
+// pick is the operation a scan for the best candidate would choose.
 func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	n := l.NumOps()
 	if n == 0 {
@@ -39,32 +48,35 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	asap := a.ASAP(model)
 	alap := a.ALAP(model)
 
-	var slack, occ []int
-	var ordered, frontier []bool
+	var ints []int
+	var bools []bool
 	var order []int
 	if ws != nil {
-		if cap(ws.hrmsInts) < 2*n {
-			ws.hrmsInts = make([]int, 2*n)
+		if cap(ws.hrmsInts) < 5*n {
+			ws.hrmsInts = make([]int, 5*n)
 		}
-		slack, occ = ws.hrmsInts[0:n:n], ws.hrmsInts[n:2*n]
+		ints = ws.hrmsInts
 		if cap(ws.hrmsBools) < 2*n {
 			ws.hrmsBools = make([]bool, 2*n)
 		}
-		ordered, frontier = ws.hrmsBools[0:n:n], ws.hrmsBools[n:2*n]
-		for v := 0; v < n; v++ {
-			ordered[v], frontier[v] = false, false
-		}
+		bools = ws.hrmsBools
+		clear(bools[:2*n])
 		if cap(ws.order) < n {
 			ws.order = make([]int, 0, n)
 		}
 		order = ws.order[:0]
 	} else {
-		si := make([]int, 2*n)
-		slack, occ = si[0:n:n], si[n:]
-		sb := make([]bool, 2*n)
-		ordered, frontier = sb[0:n:n], sb[n:] // frontier: unordered nodes adjacent to ordered set
+		ints = make([]int, 5*n)
+		bools = make([]bool, 2*n)
 		order = make([]int, 0, n)
 	}
+	slack, occ := ints[0:n:n], ints[n:2*n:2*n]
+	rank, sorted := ints[2*n:3*n:3*n], ints[3*n:4*n:4*n]
+	frontier := minHeap(ints[4*n : 4*n : 5*n])
+	// ordered marks the ordered set; joined marks the operations that have
+	// entered the frontier heap.
+	ordered, joined := bools[0:n:n], bools[n:2*n:2*n]
+
 	for v := 0; v < n; v++ {
 		slack[v] = alap[v] - asap[v]
 	}
@@ -83,60 +95,52 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 		occ[v] = model.Occupancy(l.Ops[v].Kind)
 	}
 
-	better := func(a, b int) bool {
-		// Higher recurrence criticality first, then heavier reservations,
-		// then less slack, then earlier ASAP, then ID for determinism.
-		if recPrio[a] != recPrio[b] {
-			return recPrio[a] > recPrio[b]
+	// Higher recurrence criticality first, then heavier reservations, then
+	// less slack, then earlier ASAP, then ID: 0 only when a == b.
+	for v := range sorted {
+		sorted[v] = v
+	}
+	slices.SortFunc(sorted, func(a, b int) int {
+		if c := cmp.Compare(recPrio[b], recPrio[a]); c != 0 {
+			return c
 		}
-		if occ[a] != occ[b] {
-			return occ[a] > occ[b]
+		if c := cmp.Compare(occ[b], occ[a]); c != 0 {
+			return c
 		}
-		if slack[a] != slack[b] {
-			return slack[a] < slack[b]
+		if c := cmp.Compare(slack[a], slack[b]); c != 0 {
+			return c
 		}
-		if asap[a] != asap[b] {
-			return asap[a] < asap[b]
+		if c := cmp.Compare(asap[a], asap[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
+	})
+	for r, v := range sorted {
+		rank[v] = r
 	}
 
-	pickFrontier := func() int {
-		best := -1
-		for v := 0; v < n; v++ {
-			if frontier[v] && !ordered[v] && (best == -1 || better(v, best)) {
-				best = v
+	seed := 0 // sorted[:seed] holds no unordered operation
+	for len(order) < n {
+		// The frontier holds exactly the unordered operations adjacent to
+		// the ordered set: an operation leaves it only when popped, and a
+		// seed is taken only when it is empty.
+		var v int
+		if len(frontier) > 0 {
+			v = sorted[frontier.pop()]
+		} else {
+			for ordered[sorted[seed]] {
+				seed++
 			}
+			v = sorted[seed]
 		}
-		return best
-	}
-
-	pickSeed := func() int {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !ordered[v] && (best == -1 || better(v, best)) {
-				best = v
-			}
-		}
-		return best
-	}
-
-	add := func(v int) {
 		ordered[v] = true
 		order = append(order, v)
 		for _, w := range adj[v] {
-			if !ordered[w] {
-				frontier[w] = true
+			if !ordered[w] && !joined[w] {
+				joined[w] = true
+				frontier.push(rank[w])
 			}
 		}
-	}
-
-	for len(order) < n {
-		v := pickFrontier()
-		if v == -1 {
-			v = pickSeed()
-		}
-		add(v)
 	}
 	if ws != nil {
 		ws.order = order

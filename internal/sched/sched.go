@@ -201,8 +201,8 @@ type Options struct {
 type Workspace struct {
 	ints      []int  // rank + lastForced + heap + stamp, one 4n slab
 	placed    []bool // placement marks
-	hrmsInts  []int  // HRMS slack + occupancy, one 2n slab
-	hrmsBools []bool // HRMS ordered + frontier marks, one 2n slab
+	hrmsInts  []int  // HRMS slack + occupancy + rank + sorted order + frontier heap, one 5n slab
+	hrmsBools []bool // HRMS ordered + joined-frontier marks, one 2n slab
 	order     []int  // HRMS output, reused across calls
 	// orderFor and orderModel identify the loop snapshot and cycle model
 	// order belongs to; a nil orderFor memoizes nothing.
@@ -331,11 +331,11 @@ type placer struct {
 	placed     []bool
 	lastForced []int
 
-	// heap is an indexed min-heap of operations keyed by rank, with lazy
+	// heap is a min-heap of the ranks of operations to place, with lazy
 	// deletion: popping skips entries whose operation was placed since
 	// being pushed. Ranks are unique, so the pop order matches the
 	// linear smallest-rank scan it replaces exactly.
-	heap []int
+	heap minHeap
 
 	table *mrt.Table
 
@@ -373,7 +373,7 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
-	p.heap = ints[2*n : 2*n : 3*n]
+	p.heap = minHeap(ints[2*n : 2*n : 3*n])
 	p.stamp = ints[3*n : 4*n : 4*n]
 	for v := range p.stamp {
 		p.stamp[v] = 0
@@ -403,8 +403,11 @@ func (p *placer) reset(buses, fpus, ii int) {
 		p.placed[v] = false
 		p.lastForced[v] = -inf
 	}
-	// The order is rank-ascending, so it is already a valid min-heap.
-	p.heap = append(p.heap[:0], p.order...)
+	// Ascending ranks are already a valid min-heap.
+	p.heap = p.heap[:0]
+	for r := range p.order {
+		p.heap = append(p.heap, r)
+	}
 	if p.table == nil {
 		p.table = mrt.New(ii, buses, fpus)
 	} else {
@@ -424,41 +427,44 @@ func (p *placer) reset(buses, fpus, ii int) {
 	}
 }
 
-func (p *placer) heapPush(v int) {
-	h := append(p.heap, v)
-	i := len(h) - 1
-	for i > 0 {
+// minHeap is a binary min-heap of ints. The ordering phase and the placer
+// both keep operation ranks in one, so a pop yields the best-ranked
+// operation.
+type minHeap []int
+
+func (h *minHeap) push(x int) {
+	q := append(*h, x)
+	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if p.rank[h[parent]] <= p.rank[h[i]] {
+		if q[parent] <= q[i] {
 			break
 		}
-		h[parent], h[i] = h[i], h[parent]
+		q[parent], q[i] = q[i], q[parent]
 		i = parent
 	}
-	p.heap = h
+	*h = q
 }
 
-func (p *placer) heapPop() int {
-	h := p.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	p.heap = h
-	i := 0
-	for {
+func (h *minHeap) pop() int {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
+	for i := 0; ; {
 		l := 2*i + 1
-		if l >= len(h) {
+		if l >= len(q) {
 			break
 		}
 		small := l
-		if r := l + 1; r < len(h) && p.rank[h[r]] < p.rank[h[l]] {
+		if r := l + 1; r < len(q) && q[r] < q[l] {
 			small = r
 		}
-		if p.rank[h[i]] <= p.rank[h[small]] {
+		if q[i] <= q[small] {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
+		q[i], q[small] = q[small], q[i]
 		i = small
 	}
 	return top
@@ -468,7 +474,7 @@ func (p *placer) heapPop() int {
 // discarding stale heap entries, or -1 when none remains.
 func (p *placer) popUnplaced() int {
 	for len(p.heap) > 0 {
-		if v := p.heapPop(); !p.placed[v] {
+		if v := p.order[p.heap.pop()]; !p.placed[v] {
 			return v
 		}
 	}
@@ -638,7 +644,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 				table.Release(res[u])
 				p.own(u, -1)
 				placed[u] = false
-				p.heapPush(u)
+				p.heap.push(p.rank[u])
 				remaining++
 			}
 		}

@@ -511,6 +511,44 @@ func TestWarmWorkspaceAllocatesOnlySchedule(t *testing.T) {
 	}
 }
 
+// TestWarmWorkspaceReordersWithoutAllocating alternates two loops on one
+// warm Workspace, so every call misses the memoized order and runs the
+// ordering phase again. The sort, the ranks and the frontier heap live in
+// the workspace, so each call still allocates only the returned Schedule.
+func TestWarmWorkspaceReordersWithoutAllocating(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 8
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.New(machine.Config{Buses: 2, Width: 4}, 256, machine.FourCycle)
+	var pair [2]*ddg.Loop
+	for i, src := range []*ddg.Loop{loops[3], loops[5]} {
+		pair[i], _ = widen.Transform(src, 4)
+	}
+	ws := NewWorkspace()
+	for _, l := range pair {
+		if _, err := ModuloSchedule(l, m, &Options{Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		l := pair[call%2]
+		call++
+		if _, err = ModuloSchedule(l, m, &Options{Workspace: ws}); err != nil {
+			t.Fatal(err)
+		}
+		if ws.orderFor != l.Analysis() {
+			t.Fatal("the workspace does not hold the order of the loop just scheduled")
+		}
+	})
+	if allocs != 4 {
+		t.Errorf("warm ModuloSchedule alternating two loops allocates %v times per call, want 4 (the Schedule)", allocs)
+	}
+}
+
 // TestWorkspaceOrderFollowsLoop: a workspace that alternates between loops
 // and cycle models schedules each exactly as a fresh workspace does, so
 // the memoized order is never served to the wrong loop or model.
