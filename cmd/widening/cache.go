@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/resultcache"
 )
 
 // runCache implements the persistent result cache maintenance
@@ -48,7 +48,7 @@ func runCache(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("cache %s: -dir is required", sub)
 	}
-	store, err := core.OpenResultCache(*dir)
+	store, err := resultcache.Open(*dir)
 	if err != nil {
 		return err
 	}
@@ -59,7 +59,7 @@ func runCache(args []string) error {
 			return err
 		}
 		fmt.Printf("cache %s\n", store.Dir())
-		fmt.Printf("  entries %d (%s), format epoch %s\n", u.Entries, formatBytes(u.Bytes), core.ResultCacheEpoch)
+		fmt.Printf("  entries %d (%s), format epoch %s\n", u.Entries, formatBytes(u.Bytes), resultcache.FormatEpoch)
 		fmt.Printf("  epochs on disk: %s\n", strings.Join(u.Epochs, ", "))
 		if u.StaleEntries > 0 {
 			fmt.Printf("  stale: %d file(s) (%s) reclaimable by `widening cache gc -dir %s`\n",

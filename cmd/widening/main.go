@@ -8,7 +8,6 @@
 //	widening workload list | show | export | import
 //	widening cache stats | gc | clear -dir DIR
 //	widening schedule -config 4w2 -regs 64 -kernel daxpy
-//	widening bench -json
 //	widening serve -addr 127.0.0.1:8080 -budget 500000 -preload default,kernels -cache /var/cache/widening
 //	widening route -addr 127.0.0.1:8000 -backends 127.0.0.1:8081,127.0.0.1:8082,127.0.0.1:8083
 //	widening fleet status -router http://127.0.0.1:8000
@@ -48,10 +47,17 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/lifetimes"
+	"repro/internal/loopgen"
+	"repro/internal/machine"
 	"repro/internal/perfcost"
+	"repro/internal/regalloc"
+	"repro/internal/resultcache"
+	"repro/internal/spill"
 	"repro/internal/sweep"
+	"repro/internal/widen"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -64,9 +70,6 @@ func main() {
 func run(args []string) error {
 	if len(args) > 0 && args[0] == "schedule" {
 		return runSchedule(args[1:])
-	}
-	if len(args) > 0 && args[0] == "bench" {
-		return runBench(args[1:])
 	}
 	if len(args) > 0 && args[0] == "workload" {
 		return runWorkload(args[1:])
@@ -85,7 +88,7 @@ func run(args []string) error {
 	}
 
 	fs := flag.NewFlagSet("widening", flag.ContinueOnError)
-	wl := fs.String("workload", core.DefaultWorkload,
+	wl := fs.String("workload", workload.Default,
 		"workload scenario name (see `widening workload list`) or workload file path")
 	loops := fs.Int("loops", 0, "workbench size (0 = the workload's default)")
 	seed := fs.Int64("seed", 0, "workbench seed (0 = the workload's default)")
@@ -138,9 +141,9 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown backend %q (want heuristic or exact)", *backend)
 	}
-	var store *core.ResultCache
+	var store *resultcache.Store
 	if *cacheDir != "" {
-		if store, err = core.OpenResultCache(*cacheDir); err != nil {
+		if store, err = resultcache.Open(*cacheDir); err != nil {
 			return err
 		}
 		// Attach before the first run: the engine's disk layer must not
@@ -239,24 +242,32 @@ func runSchedule(args []string) error {
 		return err
 	}
 	if *kernel == "list" {
-		for _, k := range core.Kernels() {
+		for _, k := range loopgen.Kernels() {
 			fmt.Printf("%-12s %d ops\n", k.Name, k.NumOps())
 		}
 		return nil
 	}
-	cfg, err := core.ParseConfig(*cfgStr)
+	cfg, err := machine.ParseConfig(*cfgStr)
 	if err != nil {
 		return err
 	}
-	l := core.Kernel(*kernel)
+	l := loopgen.KernelByName(*kernel)
 	if l == nil {
 		return fmt.Errorf("unknown kernel %q (try -kernel list)", *kernel)
 	}
-	rep, err := core.ScheduleLoop(l, cfg, *regs)
+	transformed, _ := widen.Transform(l, cfg.Width)
+	r, err := spill.Schedule(transformed, machine.New(cfg, *regs, machine.FourCycle), nil)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("kernel %s on %s\n%s", l.Name, cfg, rep.Format())
+	if !r.OK {
+		return fmt.Errorf("loop unschedulable within the register file: %s on %s with %d registers", l.Name, cfg, *regs)
+	}
+	ls := lifetimes.Compute(r.Sched)
+	fmt.Printf("kernel %s on %s\n", l.Name, cfg)
+	fmt.Printf("%s, %d registers: II=%d (%.2f cycles/iteration), %d regs (MaxLive %d), spill %d st + %d ld, %d stages\n%s",
+		cfg, *regs, r.II(), float64(r.II())/float64(cfg.Width), regalloc.MinRegs(ls, regalloc.EndFit), ls.MaxLive(),
+		r.SpillStores, r.SpillLoads, r.Sched.Stages(), r.Sched.Format())
 	return nil
 }
 
@@ -270,7 +281,6 @@ func usage() {
   widening cache stats|clear -dir DIR
   widening cache gc -dir DIR [-max-bytes N] [-max-entries N]
   widening schedule -config 4w2 -regs 64 -kernel daxpy|list
-  widening bench [-json] [-benchtime 1x] [-workload NAME] [-run Scheduler,RegisterPressure,Table5Implementable]
   widening serve [-addr HOST:PORT] [-budget UNITS] [-preload default,kernels] [-loops N] [-seed S] [-cache DIR] [-join URL] [-shutdown-timeout D]
   widening route -addr HOST:PORT -backends host:port,... [-replication R] [-quota-qps N] [-quota-sweeps N] [-fail-after N] [-retry-budget F]
   widening fleet status|join|leave -router URL [-addr HOST:PORT]`)

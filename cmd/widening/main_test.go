@@ -173,9 +173,22 @@ func TestRunExportWritesManifest(t *testing.T) {
 	}
 }
 
+// TestRunScheduleKernel pins the schedule subcommand's report byte for
+// byte against testdata/schedule.golden, then probes its error paths.
 func TestRunScheduleKernel(t *testing.T) {
-	if err := run([]string{"schedule", "-config", "2w2", "-regs", "64", "-kernel", "daxpy"}); err != nil {
-		t.Fatalf("schedule: %v", err)
+	var got strings.Builder
+	for _, args := range [][]string{
+		{"schedule", "-config", "2w2", "-regs", "64", "-kernel", "daxpy"},
+		{"schedule", "-config", "8w1", "-regs", "32", "-kernel", "fir8"},
+	} {
+		got.WriteString(captureStdout(t, func() error { return run(args) }))
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "schedule.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("schedule output drifted from testdata/schedule.golden:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 	if err := run([]string{"schedule", "-kernel", "list"}); err != nil {
 		t.Fatalf("kernel list: %v", err)

@@ -11,7 +11,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // runServe starts the long-lived design-space query server: warm
@@ -54,7 +54,7 @@ func runServe(args []string) error {
 		}
 	}
 
-	srv, err := core.NewServer(core.ServeOptions{
+	srv, err := serve.New(serve.Options{
 		Budget: *budget, Loops: *loops, Seed: *seed, Preload: pre, CacheDir: *cacheDir,
 	})
 	if err != nil {

@@ -1,14 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 func TestRunServeErrors(t *testing.T) {
@@ -52,13 +51,13 @@ func captureStdout(t *testing.T, fn func() error) string {
 // file whose workload name collides with a registered scenario succeeds
 // but spells out the registry-wins rule instead of staying silent.
 func TestWorkloadImportShadowWarning(t *testing.T) {
-	w, err := core.BuildWorkload("divheavy", 6, 1)
+	w, err := workload.Build("divheavy", 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Name = core.DefaultWorkload
+	w.Name = workload.Default
 	path := filepath.Join(t.TempDir(), "shadow.json")
-	if err := core.SaveWorkload(w, path); err != nil {
+	if err := workload.Save(w, path); err != nil {
 		t.Fatal(err)
 	}
 	out := captureStdout(t, func() error {
@@ -70,7 +69,7 @@ func TestWorkloadImportShadowWarning(t *testing.T) {
 
 	// A non-colliding name imports without the warning.
 	w.Name = "mysuite"
-	if err := core.SaveWorkload(w, path); err != nil {
+	if err := workload.Save(w, path); err != nil {
 		t.Fatal(err)
 	}
 	out = captureStdout(t, func() error {
@@ -78,33 +77,5 @@ func TestWorkloadImportShadowWarning(t *testing.T) {
 	})
 	if strings.Contains(out, "warning") {
 		t.Errorf("non-colliding import must not warn, got:\n%s", out)
-	}
-}
-
-// TestRunBenchBenchtime pins the CI trajectory-guard contract: a 1x
-// benchtime run emits JSON holding the Scheduler entry.
-func TestRunBenchBenchtime(t *testing.T) {
-	if err := run([]string{"bench", "-benchtime", "bogus", "-run", "Scheduler"}); err == nil {
-		t.Fatal("malformed -benchtime must error")
-	}
-	out := captureStdout(t, func() error {
-		return run([]string{"bench", "-json", "-benchtime", "1x", "-run", "Scheduler"})
-	})
-	var summary struct {
-		Workload   string `json:"workload"`
-		Benchmarks []struct {
-			Name       string  `json:"name"`
-			Iterations int     `json:"iterations"`
-			NsPerOp    float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal([]byte(out), &summary); err != nil {
-		t.Fatalf("bench -json output is not JSON: %v\n%s", err, out)
-	}
-	if len(summary.Benchmarks) != 1 || summary.Benchmarks[0].Name != "Scheduler" {
-		t.Fatalf("bench -run Scheduler = %+v, want the Scheduler entry", summary.Benchmarks)
-	}
-	if summary.Benchmarks[0].Iterations != 1 || summary.Benchmarks[0].NsPerOp <= 0 {
-		t.Errorf("1x run = %+v, want exactly one timed iteration", summary.Benchmarks[0])
 	}
 }

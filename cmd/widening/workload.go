@@ -6,8 +6,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/workload"
 )
 
 // runWorkload implements the workload management subcommand:
@@ -45,7 +45,7 @@ func workloadList(args []string) error {
 		return err
 	}
 	fmt.Printf("%-12s %6s  %s\n", "name", "loops", "description")
-	for _, info := range core.Workloads() {
+	for _, info := range workload.Infos() {
 		size := fmt.Sprint(info.Loops)
 		if info.Fixed {
 			size += "*"
@@ -58,13 +58,13 @@ func workloadList(args []string) error {
 
 func workloadShow(args []string) error {
 	fs := flag.NewFlagSet("workload show", flag.ContinueOnError)
-	name := fs.String("name", core.DefaultWorkload, "registered workload name")
+	name := fs.String("name", workload.Default, "registered workload name")
 	loops := fs.Int("loops", 0, "suite size override (0 = scenario default)")
 	seed := fs.Int64("seed", 0, "seed override (0 = scenario default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := core.BuildWorkload(*name, *loops, *seed)
+	w, err := workload.Build(*name, *loops, *seed)
 	if err != nil {
 		return err
 	}
@@ -74,14 +74,14 @@ func workloadShow(args []string) error {
 
 func workloadExport(args []string) error {
 	fs := flag.NewFlagSet("workload export", flag.ContinueOnError)
-	name := fs.String("name", core.DefaultWorkload, "registered workload name")
+	name := fs.String("name", workload.Default, "registered workload name")
 	out := fs.String("o", "", "output file (default <name>.json)")
 	loops := fs.Int("loops", 0, "suite size override (0 = scenario default)")
 	seed := fs.Int64("seed", 0, "seed override (0 = scenario default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := core.BuildWorkload(*name, *loops, *seed)
+	w, err := workload.Build(*name, *loops, *seed)
 	if err != nil {
 		return err
 	}
@@ -89,7 +89,7 @@ func workloadExport(args []string) error {
 	if path == "" {
 		path = *name + ".json"
 	}
-	if err := core.SaveWorkload(w, path); err != nil {
+	if err := workload.Save(w, path); err != nil {
 		return err
 	}
 	fmt.Printf("exported workload %s (%d loops) to %s\n", w.Name, len(w.Loops), path)
@@ -105,12 +105,12 @@ func workloadImport(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("workload import: -in is required")
 	}
-	w, err := core.LoadWorkload(*in)
+	w, err := workload.Load(*in)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("imported %s: valid\n", *in)
-	if core.WorkloadRegistered(w.Name) {
+	if workload.Registered(w.Name) {
 		// Registered names win in -workload resolution (the pinned
 		// TestScenarioNameWinsOverFile rule); say so instead of letting the
 		// file be silently shadowed.
@@ -121,8 +121,8 @@ func workloadImport(args []string) error {
 	return nil
 }
 
-func printWorkloadSummary(w *core.Workload) {
-	s := core.WorkloadStats(w)
+func printWorkloadSummary(w *workload.Workload) {
+	s := w.Stats()
 	fmt.Printf("workload %s\n", w.Name)
 	if w.Description != "" {
 		fmt.Printf("  %s\n", w.Description)
@@ -138,7 +138,7 @@ func printWorkloadSummary(w *core.Workload) {
 // isScenario reports whether the -workload flag value names a registered
 // scenario. Registry names always win over files: a stray file called
 // "default" in the working directory must not shadow the scenario.
-func isScenario(v string) bool { return core.WorkloadRegistered(v) }
+func isScenario(v string) bool { return workload.Registered(v) }
 
 // resolveContext builds the experiment context for a -workload flag
 // value: a registered scenario name, or otherwise a path to a workload
@@ -147,11 +147,11 @@ func resolveContext(workloadFlag string, loops int, seed int64) (*experiments.Co
 	if isScenario(workloadFlag) {
 		return experiments.NewContextFor(workloadFlag, loops, seed)
 	}
-	w, err := core.LoadWorkload(workloadFlag)
+	w, err := workload.Load(workloadFlag)
 	if err != nil {
 		if !looksLikeFile(workloadFlag) {
 			return nil, fmt.Errorf("unknown workload %q: not a registered scenario (have %v) and %w",
-				workloadFlag, core.WorkloadNames(), err)
+				workloadFlag, workload.Names(), err)
 		}
 		return nil, err
 	}

@@ -19,13 +19,25 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/area"
+	"repro/internal/loopgen"
+	"repro/internal/machine"
+	"repro/internal/perfcost"
 	"repro/internal/sweep"
 )
 
 func main() {
 	loops := flag.Int("loops", 200, "workbench size per sweep point")
 	flag.Parse()
+
+	var factor8 [3]machine.Config
+	for i, name := range []string{"8w1", "4w2", "1w8"} {
+		c, err := machine.ParseConfig(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		factor8[i] = c
+	}
 
 	fmt.Println("== workload sweep: peak speed-up at factor 8 vs unit-stride fraction")
 	fmt.Printf("%-12s %8s %8s %8s\n", "unit-stride", "8w1", "4w2", "1w8")
@@ -37,19 +49,19 @@ func main() {
 		err      error
 	}
 	rows := sweep.Map(0, usps, func(usp float64) row {
-		p := core.DefaultWorkbenchParams()
+		p := loopgen.Defaults()
 		p.Loops = *loops
 		p.UnitStrideProb = usp
-		suite, err := core.Workbench(p)
+		suite, err := loopgen.Workbench(p)
 		if err != nil {
 			return row{err: err}
 		}
-		ds := core.NewDesignSpace(suite)
-		return row{speedups: [3]float64{
-			ds.PeakSpeedup(core.MustConfig("8w1")),
-			ds.PeakSpeedup(core.MustConfig("4w2")),
-			ds.PeakSpeedup(core.MustConfig("1w8")),
-		}}
+		e := perfcost.New(suite, nil)
+		var r row
+		for i, c := range factor8 {
+			r.speedups[i] = e.PeakSpeedup(c)
+		}
+		return r
 	})
 	for i, usp := range usps {
 		if rows[i].err != nil {
@@ -60,24 +72,24 @@ func main() {
 	}
 
 	fmt.Println("\n== budget sweep: best design at 0.13 um vs area budget")
-	base := core.DefaultWorkbenchParams()
+	base := loopgen.Defaults()
 	base.Loops = *loops
-	suite, err := core.Workbench(base)
+	suite, err := loopgen.Workbench(base)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tech := core.Technologies()[2] // 0.13 um
+	tech := area.SIA()[2] // 0.13 um
 	fmt.Printf("%-8s %-14s %9s %7s\n", "budget", "best", "speed-up", "% die")
 	for _, budget := range []float64{0.05, 0.10, 0.15, 0.20, 0.30} {
-		ds := core.NewDesignSpaceBudget(suite, budget)
-		top := ds.TopFive(tech)
+		e := perfcost.New(suite, &perfcost.Options{Budget: budget})
+		top := e.TopFive(tech, 16)
 		if len(top) == 0 {
 			fmt.Printf("%-8.2f %-14s\n", budget, "(nothing fits)")
 			continue
 		}
 		best := top[0]
 		fmt.Printf("%-8.2f %-14s %9.2f %6.1f%%\n",
-			budget, best.Label(), ds.Speedup(best), 100*best.DieFraction(tech))
+			budget, best.Label(), e.Speedup(best), 100*best.DieFraction(tech))
 	}
 	fmt.Println("\nA tighter budget trims ports before bits: the best design widens.")
 }

@@ -22,7 +22,8 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -32,7 +33,7 @@ func main() {
 
 	base := *url
 	if base == "" {
-		srv, err := core.NewServer(core.ServeOptions{Loops: *loops, Seed: 1, Preload: []string{"default"}})
+		srv, err := serve.New(serve.Options{Loops: *loops, Seed: 1, Preload: []string{"default"}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,11 +51,11 @@ func main() {
 		fmt.Printf("in-process server on %s (default scenario preloaded at %d loops)\n\n", base, *loops)
 	}
 
-	c := core.NewServeClient(base)
+	c := serve.NewClient(base)
 	ctx := context.Background()
 
 	// One warm design cell: the paper's headline 4w2 widened machine.
-	ev, err := c.Eval(ctx, core.ServeEvalRequest{Config: "4w2", Regs: 64, Partitions: 2})
+	ev, err := c.Eval(ctx, serve.EvalRequest{Config: "4w2", Regs: 64, Partitions: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 
 	// Upload a workload file (a renamed divheavy here; any loop-IR file
 	// exported by `widening workload export` works) and query it warm.
-	wl, err := core.BuildWorkload("divheavy", *loops, 7)
+	wl, err := workload.Build("divheavy", *loops, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,9 +77,9 @@ func main() {
 
 	// Sweep the equal-factor-8 panel over the upload, streamed: points
 	// arrive one by one, in order, as each cell is scheduled.
-	req := core.ServeSweepRequest{
+	req := serve.SweepRequest{
 		Workload: "mysuite",
-		Cells: []core.ServeSweepCell{
+		Cells: []serve.SweepCell{
 			{Config: "8w1", Regs: 64},
 			{Config: "4w2", Regs: 64},
 			{Config: "2w4", Regs: 64},
@@ -86,7 +87,7 @@ func main() {
 		},
 	}
 	fmt.Println("\nfactor-8 sweep over mysuite (streamed):")
-	err = c.SweepStream(ctx, req, func(p core.ServePoint) error {
+	err = c.SweepStream(ctx, req, func(p serve.Point) error {
 		fmt.Printf("  %-12s speedup %5.2f  ok=%v\n", p.Label, p.Speedup, p.OK)
 		return nil
 	})

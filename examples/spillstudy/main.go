@@ -12,31 +12,41 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/ddg"
+	"repro/internal/loopgen"
+	"repro/internal/machine"
+	"repro/internal/spill"
 	"repro/internal/sweep"
+	"repro/internal/widen"
 )
 
 func main() {
-	configs := []core.Config{core.MustConfig("8w1"), core.MustConfig("4w2")}
+	var configs []machine.Config
+	for _, name := range []string{"8w1", "4w2"} {
+		cfg, err := machine.ParseConfig(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		configs = append(configs, cfg)
+	}
 	sizes := []int{16, 32, 64, 128}
 
 	// The (kernel, config, register file) grid is embarrassingly parallel:
 	// pipeline every cell on the sweep pool, then print in grid order.
 	type task struct {
-		kernel *core.Loop
-		cfg    core.Config
+		kernel *ddg.Loop
+		cfg    machine.Config
 		regs   int
 	}
 	type outcome struct {
-		rep *core.LoopReport
+		res spill.Result
 		err error
 	}
 	var grid []task
-	for _, kernel := range core.Kernels() {
+	for _, kernel := range loopgen.Kernels() {
 		for _, cfg := range configs {
 			for _, regs := range sizes {
 				grid = append(grid, task{kernel, cfg, regs})
@@ -44,8 +54,9 @@ func main() {
 		}
 	}
 	outcomes := sweep.Map(0, grid, func(t task) outcome {
-		rep, err := core.ScheduleLoop(t.kernel, t.cfg, t.regs)
-		return outcome{rep, err}
+		transformed, _ := widen.Transform(t.kernel, t.cfg.Width)
+		res, err := spill.Schedule(transformed, machine.New(t.cfg, t.regs, machine.FourCycle), nil)
+		return outcome{res, err}
 	})
 
 	fmt.Println("per-iteration cycles (spill ops) by register file size")
@@ -61,16 +72,16 @@ func main() {
 		}
 		o := outcomes[i]
 		switch {
-		case errors.Is(o.err, core.ErrUnschedulable):
-			fmt.Printf("  %11s", "-")
 		case o.err != nil:
 			log.Fatalf("%s on %s: %v", t.kernel.Name, t.cfg, o.err)
+		case !o.res.OK:
+			fmt.Printf("  %11s", "-")
 		default:
 			mark := " "
-			if o.rep.SpillStores+o.rep.SpillLoads > 0 {
+			if o.res.SpillStores+o.res.SpillLoads > 0 {
 				mark = "*"
 			}
-			fmt.Printf("  %9.2f%s%s", o.rep.CyclesPerIteration, mark, "")
+			fmt.Printf("  %9.2f%s%s", float64(o.res.II())/float64(t.cfg.Width), mark, "")
 		}
 		if t.regs == sizes[len(sizes)-1] {
 			fmt.Println()

@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/area"
+	"repro/internal/loopgen"
+	"repro/internal/perfcost"
 	"repro/internal/sweep"
 )
 
@@ -24,24 +26,24 @@ func main() {
 	loops := flag.Int("loops", 300, "workbench size (1180 = the paper's scale)")
 	flag.Parse()
 
-	params := core.DefaultWorkbenchParams()
+	params := loopgen.Defaults()
 	params.Loops = *loops
-	suite, err := core.Workbench(params)
+	suite, err := loopgen.Workbench(params)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ds := core.NewDesignSpace(suite)
+	e := perfcost.New(suite, nil)
 
 	fmt.Printf("workbench: %d loops; budget: 20%% of the die for FPUs + RF\n\n", *loops)
 	// Rank all five generations concurrently; they share most design
 	// cells, which the engine's schedule cache computes once.
-	techs := core.Technologies()
-	tops := sweep.Map(len(techs), techs, ds.TopFive)
+	techs := area.SIA()
+	tops := sweep.Map(len(techs), techs, func(t area.Technology) []perfcost.Point { return e.TopFive(t, 16) })
 	for i, tech := range techs {
 		fmt.Printf("%d (%s): top five implementable configurations\n", tech.Year, tech)
 		for rank, p := range tops[i] {
 			fmt.Printf("  %d. %-12s speed-up %.2f   cycle time %.2fx   %4.1f%% of die   z=%d\n",
-				rank+1, p.Label(), ds.Speedup(p), p.Tc, 100*p.DieFraction(tech), p.Z)
+				rank+1, p.Label(), e.Speedup(p), p.Tc, 100*p.DieFraction(tech), p.Z)
 		}
 		fmt.Println()
 	}

@@ -60,8 +60,6 @@ type Options struct {
 	// MaxOps disables the exact search (not the bounds) for loops with
 	// more operations; <= 0 means DefaultMaxOps.
 	MaxOps int
-	// Workspace optionally serves the embedded heuristic baseline run.
-	Workspace *sched.Workspace
 }
 
 // Result is the outcome of a Solve call. Sched is always a feasible,
@@ -132,7 +130,7 @@ func Solve(l *ddg.Loop, m machine.Machine, opts *Options) (*Result, error) {
 		o.MaxOps = DefaultMaxOps
 	}
 
-	heur, err := sched.ModuloSchedule(l, m, &sched.Options{Workspace: o.Workspace})
+	heur, err := sched.ModuloSchedule(l, m, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -219,8 +219,8 @@ func (c *Context) RunAll() ([]Result, error) {
 }
 
 // RunAllSequential regenerates every artifact one driver at a time, in
-// registry order: the pre-sweep baseline that BenchmarkRunAll compares the
-// concurrent orchestrator against.
+// registry order: the pre-sweep baseline that TestRunAllMatchesSequential
+// checks the concurrent orchestrator against.
 func (c *Context) RunAllSequential() ([]Result, error) {
 	out := make([]Result, 0, len(registry))
 	for _, r := range registry {

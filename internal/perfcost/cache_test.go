@@ -9,8 +9,6 @@ import (
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/resultcache"
-	"repro/internal/sched"
-	"repro/internal/spill"
 	"repro/internal/sweep"
 )
 
@@ -40,10 +38,6 @@ var cacheCells = []sweep.Cell{
 	{Config: cfg("2w2"), Regs: 64, Partitions: 2},
 	{Config: cfg("4w1"), Regs: 128, Partitions: 1},
 }
-
-// defaultOrder is a hashable-in-name-only custom ordering: any non-nil
-// Order func must disable persistence, even one matching the default.
-func defaultOrder(l *ddg.Loop, model machine.CycleModel) []int { return nil }
 
 // TestDiskCacheWarmRunComputesNothing is the acceptance-criteria core: a
 // fresh engine over the same workload and store must answer the same
@@ -137,8 +131,7 @@ func TestDiskCacheCorruptEntriesRecomputed(t *testing.T) {
 }
 
 // TestFingerprintStability: equal inputs fingerprint equally; any input a
-// cached cell depends on diverges it; unhashable inputs disable
-// persistence.
+// cached cell depends on diverges it.
 func TestFingerprintStability(t *testing.T) {
 	loops := testLoops(t, 8)
 	a := New(loops, nil).Fingerprint()
@@ -149,46 +142,22 @@ func TestFingerprintStability(t *testing.T) {
 	if c := New(testLoops(t, 9), nil).Fingerprint(); c == a {
 		t.Error("different workbench, same fingerprint")
 	}
-	if d := New(loops, &Options{Spill: &spill.Options{MaxRounds: 7}}).Fingerprint(); d == a {
-		t.Error("different spill options, same fingerprint")
-	}
-	var ord sched.OrderFunc = defaultOrder
-	if e := New(loops, &Options{Spill: &spill.Options{Order: ord}}); e.Fingerprint() != "" {
-		t.Error("custom spill ordering must disable fingerprinting")
-	}
-	// And with persistence nominally attached, nothing is written.
-	store := openStore(t)
-	e2 := New(loops, &Options{Cache: store, Spill: &spill.Options{Order: ord}})
-	e2.SuiteCycles(cfg("2w1"), 64, machine.FourCycle)
-	if st := store.Stats(); st.Writes != 0 {
-		t.Errorf("unfingerprintable engine wrote %d entries", st.Writes)
-	}
 }
 
-// TestCacheDirOption: the convenience form opens the store itself, and an
-// unopenable directory disables persistence without failing New.
-func TestCacheDirOption(t *testing.T) {
-	dir := t.TempDir()
+// TestFingerprintPinned pins the persistent-cache keys: an engine's
+// fingerprint over a fixed workbench must not move, or every cell a
+// previous build persisted stops hitting. A deliberate schema change
+// bumps cacheVersion and these values together.
+func TestFingerprintPinned(t *testing.T) {
 	loops := testLoops(t, 8)
-	e := New(loops, &Options{CacheDir: dir})
-	if e.Cache() == nil {
-		t.Fatal("CacheDir did not attach a store")
+	if got, want := New(loops, nil).Fingerprint(),
+		"03b72a07c2c3d6f70b87e08305a79aea0d20803fd8e3f983896e7c9537a8c42e"; got != want {
+		t.Errorf("heuristic fingerprint = %s, want %s", got, want)
 	}
-	e.SuiteCycles(cfg("2w1"), 64, machine.FourCycle)
-	if e.Cache().Stats().Writes == 0 {
-		t.Fatal("no entries written through CacheDir store")
-	}
-
-	blocked := filepath.Join(dir, "f")
-	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bad := New(loops, &Options{CacheDir: blocked})
-	if bad.Cache() != nil {
-		t.Fatal("file-as-cache-dir must disable persistence")
-	}
-	// The engine still computes correctly without persistence.
-	if r := bad.SuiteCycles(cfg("2w1"), 64, machine.FourCycle); !r.OK {
-		t.Fatalf("cacheless engine result = %+v", r)
+	x := New(loops, nil)
+	x.SetBackend(BackendExact, 0, 0)
+	if got, want := x.Fingerprint(),
+		"1a002cae4f5b2a4345d6d09dfaff1dfa29962af43f19903c672749e722940c8c"; got != want {
+		t.Errorf("exact fingerprint = %s, want %s", got, want)
 	}
 }

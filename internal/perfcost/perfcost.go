@@ -46,29 +46,20 @@ import (
 	"repro/internal/workload"
 )
 
-// wsPool holds scheduling workspaces shared by every engine in the
-// process. Pooling at package scope rather than per engine is deliberate:
-// serve's LRU evicts and rebuilds engines under churn, and a rehydrated
-// engine draws already-warm arenas from the pool instead of paying the
-// full cold-start allocation cost again.
-var wsPool = sync.Pool{New: func() any { return sched.NewWorkspace() }}
-
 // Engine evaluates configurations over a fixed workbench. All entry points
 // are safe for concurrent use: the sweep orchestrator hammers one engine
 // from many goroutines, and the singleflight caches guarantee each unique
 // (config, registers, cycle model) cell is scheduled exactly once.
-// Scheduling scratch is drawn from a process-wide workspace pool, so even
-// a freshly built engine (or one rebuilt after cache eviction) reuses the
-// arenas warmed by its predecessors.
+// Scheduling scratch belongs to the layers that use it: sched and spill
+// pool their own, so even a freshly built engine (or one rebuilt after
+// cache eviction) reuses the arenas warmed by its predecessors.
 type Engine struct {
 	loops []*ddg.Loop
 	// workload names the scenario the loops came from ("" for engines
 	// built from a bare loop slice).
 	workload string
-	timing   timing.Model
 	budget   float64
-	spill    *spill.Options
-	// workers bounds scheduling parallelism (defaults to GOMAXPROCS).
+	// workers bounds scheduling parallelism (GOMAXPROCS).
 	workers int
 	// sem bounds loop-level scheduling work engine-wide, so concurrent
 	// suites share the machine instead of multiplying goroutines.
@@ -83,8 +74,8 @@ type Engine struct {
 	// computing and written back after. nil disables persistence.
 	cache *resultcache.Store
 	// fp memoizes Fingerprint (the canonical content hash the disk keys
-	// derive from); "" after fpOnce means persistence is impossible
-	// (unhashable spill options) and the disk layer stays off.
+	// derive from); "" after fpOnce means persistence is impossible (a
+	// loop failed to encode) and the disk layer stays off.
 	fpOnce sync.Once
 	fp     string
 
@@ -133,39 +124,20 @@ type peakKey struct {
 
 // Options configures an Engine.
 type Options struct {
-	// Timing overrides the access-time model (default timing.Default).
-	Timing *timing.Model
 	// Budget is the die fraction for FPUs + RF (default area.DefaultBudget).
 	Budget float64
-	// Spill tunes the register-constrained scheduler.
-	Spill *spill.Options
-	// Workers bounds parallelism (default GOMAXPROCS).
-	Workers int
 	// Cache attaches a persistent content-addressed result store: suite
 	// and peak cells are rehydrated from disk across processes (see
 	// resultcache). The serving layer shares one store across all its
 	// engines; keys derive from the engine's Fingerprint, so engines over
 	// different workloads never mix cells.
 	Cache *resultcache.Store
-	// CacheDir is the convenience form of Cache: New opens a store rooted
-	// there. An open failure disables persistence rather than failing
-	// construction (the engine computes correctly without it); callers
-	// that must surface the error open the store themselves and set Cache.
-	CacheDir string
-	// Backend selects the scheduling backend (default BackendHeuristic).
-	Backend Backend
-	// ExactNodeBudget and ExactMaxOps tune BackendExact (defaults
-	// exact.DefaultNodeBudget / exact.DefaultMaxOps); ignored on the
-	// heuristic backend.
-	ExactNodeBudget int
-	ExactMaxOps     int
 }
 
 // New builds an engine over the given workbench.
 func New(loops []*ddg.Loop, opts *Options) *Engine {
 	e := &Engine{
 		loops:   loops,
-		timing:  timing.Default,
 		budget:  area.DefaultBudget,
 		workers: runtime.GOMAXPROCS(0),
 		widened: sweep.NewFlight[int, []*ddg.Loop](),
@@ -173,21 +145,10 @@ func New(loops []*ddg.Loop, opts *Options) *Engine {
 		peak:    sweep.NewFlight[peakKey, float64](),
 	}
 	if opts != nil {
-		if opts.Timing != nil {
-			e.timing = *opts.Timing
-		}
 		if opts.Budget != 0 {
 			e.budget = opts.Budget
 		}
-		e.spill = opts.Spill
-		if opts.Workers > 0 {
-			e.workers = opts.Workers
-		}
 		e.cache = opts.Cache
-		if e.cache == nil && opts.CacheDir != "" {
-			e.cache, _ = resultcache.Open(opts.CacheDir)
-		}
-		e.SetBackend(opts.Backend, opts.ExactNodeBudget, opts.ExactMaxOps)
 	}
 	e.sem = make(chan struct{}, e.workers)
 	return e
@@ -260,21 +221,14 @@ func (e *Engine) Cache() *resultcache.Store { return e.cache }
 const cacheVersion = "perfcost-v1"
 
 // Fingerprint returns the engine's canonical content hash: the result-
-// schema epoch, the spill options, and the loop-IR of the whole
-// workbench. Two engines with equal fingerprints compute identical suite
-// and peak cells, so the persistent cache keys on it. It returns "" when
-// the inputs cannot be hashed (a custom spill ordering function), which
-// disables persistence for the engine.
+// schema epoch, the backend, and the loop-IR of the whole workbench. Two
+// engines with equal fingerprints compute identical suite and peak
+// cells, so the persistent cache keys on it. It returns "" when a loop
+// cannot be encoded, which disables persistence for the engine.
 func (e *Engine) Fingerprint() string {
 	e.fpOnce.Do(func() {
-		if e.spill != nil && e.spill.Order != nil {
-			return // unhashable: results depend on an arbitrary function
-		}
 		h := sha256.New()
 		fmt.Fprintf(h, "%s\n", cacheVersion)
-		if e.spill != nil {
-			fmt.Fprintf(h, "spill:%d:%d:%d\n", e.spill.Strategy, e.spill.MaxRounds, e.spill.MaxIIGrowth)
-		}
 		// Backend line only when non-default, so every previously
 		// persisted heuristic cell keeps its key.
 		if e.backend != BackendHeuristic {
@@ -377,7 +331,7 @@ func (e *Engine) WorkloadName() string { return e.workload }
 func (e *Engine) Budget() float64 { return e.budget }
 
 // Timing returns the access-time model in use.
-func (e *Engine) Timing() timing.Model { return e.timing }
+func (e *Engine) Timing() timing.Model { return timing.Default }
 
 // eachLoop runs fn(i) for i in [0, n) with every call holding one slot of
 // the engine-wide scheduling semaphore, so concurrent suites, peak sweeps
@@ -485,18 +439,7 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 	}
 	parts := make([]partial, len(loops))
 	e.eachLoop(len(loops), func(i int) {
-		// Scheduling scratch comes from the process-wide pool: the shared
-		// spill options are copied per task so each worker can attach its
-		// own workspace without racing the other goroutines (or mutating
-		// options the caller still owns).
-		ws := wsPool.Get().(*sched.Workspace)
-		defer wsPool.Put(ws)
-		so := spill.Options{}
-		if e.spill != nil {
-			so = *e.spill
-		}
-		so.Workspace = ws
-		r, err := spill.Schedule(loops[i], m, &so)
+		r, err := spill.Schedule(loops[i], m, nil)
 		if err != nil || !r.OK {
 			// Charge the loop its non-pipelined cost: one flat
 			// schedule span per (unrolled) iteration. Registers at
@@ -504,8 +447,7 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 			// here is "the compiler emits unpipelined code".
 			parts[i].failed = true
 			if flat, ferr := sched.ModuloSchedule(loops[i],
-				machine.New(c, 1<<20, model),
-				&sched.Options{Workspace: ws}); ferr == nil {
+				machine.New(c, 1<<20, model), nil); ferr == nil {
 				parts[i].cycles = float64(e.loops[i].Trips) *
 					float64(flat.Length()) / float64(c.Width)
 			}
@@ -518,7 +460,7 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 			// Exact refinement is accepted only when it is a strictly
 			// better feasible schedule whose register packing fits the
 			// file without spilling — it can never make a cell worse.
-			eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps, Workspace: ws}
+			eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps}
 			if er, xerr := exact.Solve(loops[i], m, &eo); xerr == nil &&
 				er.II < r.II() && er.MinRegs <= m.RF.Regs {
 				parts[i].cycles = float64(e.loops[i].Trips) * float64(er.II) / float64(c.Width)
@@ -635,7 +577,7 @@ func (p Point) DieFraction(tech area.Technology) float64 {
 // Evaluate prices and times one design point, selecting the cycle model
 // from the register file's access time (the Section 5 rule).
 func (e *Engine) Evaluate(c machine.Config, regs, partitions int) Point {
-	tc := e.timing.Relative(c, regs, partitions)
+	tc := timing.Default.Relative(c, regs, partitions)
 	return e.EvaluateWithModel(c, regs, partitions, machine.ModelForCycleTime(tc))
 }
 
@@ -644,7 +586,7 @@ func (e *Engine) Evaluate(c machine.Config, regs, partitions int) Point {
 // serving layer exposes as the latency-model knob. Tc still reflects the
 // register file, so Time stays comparable with Evaluate's points.
 func (e *Engine) EvaluateWithModel(c machine.Config, regs, partitions int, model machine.CycleModel) Point {
-	tc := e.timing.Relative(c, regs, partitions)
+	tc := timing.Default.Relative(c, regs, partitions)
 	suite := e.SuiteCycles(c, regs, model)
 	p := Point{
 		Config:       c,

@@ -24,7 +24,7 @@
 // carries the per-set analyses (placement orders, total/max lifetime
 // length, MaxLive) and the attempt scratch across the upward
 // register-count scan of Allocate/MinRegs and across the spill pass's
-// TryAllocate/MinRegs/II-growth sequence, so repeated probes of the same
+// fit probes over its rounds and II growth, so repeated probes of the same
 // lifetime set stop re-sorting and re-allocating. Cheap lower bounds
 // (per-arc and total occupied cycles against R*II, MaxLive against R)
 // reject provably infeasible sizes before any placement work. Placements
@@ -63,7 +63,7 @@ const (
 	// EndFit places each arc where it ends closest to the start of the
 	// following occupied arc's gap (the paper's allocator).
 	EndFit Strategy = iota
-	// FirstFit places each arc at the first feasible offset (the ablation
+	// FirstFit places each arc at the first feasible offset (a comparison
 	// baseline).
 	FirstFit
 )

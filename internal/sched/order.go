@@ -3,14 +3,10 @@ package sched
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
 )
-
-// OrderFunc lists the operations of a loop in scheduling order.
-type OrderFunc func(l *ddg.Loop, model machine.CycleModel) []int
 
 // HRMSOrder implements the HRMS-family node ordering: recurrence components
 // are seeded most-critical first (highest per-component RecMII), and every
@@ -145,26 +141,5 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	if ws != nil {
 		ws.order = order
 	}
-	return order
-}
-
-// NaiveOrder is the ablation baseline: plain topological (ASAP-then-ID)
-// order with no neighbour affinity. Schedules built from it are valid but
-// stretch lifetimes, inflating register pressure (see BenchmarkAblation
-// and the ordering comparison test).
-func NaiveOrder(l *ddg.Loop, model machine.CycleModel) []int {
-	n := l.NumOps()
-	asap := l.ASAP(model)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if asap[a] != asap[b] {
-			return asap[a] < asap[b]
-		}
-		return a < b
-	})
 	return order
 }

@@ -170,8 +170,6 @@ func (s *Schedule) Format() string {
 
 // Options tunes the scheduler.
 type Options struct {
-	// Order selects the ordering heuristic; nil uses HRMSOrder.
-	Order OrderFunc
 	// MinII raises the starting point of the II search above MII. The
 	// spill pass uses it to trade cycles for register pressure when no
 	// spill candidate remains.
@@ -181,9 +179,9 @@ type Options struct {
 	// up to it admits a schedule, ModuloSchedule returns ErrNoSchedule.
 	MaxII int
 	// Workspace, when set, serves the call's ordering and placement
-	// scratch from a reusable arena instead of fresh allocations — the
-	// cold-start path of an engine evaluating many loops in sequence. The
-	// returned Schedule never aliases the workspace.
+	// scratch from the caller's arena; when nil, one is drawn from the
+	// package pool for the duration of the call. The returned Schedule
+	// never aliases the workspace.
 	Workspace *Workspace
 }
 
@@ -195,9 +193,9 @@ type Options struct {
 // a call that reschedules the same loop at another II (every candidate
 // of the spill pass's II growth) reuses the order. A zero Workspace is
 // ready to use; it grows to the largest loop it has scheduled and is NOT
-// safe for concurrent use — callers pool one per worker (see perfcost).
-// The remembered snapshot keeps its loop reachable, so each pooled
-// workspace pins at most one loop.
+// safe for concurrent use. ModuloSchedule pools workspaces for callers
+// that bring none (see wsPool). The remembered snapshot keeps its loop
+// reachable, so each pooled workspace pins at most one loop.
 type Workspace struct {
 	ints      []int  // rank + lastForced + heap + stamp, one 4n slab
 	placed    []bool // placement marks
@@ -252,20 +250,13 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	buses, fpus := m.Slots()
 	model := m.Model
 
-	var order []int
-	switch {
-	case o.Order != nil:
-		order = o.Order(l, model)
-	case ws.orderFor == a && ws.orderModel == model:
-		order = ws.order // the order depends on the loop and model, not the II
-	default:
+	// The order depends on the loop and model, not the II: a reschedule of
+	// the same loop reuses it.
+	if ws.orderFor != a || ws.orderModel != model {
 		ws.order = hrmsOrder(l, model, ws)
 		ws.orderFor, ws.orderModel = a, model
-		order = ws.order
 	}
-	if len(order) != l.NumOps() {
-		return nil, fmt.Errorf("sched: ordering returned %d of %d ops", len(order), l.NumOps())
-	}
+	order := ws.order
 
 	mii := a.MII(model, buses, fpus)
 	if o.MinII > mii {

@@ -29,36 +29,16 @@ import (
 	"repro/internal/sched"
 )
 
+// maxRounds bounds the spill-reschedule iterations.
+const maxRounds = 24
+
 // Options tunes the spill pass.
 type Options struct {
-	// Strategy is the allocation heuristic (default end-fit).
-	Strategy regalloc.Strategy
-	// MaxRounds bounds the spill-reschedule iterations (default 24).
-	MaxRounds int
-	// MaxIIGrowth bounds the forced-II fallback: the II may grow to this
-	// multiple of the first feasible II plus a constant (default 8x + 16).
-	// A loop that does not fit within the bound is reported unschedulable.
-	MaxIIGrowth int
-	// Order overrides the scheduler's ordering heuristic (nil = HRMS).
-	Order sched.OrderFunc
 	// Workspace, when set, serves every reschedule's ordering and
 	// placement scratch from one reusable arena (see sched.Workspace).
-	// Not safe for concurrent use; the engine pools one per worker.
+	// Not safe for concurrent use. When nil, each reschedule draws one
+	// from the scheduler's own pool.
 	Workspace *sched.Workspace
-}
-
-func (o *Options) withDefaults() Options {
-	var out Options
-	if o != nil {
-		out = *o
-	}
-	if out.MaxRounds == 0 {
-		out.MaxRounds = 24
-	}
-	if out.MaxIIGrowth == 0 {
-		out.MaxIIGrowth = 8
-	}
-	return out
 }
 
 // Result reports the outcome of register-constrained scheduling.
@@ -70,8 +50,6 @@ type Result struct {
 	Sched *sched.Schedule
 	// Loop is the final loop including spill code (nil when !OK).
 	Loop *ddg.Loop
-	// Regs is the register count of the final allocation.
-	Regs int
 	// BaseII is the II of the unconstrained schedule (before spilling).
 	BaseII int
 	// SpillStores and SpillLoads count inserted operations.
@@ -103,26 +81,30 @@ var scratchPool = sync.Pool{New: func() any {
 }}
 
 // Schedule software-pipelines the loop under the machine's register file
-// size. The loop must already be width-transformed for the machine.
+// size, allocating registers end-fit. The loop must already be
+// width-transformed for the machine.
 func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
-	o := opts.withDefaults()
+	var ws *sched.Workspace
+	if opts != nil {
+		ws = opts.Workspace
+	}
 	avail := m.RF.Regs
 	cur := l.Clone()
 
 	var res Result
 
-	s, err := sched.ModuloSchedule(cur, m, &sched.Options{Order: o.Order, Workspace: o.Workspace})
+	s, err := sched.ModuloSchedule(cur, m, &sched.Options{Workspace: ws})
 	if err != nil {
 		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
 	}
 	res.BaseII = s.II
 
 	// One lifetime set and one allocator search are reused across every
-	// spill round and every candidate II of the growth fallbacks: the
-	// TryAllocate→MinRegs→growII sequence rebinds them instead of
-	// recomputing orders and reallocating scratch per probe. The pair is
-	// pooled across Schedule calls — nothing below retains either past
-	// the return (results carry only schedules and counts).
+	// spill round and every candidate II of the growth fallbacks: each
+	// probe rebinds them instead of recomputing orders and reallocating
+	// scratch. The pair is pooled across Schedule calls — nothing below
+	// retains either past the return (results carry only schedules and
+	// counts).
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
 	ls, search := &scr.ls, scr.search
@@ -132,27 +114,26 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// shrinks the overlap-driven share of the pressure. Whenever a round
 	// fails to close the gap, the II floor rises a quarter — without this
 	// the two mechanisms can feed each other (spill stores congest the
-	// buses, stretching the very lifetimes being spilled).
+	// buses, stretching the very lifetimes being spilled). The II may
+	// grow to 8x the first feasible II plus 16; a loop that does not fit
+	// within that bound is reported unschedulable.
 	minII := 0
-	capII := res.BaseII*o.MaxIIGrowth + 16
+	capII := res.BaseII*8 + 16
 	bestGap := int(^uint(0) >> 1)
-	for round := 0; round <= o.MaxRounds; round++ {
+	for round := 0; round <= maxRounds; round++ {
 		if minII > capII {
 			break // a compiler does not slow a loop down without bound
 		}
 		res.Rounds = round
 		lifetimes.ComputeInto(ls, s)
 		search.Reset(ls)
-		// Fast path: check fit at the architected size before paying for
-		// the exact minimum (the scan from MaxLive is short when it fits).
-		if search.Fits(avail, o.Strategy) {
+		if search.Fits(avail, regalloc.EndFit) {
 			res.OK = true
 			res.Sched = s
 			res.Loop = cur
-			res.Regs = search.MinRegs(o.Strategy)
 			return res, nil
 		}
-		if round == o.MaxRounds {
+		if round == maxRounds {
 			break
 		}
 
@@ -183,7 +164,7 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		} else if minII <= s.II {
 			minII = s.II + s.II/4 + 1
 		}
-		s, err = sched.ModuloSchedule(cur, m, &sched.Options{Order: o.Order, MinII: minII, Workspace: o.Workspace})
+		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: ws})
 		if err != nil {
 			return Result{}, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
 		}
@@ -197,11 +178,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	if alt := s.II * 2; alt > maxII {
 		maxII = alt
 	}
-	if r, ok := growII(cur, m, &o, avail, s.II+1, maxII, ls, search); ok {
+	if g := growII(cur, m, ws, avail, s.II+1, maxII, ls, search); g != nil {
 		res.OK = true
-		res.Sched = r.sched
+		res.Sched = g
 		res.Loop = cur
-		res.Regs = r.regs
 		return res, nil
 	}
 
@@ -210,11 +190,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// up at any II; the pristine loop's pressure always falls with the II
 	// (only recurrence values resist), so this path rescues loops the
 	// spilling dug into a hole.
-	if r, ok := growII(l, m, &o, avail, res.BaseII+1, capII, ls, search); ok {
+	if g := growII(l, m, ws, avail, res.BaseII+1, capII, ls, search); g != nil {
 		res.OK = true
-		res.Sched = r.sched
+		res.Sched = g
 		res.Loop = l.Clone()
-		res.Regs = r.regs
 		res.SpillStores, res.SpillLoads = 0, 0
 		return res, nil
 	}
@@ -246,11 +225,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		}
 	}
 	if stores3 > 0 {
-		if r, ok := growII(cur3, m, &o, avail, res.BaseII+1, 2*capII, ls, search); ok {
+		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, ls, search); g != nil {
 			res.OK = true
-			res.Sched = r.sched
+			res.Sched = g
 			res.Loop = cur3
-			res.Regs = r.regs
 			res.SpillStores, res.SpillLoads = stores3, loads3
 			return res, nil
 		}
@@ -260,29 +238,25 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	return res, nil
 }
 
-type grown struct {
-	sched *sched.Schedule
-	regs  int
-}
-
-// growII searches for the smallest II in [startII, maxII] at which the
-// loop's allocation fits avail registers, recomputing lifetimes into the
-// shared set and rebinding the shared search at each candidate. Far from
-// the target it steps geometrically (pressure falls roughly as 1/II, so
-// fine steps waste reschedules); within two registers of fitting it steps
-// by one, because pressure is not locally monotone and a narrow fitting
-// window is easy to jump over.
-func growII(l *ddg.Loop, m machine.Machine, o *Options, avail, startII, maxII int,
-	ls *lifetimes.Set, search *regalloc.Search) (grown, bool) {
+// growII returns the schedule at the smallest II in [startII, maxII] at
+// which the loop's allocation fits avail registers, or nil when none
+// does, recomputing lifetimes into the shared set and rebinding the
+// shared search at each candidate. Far from the target it steps
+// geometrically (pressure falls roughly as 1/II, so fine steps waste
+// reschedules); within two registers of fitting it steps by one, because
+// pressure is not locally monotone and a narrow fitting window is easy to
+// jump over.
+func growII(l *ddg.Loop, m machine.Machine, ws *sched.Workspace, avail, startII, maxII int,
+	ls *lifetimes.Set, search *regalloc.Search) *sched.Schedule {
 	for ii := startII; ii <= maxII; {
-		forced, err := sched.ModuloSchedule(l, m, &sched.Options{Order: o.Order, MinII: ii, Workspace: o.Workspace})
+		forced, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: ii, Workspace: ws})
 		if err != nil {
-			return grown{}, false
+			return nil
 		}
 		lifetimes.ComputeInto(ls, forced)
 		search.Reset(ls)
-		if search.Fits(avail, o.Strategy) {
-			return grown{sched: forced, regs: search.MinRegs(o.Strategy)}, true
+		if search.Fits(avail, regalloc.EndFit) {
+			return forced
 		}
 		if forced.II > ii {
 			ii = forced.II // skip ahead if the scheduler already overshot
@@ -293,7 +267,7 @@ func growII(l *ddg.Loop, m machine.Machine, o *Options, avail, startII, maxII in
 			ii += 1 + ii/8
 		}
 	}
-	return grown{}, false
+	return nil
 }
 
 // candidate is a spillable value with its profitability score.
