@@ -33,27 +33,34 @@ func openStore(t *testing.T) *resultcache.Store {
 	return s
 }
 
+// cacheCells is a panel of four suites on three machines: 2w1 with 64 and
+// 128 registers share the 3-cycle model, so a batch computes them together.
 var cacheCells = []sweep.Cell{
 	{Config: cfg("2w1"), Regs: 64, Partitions: 1},
 	{Config: cfg("2w2"), Regs: 64, Partitions: 2},
 	{Config: cfg("4w1"), Regs: 128, Partitions: 1},
+	{Config: cfg("2w1"), Regs: 128, Partitions: 1},
 }
 
 // TestDiskCacheWarmRunComputesNothing is the acceptance-criteria core: a
-// fresh engine over the same workload and store must answer the same
-// panel entirely from disk — zero suite/peak computes — with identical
-// points.
+// cold batch writes every cell it computes, and a fresh engine over the
+// same workload and store must answer the same panel entirely from disk —
+// zero suite/peak computes — with identical points. A batch whose machine
+// group is partly on disk computes only the missing cell.
 func TestDiskCacheWarmRunComputesNothing(t *testing.T) {
 	loops := testLoops(t, 12)
 	store := openStore(t)
 
 	cold := New(loops, &Options{Cache: store})
 	want := cold.EvaluateMany(cacheCells)
-	peakWant := cold.PeakCycles(cfg("4w1"), machine.FourCycle)
 	cs := cold.Stats()
-	if cs.SuiteComputes == 0 || cs.DiskMisses == 0 {
-		t.Fatalf("cold stats = %+v, want real computes and disk misses", cs)
+	if cs.SuiteComputes != int64(len(cacheCells)) || cs.DiskMisses != int64(len(cacheCells)) {
+		t.Fatalf("cold stats = %+v, want %d computes and disk misses", cs, len(cacheCells))
 	}
+	if w := store.Stats().Writes; w != int64(len(cacheCells)) {
+		t.Fatalf("cold batch wrote %d cells, want %d", w, len(cacheCells))
+	}
+	peakWant := cold.PeakCycles(cfg("4w1"), machine.FourCycle)
 	if cs.DiskHits != 0 {
 		t.Fatalf("cold stats = %+v, want zero disk hits on an empty store", cs)
 	}
@@ -78,6 +85,19 @@ func TestDiskCacheWarmRunComputesNothing(t *testing.T) {
 	}
 	if peakGot != peakWant {
 		t.Errorf("warm peak %v != cold peak %v", peakGot, peakWant)
+	}
+
+	// 2w1 with 32 registers joins the 2w1 3-cycle group: its two cached
+	// cells come from disk and only the new one is scheduled, matching a
+	// fresh engine without a store.
+	more := append([]sweep.Cell{{Config: cfg("2w1"), Regs: 32, Partitions: 1}}, cacheCells...)
+	partial := New(loops, &Options{Cache: store})
+	got = partial.EvaluateMany(more)
+	if ps := partial.Stats(); ps.SuiteComputes != 1 || ps.DiskHits != int64(len(cacheCells)) {
+		t.Fatalf("partly warm stats = %+v, want 1 compute and %d disk hits", ps, len(cacheCells))
+	}
+	if ref := New(loops, nil).Evaluate(more[0].Config, more[0].Regs, more[0].Partitions); got[0] != ref {
+		t.Errorf("new cell from a partly warm group %+v != fresh engine %+v", got[0], ref)
 	}
 }
 

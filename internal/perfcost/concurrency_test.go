@@ -13,7 +13,9 @@ import (
 // overlapping suite keys (run under -race in CI) and asserts each unique
 // (config, registers, cycle model) cell is scheduled exactly once — the
 // singleflight contract that keeps the concurrent sweep no more expensive
-// than the sequential one.
+// than the sequential one. Single-cell SuiteCycles callers race batch
+// callers (EvaluateMany and SpillStudy) whose machine groups claim
+// overlapping cells.
 func TestEngineSingleflight(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 20
@@ -31,44 +33,105 @@ func TestEngineSingleflight(t *testing.T) {
 		{cfg("2w1"), 64}, {cfg("1w2"), 64},
 		{cfg("2w2"), 128},
 	}
+	// The batch cells: 1w1/32 is a SuiteCycles key under its selected
+	// model (4-cycle), and SpillStudy adds 1w1/256 and every 2w1 size under
+	// the 4-cycle model, overlapping 1w1/64's group and 2w1/64.
+	cells := []sweep.Cell{
+		{Config: cfg("1w1"), Regs: 32, Partitions: 1},
+		{Config: cfg("2w1"), Regs: 64, Partitions: 2},
+		{Config: cfg("2w1"), Regs: 128, Partitions: 2},
+		{Config: cfg("1w2"), Regs: 64, Partitions: 1},
+	}
+	study := []machine.Config{cfg("2w1")}
+
 	const hammerers = 24
 	results := make([][]SuiteResult, hammerers)
+	points := make([][]Point, hammerers)
+	rows := make([][]SpillRow, hammerers)
 	var wg sync.WaitGroup
 	for g := 0; g < hammerers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Each goroutine walks the keys in a different rotation so
-			// every cell sees concurrent duplicate arrivals.
-			results[g] = make([]SuiteResult, len(keys))
-			for i := range keys {
-				k := keys[(i+g)%len(keys)]
-				results[g][(i+g)%len(keys)] = e.SuiteCycles(k.cfg, k.regs, machine.FourCycle)
+			switch g % 3 {
+			case 1:
+				rot := append(append([]sweep.Cell(nil), cells[g%len(cells):]...), cells[:g%len(cells)]...)
+				pts := e.EvaluateMany(rot)
+				points[g] = make([]Point, len(cells))
+				for i, p := range pts {
+					points[g][(i+g)%len(cells)] = p
+				}
+			case 2:
+				rows[g] = e.SpillStudy(study)
+			default:
+				// Each goroutine walks the keys in a different rotation
+				// so every cell sees concurrent duplicate arrivals.
+				results[g] = make([]SuiteResult, len(keys))
+				for i := range keys {
+					k := keys[(i+g)%len(keys)]
+					results[g][(i+g)%len(keys)] = e.SuiteCycles(k.cfg, k.regs, machine.FourCycle)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
 
-	if got := e.Stats().SuiteComputes; got != int64(len(keys)) {
-		t.Errorf("SuiteComputes = %d, want %d (one per unique cell)", got, len(keys))
+	unique := map[suiteKey]bool{}
+	for _, k := range keys {
+		unique[suiteKey{k.cfg.Buses, k.cfg.Width, k.regs, 4}] = true
+	}
+	for _, c := range cells {
+		z := machine.ModelForCycleTime(e.Timing().Relative(c.Config, c.Regs, c.Partitions)).Z
+		unique[suiteKey{c.Config.Buses, c.Config.Width, c.Regs, z}] = true
+	}
+	unique[suiteKey{1, 1, 256, 4}] = true
+	for _, c := range study {
+		for _, regs := range machine.RegFileSizes {
+			unique[suiteKey{c.Buses, c.Width, regs, 4}] = true
+		}
+	}
+	if got := e.Stats().SuiteComputes; got != int64(len(unique)) {
+		t.Errorf("SuiteComputes = %d, want %d (one per unique cell)", got, len(unique))
 	}
 	// Two widths were requested (1 and 2): each transformed exactly once.
 	if got := e.Stats().WidenComputes; got != 2 {
 		t.Errorf("WidenComputes = %d, want 2", got)
 	}
-	// Every hammerer observed the same memoized result per cell.
-	for g := 1; g < hammerers; g++ {
-		for i := range keys {
-			if results[g][i] != results[0][i] {
-				t.Fatalf("goroutine %d saw a different result for %s(%d)",
-					g, keys[i].cfg, keys[i].regs)
+	// Every hammerer of a kind observed the same memoized results.
+	for g := 3; g < hammerers; g++ {
+		ref := g % 3
+		switch ref {
+		case 1:
+			for i := range cells {
+				if points[g][i] != points[ref][i] {
+					t.Fatalf("goroutine %d saw a different point for %s", g, cells[i].Label())
+				}
+			}
+		case 2:
+			if len(rows[g][0].Speedup) != len(rows[ref][0].Speedup) {
+				t.Fatalf("goroutine %d saw %d register file sizes, want %d",
+					g, len(rows[g][0].Speedup), len(rows[ref][0].Speedup))
+			}
+			for regs, s := range rows[ref][0].Speedup {
+				if rows[g][0].Speedup[regs] != s {
+					t.Fatalf("goroutine %d saw a different %d-RF speedup", g, regs)
+				}
+			}
+		default:
+			for i := range keys {
+				if results[g][i] != results[0][i] {
+					t.Fatalf("goroutine %d saw a different result for %s(%d)",
+						g, keys[i].cfg, keys[i].regs)
+				}
 			}
 		}
 	}
 }
 
 // TestEvaluateManyMatchesSequential pins the batch API to the point-by-
-// point evaluator: same cells, same order, identical points — and the
+// point evaluator: same cells, same order, identical points as a fresh
+// engine that evaluates the cells one at a time (so the batch's shared
+// base schedules cannot drift from the single-cell path) — and the
 // duplicate cell in the panel costs no extra schedule.
 func TestEvaluateManyMatchesSequential(t *testing.T) {
 	e := testEngine(t, 15)
@@ -77,22 +140,24 @@ func TestEvaluateManyMatchesSequential(t *testing.T) {
 		{Config: cfg("2w1"), Regs: 64, Partitions: 2},
 		{Config: cfg("1w2"), Regs: 64, Partitions: 1},
 		{Config: cfg("2w1"), Regs: 64, Partitions: 1}, // same suite, new partitioning
+		{Config: cfg("2w1"), Regs: 32, Partitions: 1}, // same machine, another file
 		{Config: cfg("1w1"), Regs: 32, Partitions: 1}, // exact duplicate
 	}
 	batch := e.EvaluateMany(cells)
 	if len(batch) != len(cells) {
 		t.Fatalf("%d points for %d cells", len(batch), len(cells))
 	}
+	seq := testEngine(t, 15)
 	for i, c := range cells {
-		want := e.Evaluate(c.Config, c.Regs, c.Partitions)
+		want := seq.Evaluate(c.Config, c.Regs, c.Partitions)
 		if batch[i] != want {
 			t.Errorf("cell %d (%s): batch %+v != sequential %+v", i, c.Label(), batch[i], want)
 		}
 	}
-	// 1w1/32, 2w1/64, 1w2/64 under their selected cycle models; the
-	// duplicate and the re-partitioned cell reuse cached suites unless the
-	// partitioning changed the cycle model. Exact-once is the invariant:
-	// computes never exceeds unique suite keys.
+	// 1w1/32, 2w1/64, 1w2/64 and 2w1/32 under their selected cycle models;
+	// the duplicate and the re-partitioned cell reuse cached suites unless
+	// the partitioning changed the cycle model. Exact-once is the
+	// invariant: computes never exceeds unique suite keys.
 	unique := map[suiteKey]bool{}
 	for _, p := range batch {
 		unique[suiteKey{p.Config.Buses, p.Config.Width, p.Regs, p.Z}] = true

@@ -47,3 +47,22 @@ func TestMemEstimate(t *testing.T) {
 		t.Errorf("after a repeated width: MemEstimate = %d, want %d", got, 2*ops)
 	}
 }
+
+// TestSteadyStateAllocsWarmEval: a warm SuiteCycles and a warm Evaluate
+// are served from the singleflight memo without allocating, so the
+// serving layer's eval path pays nothing in the engine.
+func TestSteadyStateAllocsWarmEval(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	e := testEngine(t, 6)
+	c := cfg("2w1")
+	e.Evaluate(c, 64, 1)
+	model := machine.ModelForCycleTime(e.Timing().Relative(c, 64, 1))
+	if n := testing.AllocsPerRun(100, func() { e.SuiteCycles(c, 64, model) }); n != 0 {
+		t.Errorf("warm SuiteCycles allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Evaluate(c, 64, 1) }); n != 0 {
+		t.Errorf("warm Evaluate allocates %v times, want 0", n)
+	}
+}

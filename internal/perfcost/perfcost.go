@@ -17,9 +17,15 @@
 //  4. reports time = cycles x Tc, comparable across configurations; the
 //     Section 5 baseline is 1w1(32:1) under the 4-cycles model.
 //
-// Schedule results are cached by (config, registers, cycle model) — the
+// Suite results are cached by (config, registers, cycle model) — the
 // partition count affects only the cycle time — and the workbench is
-// evaluated on all CPUs.
+// evaluated on all CPUs. A loop's unconstrained (base) modulo schedule
+// depends only on the configuration and cycle model, so a batch
+// (SpillStudy, EvaluateMany) groups its cells by machine and schedules each
+// loop once per group: one task per loop computes the base schedule and
+// runs the spill pass from it for every register file of the group, and
+// the base schedule dies with the task. A loop that cannot be pipelined is
+// charged its base schedule's flat length.
 package perfcost
 
 import (
@@ -67,7 +73,7 @@ type Engine struct {
 
 	widened *sweep.Flight[int, []*ddg.Loop]
 	suites  *sweep.Flight[suiteKey, SuiteResult]
-	peak    *sweep.Flight[peakKey, float64]
+	peak    *sweep.Flight[machineKey, float64]
 
 	// cache is the optional persistent layer under the in-memory
 	// singleflight: suite and peak cells are looked up on disk before
@@ -118,7 +124,9 @@ type suiteKey struct {
 	buses, width, regs, z int
 }
 
-type peakKey struct {
+// machineKey identifies a machine up to its register file: the peak
+// memo's key, and the group of a batch's suite cells.
+type machineKey struct {
 	buses, width, z int
 }
 
@@ -142,7 +150,7 @@ func New(loops []*ddg.Loop, opts *Options) *Engine {
 		workers: runtime.GOMAXPROCS(0),
 		widened: sweep.NewFlight[int, []*ddg.Loop](),
 		suites:  sweep.NewFlight[suiteKey, SuiteResult](),
-		peak:    sweep.NewFlight[peakKey, float64](),
+		peak:    sweep.NewFlight[machineKey, float64](),
 	}
 	if opts != nil {
 		if opts.Budget != 0 {
@@ -160,7 +168,8 @@ func New(loops []*ddg.Loop, opts *Options) *Engine {
 type Stats struct {
 	// WidenComputes counts width transformations of the whole workbench.
 	WidenComputes int64
-	// SuiteComputes counts full register-constrained suite schedules.
+	// SuiteComputes counts suite cells scheduled: a batch that schedules
+	// several register files of one machine together counts each.
 	SuiteComputes int64
 	// PeakComputes counts ILP-limit sweeps.
 	PeakComputes int64
@@ -404,31 +413,112 @@ type SuiteResult struct {
 // SuiteCycles schedules the whole workbench on XwY with the given register
 // file size under a cycle model, with spill insertion. Results are cached
 // with singleflight semantics: a duplicate cell arriving on two goroutines
-// waits for the first computation instead of recomputing the schedule.
+// waits for the first computation instead of recomputing the schedule. It
+// is the one-register-file case of a batch: each loop's base schedule is
+// computed for this cell alone (see SpillStudy and EvaluateMany for cells
+// that share it).
 func (e *Engine) SuiteCycles(c machine.Config, regs int, model machine.CycleModel) SuiteResult {
-	key := suiteKey{c.Buses, c.Width, regs, model.Z}
-	return e.suites.Do(key, func() SuiteResult {
-		// Disk layer under the singleflight: at most one goroutine per
-		// cell reads or writes the persistent store.
-		dk, persist := e.cellKey("suite", key.buses, key.width, key.regs, key.z)
-		if persist {
-			var r SuiteResult
-			if e.cacheLoad(dk, &r) {
-				return r
-			}
-		}
-		r := e.computeSuite(c, regs, model)
-		if persist {
-			e.cacheStore(dk, r)
-		}
-		return r
+	return e.suites.Do(suiteKey{c.Buses, c.Width, regs, model.Z}, func() SuiteResult {
+		return e.loadOrComputeSuites(c, model, []int{regs})[0]
 	})
 }
 
-func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleModel) SuiteResult {
-	e.suiteComputes.Add(1)
+// suiteCell is one (configuration, register file, cycle model) suite.
+type suiteCell struct {
+	c     machine.Config
+	regs  int
+	model machine.CycleModel
+}
+
+// suiteBatch memoizes the suites of cells. It groups them by machine
+// (buses, width, cycle model) and claims each group's missing cells at
+// once, so every loop of a group is scheduled once for all the register
+// files it needs. Groups run concurrently; cells another caller holds are
+// waited for, not recomputed.
+func (e *Engine) suiteBatch(cells []suiteCell) {
+	type group struct {
+		c     machine.Config
+		model machine.CycleModel
+		keys  []suiteKey
+	}
+	var groups []*group
+	byMachine := map[machineKey]*group{}
+	seen := map[suiteKey]bool{}
+	for _, cell := range cells {
+		k := suiteKey{cell.c.Buses, cell.c.Width, cell.regs, cell.model.Z}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		mk := machineKey{k.buses, k.width, k.z}
+		g := byMachine[mk]
+		if g == nil {
+			g = &group{c: cell.c, model: cell.model}
+			byMachine[mk] = g
+			groups = append(groups, g)
+		}
+		g.keys = append(g.keys, k)
+	}
+	sweep.Each(e.workers, len(groups), func(i int) {
+		g := groups[i]
+		e.suites.DoMany(g.keys, func(missing []int) []SuiteResult {
+			regs := make([]int, len(missing))
+			for j, k := range missing {
+				regs[j] = g.keys[k].regs
+			}
+			return e.loadOrComputeSuites(g.c, g.model, regs)
+		})
+	})
+}
+
+// loadOrComputeSuites returns the suites of one machine's register files,
+// which the caller holds claimed in the singleflight, so at most one
+// goroutine per cell reads or writes the persistent store. Each cell is
+// read from and written to the disk layer on its own; the cells not on
+// disk are computed together.
+func (e *Engine) loadOrComputeSuites(c machine.Config, model machine.CycleModel, regs []int) []SuiteResult {
+	out := make([]SuiteResult, len(regs))
+	keys := make([]string, len(regs))
+	var todo []int // indices into regs of the cells to compute
+	for i, r := range regs {
+		dk, persist := e.cellKey("suite", c.Buses, c.Width, r, model.Z)
+		if persist {
+			keys[i] = dk
+			var cached SuiteResult
+			if e.cacheLoad(dk, &cached) {
+				out[i] = cached
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	if len(todo) == 0 {
+		return out
+	}
+	compute := make([]int, len(todo))
+	for j, i := range todo {
+		compute[j] = regs[i]
+	}
+	for j, r := range e.computeSuites(c, model, compute) {
+		i := todo[j]
+		out[i] = r
+		if keys[i] != "" {
+			e.cacheStore(keys[i], r)
+		}
+	}
+	return out
+}
+
+// computeSuites schedules the workbench on XwY under a cycle model for
+// each register file size in regs. One task per loop clones the widened
+// loop, computes its base schedule (which does not depend on the register
+// file) and runs the spill pass from it for every size; the base dies with
+// the task.
+func (e *Engine) computeSuites(c machine.Config, model machine.CycleModel, regs []int) []SuiteResult {
+	e.suiteComputes.Add(int64(len(regs)))
 	loops := e.widenedLoops(c.Width)
-	m := machine.New(c, regs, model)
+	// The base schedule ignores the register file; any valid size will do.
+	unbounded := machine.New(c, 1<<20, model)
 
 	type partial struct {
 		cycles   float64
@@ -437,68 +527,82 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 		spillOps int
 		exact    bool
 	}
-	parts := make([]partial, len(loops))
+	// parts[k*len(loops)+i] is loop i under register file regs[k].
+	parts := make([]partial, len(regs)*len(loops))
 	e.eachLoop(len(loops), func(i int) {
-		r, err := spill.Schedule(loops[i], m, nil)
-		if err != nil || !r.OK {
-			// Charge the loop its non-pipelined cost: one flat
-			// schedule span per (unrolled) iteration. Registers at
-			// the flat schedule are not re-checked — the abstraction
-			// here is "the compiler emits unpipelined code".
-			parts[i].failed = true
-			if flat, ferr := sched.ModuloSchedule(loops[i],
-				machine.New(c, 1<<20, model), nil); ferr == nil {
-				parts[i].cycles = float64(e.loops[i].Trips) *
-					float64(flat.Length()) / float64(c.Width)
+		base, err := sched.ModuloSchedule(loops[i].Clone(), unbounded, nil)
+		if err != nil {
+			// No schedule at all: a failure that costs nothing.
+			for k := range regs {
+				parts[k*len(loops)+i].failed = true
 			}
 			return
 		}
-		parts[i].cycles = float64(e.loops[i].Trips) * float64(r.II()) / float64(c.Width)
-		parts[i].spilled = r.SpillStores+r.SpillLoads > 0
-		parts[i].spillOps = r.SpillStores + r.SpillLoads
-		if e.backend == BackendExact && loops[i].NumOps() <= e.exactMaxOps {
-			// Exact refinement is accepted only when it is a strictly
-			// better feasible schedule whose register packing fits the
-			// file without spilling — it can never make a cell worse.
-			eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps}
-			if er, xerr := exact.Solve(loops[i], m, &eo); xerr == nil &&
-				er.II < r.II() && er.MinRegs <= m.RF.Regs {
-				parts[i].cycles = float64(e.loops[i].Trips) * float64(er.II) / float64(c.Width)
-				parts[i].spilled = false
-				parts[i].spillOps = 0
-				parts[i].exact = true
+		trips := float64(e.loops[i].Trips)
+		for k, r := range regs {
+			p := &parts[k*len(loops)+i]
+			m := machine.New(c, r, model)
+			res, err := spill.ScheduleFrom(base, m, nil)
+			if err != nil || !res.OK {
+				// Charge the loop its non-pipelined cost: one flat
+				// schedule span per (unrolled) iteration, the base
+				// schedule being that flat schedule. Registers at the
+				// flat schedule are not re-checked — the abstraction
+				// here is "the compiler emits unpipelined code".
+				p.failed = true
+				p.cycles = trips * float64(base.Length()) / float64(c.Width)
+				continue
+			}
+			p.cycles = trips * float64(res.II()) / float64(c.Width)
+			p.spilled = res.SpillStores+res.SpillLoads > 0
+			p.spillOps = res.SpillStores + res.SpillLoads
+			if e.backend == BackendExact && base.Loop.NumOps() <= e.exactMaxOps {
+				// Exact refinement is accepted only when it is a strictly
+				// better feasible schedule whose register packing fits the
+				// file without spilling — it can never make a cell worse.
+				eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps}
+				if er, xerr := exact.Solve(base.Loop, m, &eo); xerr == nil &&
+					er.II < res.II() && er.MinRegs <= m.RF.Regs {
+					p.cycles = trips * float64(er.II) / float64(c.Width)
+					p.spilled = false
+					p.spillOps = 0
+					p.exact = true
+				}
 			}
 		}
 	})
 
-	// Accumulate in loop order so the totals are bit-identical no matter
-	// how the parallel schedule interleaved.
-	res := SuiteResult{}
-	for _, p := range parts {
-		res.Cycles += p.cycles
-		if p.failed {
-			res.Failures++
-			continue
+	out := make([]SuiteResult, len(regs))
+	for k := range regs {
+		// Accumulate in loop order so the totals are bit-identical no
+		// matter how the parallel schedule interleaved.
+		res := &out[k]
+		for _, p := range parts[k*len(loops) : (k+1)*len(loops)] {
+			res.Cycles += p.cycles
+			if p.failed {
+				res.Failures++
+				continue
+			}
+			if p.spilled {
+				res.SpilledLoops++
+			}
+			res.SpillOps += p.spillOps
+			if p.exact {
+				res.ExactRefined++
+			}
 		}
-		if p.spilled {
-			res.SpilledLoops++
-		}
-		res.SpillOps += p.spillOps
-		if p.exact {
-			res.ExactRefined++
-		}
+		// Isolated stragglers ride on the flat-schedule fallback; a point
+		// where pipelining fails broadly is reported unschedulable.
+		res.OK = res.Failures*100 <= len(loops)
 	}
-	// Isolated stragglers ride on the flat-schedule fallback; a point
-	// where pipelining fails broadly is reported unschedulable.
-	res.OK = res.Failures*100 <= len(loops)
-	return res
+	return out
 }
 
 // PeakCycles returns the weighted MII-bound cycle count of the workbench
 // on XwY under a cycle model with perfect scheduling and infinite
 // registers — the Section 3.1 ILP limit.
 func (e *Engine) PeakCycles(c machine.Config, model machine.CycleModel) float64 {
-	key := peakKey{c.Buses, c.Width, model.Z}
+	key := machineKey{c.Buses, c.Width, model.Z}
 	return e.peak.Do(key, func() float64 {
 		dk, persist := e.cellKey("peak", key.buses, key.width, key.z, 0)
 		if persist {
@@ -605,14 +709,25 @@ func (e *Engine) EvaluateWithModel(c machine.Config, regs, partitions int, model
 	return p
 }
 
-// EvaluateMany prices and times a whole panel of design cells
-// concurrently, returning points in submission order. Overlapping panels
-// coalesce on the engine's schedule cache, so each unique cell is
-// scheduled exactly once no matter how many drivers request it.
+// EvaluateMany prices and times a whole panel of design cells, returning
+// points in submission order. The panel's suites are scheduled as one
+// batch: cells that share a machine (buses, width and the cycle model
+// their access time selects) share each loop's base schedule, and
+// overlapping panels coalesce on the engine's schedule cache, so each
+// unique cell is scheduled exactly once no matter how many drivers
+// request it.
 func (e *Engine) EvaluateMany(cells []sweep.Cell) []Point {
-	return sweep.Map(e.workers, cells, func(c sweep.Cell) Point {
-		return e.Evaluate(c.Config, c.Regs, c.Partitions)
-	})
+	batch := make([]suiteCell, len(cells))
+	for i, c := range cells {
+		tc := timing.Default.Relative(c.Config, c.Regs, c.Partitions)
+		batch[i] = suiteCell{c.Config, c.Regs, machine.ModelForCycleTime(tc)}
+	}
+	e.suiteBatch(batch)
+	out := make([]Point, len(cells))
+	for i, c := range cells {
+		out[i] = e.Evaluate(c.Config, c.Regs, c.Partitions)
+	}
+	return out
 }
 
 // Baseline returns the Section 5 reference point: 1w1(32:1), whose cycle
@@ -679,24 +794,20 @@ type SpillRow struct {
 
 // SpillStudy computes Figure 3 for the given configurations. All
 // (configuration, register file) suites — the baseline included — are
-// scheduled as one concurrent batch before the rows are assembled in
-// submission order.
+// scheduled as one batch before the rows are assembled in submission
+// order: each configuration's loops are scheduled once, and the spill
+// pass runs from that base schedule for every register file size.
 func (e *Engine) SpillStudy(configs []machine.Config) []SpillRow {
-	type pair struct {
-		cfg  machine.Config
-		regs int
-	}
-	pairs := []pair{{machine.Config{Buses: 1, Width: 1}, 256}}
+	baseCfg := machine.Config{Buses: 1, Width: 1}
+	cells := []suiteCell{{baseCfg, 256, machine.FourCycle}}
 	for _, c := range configs {
 		for _, regs := range machine.RegFileSizes {
-			pairs = append(pairs, pair{c, regs})
+			cells = append(cells, suiteCell{c, regs, machine.FourCycle})
 		}
 	}
-	sweep.Each(e.workers, len(pairs), func(i int) {
-		e.SuiteCycles(pairs[i].cfg, pairs[i].regs, machine.FourCycle)
-	})
+	e.suiteBatch(cells)
 
-	base := e.SuiteCycles(machine.Config{Buses: 1, Width: 1}, 256, machine.FourCycle)
+	base := e.SuiteCycles(baseCfg, 256, machine.FourCycle)
 	rows := make([]SpillRow, 0, len(configs))
 	for _, c := range configs {
 		row := SpillRow{Config: c, Speedup: map[int]float64{}}

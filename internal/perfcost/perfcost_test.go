@@ -192,6 +192,54 @@ func TestSpillStudyShape(t *testing.T) {
 	}
 }
 
+// TestSpillStudyMatchesSuiteCycles pins the batch path to the single-cell
+// path: every suite SpillStudy schedules from a shared base schedule equals
+// a fresh engine's SuiteCycles for the same cell. 1w8 at 32 and 64
+// registers takes the flat fallback (10 and 1 loops), and 8w1 spills
+// heavily at every size. The exact backend repeats the check on a small
+// workbench, where refinement replaces a heuristic schedule.
+func TestSpillStudyMatchesSuiteCycles(t *testing.T) {
+	configs := []machine.Config{cfg("1w8"), cfg("8w1")}
+	for _, tc := range []struct {
+		name    string
+		loops   int
+		backend Backend
+	}{
+		{"heuristic", 40, BackendHeuristic},
+		{"exact", 10, BackendExact},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, single := testEngine(t, tc.loops), testEngine(t, tc.loops)
+			batch.SetBackend(tc.backend, 0, 0)
+			single.SetBackend(tc.backend, 0, 0)
+			batch.SpillStudy(configs)
+			computes := batch.Stats().SuiteComputes
+			var failures, spillOps, refined int
+			for _, c := range configs {
+				for _, regs := range machine.RegFileSizes {
+					got := batch.SuiteCycles(c, regs, machine.FourCycle)
+					want := single.SuiteCycles(c, regs, machine.FourCycle)
+					if got != want {
+						t.Errorf("%s/%d: batch %+v, single cell %+v", c, regs, got, want)
+					}
+					failures += got.Failures
+					spillOps += got.SpillOps
+					refined += got.ExactRefined
+				}
+			}
+			if batch.Stats().SuiteComputes != computes {
+				t.Error("SpillStudy left a cell unscheduled")
+			}
+			if failures == 0 || spillOps == 0 {
+				t.Errorf("premise broken: %d fallback loops and %d spill ops, want both > 0", failures, spillOps)
+			}
+			if tc.backend == BackendExact && refined == 0 {
+				t.Error("premise broken: the exact backend refined no loop")
+			}
+		})
+	}
+}
+
 // TestBudgetOption: a tighter budget admits fewer points.
 func TestBudgetOption(t *testing.T) {
 	p := loopgen.Defaults()

@@ -1,0 +1,7 @@
+//go:build race
+
+package perfcost
+
+// raceEnabled reports a -race build, whose detector makes sync.Pool drop
+// items and so inflates the steady-state allocation counts.
+const raceEnabled = true

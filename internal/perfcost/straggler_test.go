@@ -6,6 +6,8 @@ import (
 	"repro/internal/ddg"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
+	"repro/internal/sched"
+	"repro/internal/spill"
 )
 
 // TestStragglerAccounting: a suite where one loop cannot be pipelined
@@ -37,9 +39,19 @@ func TestStragglerAccounting(t *testing.T) {
 	if r.Failures != 1 {
 		t.Errorf("Failures = %d, want 1", r.Failures)
 	}
-	// The failed loop is still charged cycles (flat-schedule fallback).
-	if r.Cycles <= 0 {
-		t.Error("failed loops must still be charged cycles")
+	// The failed loop is still charged cycles: the length of its flat
+	// schedule, the register-independent base schedule, per iteration.
+	c := machine.Config{Buses: 1, Width: 1}
+	flat, err := sched.ModuloSchedule(hard, machine.New(c, 1<<20, machine.FourCycle), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit, err := spill.Schedule(easy, machine.New(c, 64, machine.FourCycle), nil)
+	if err != nil || !fit.OK {
+		t.Fatalf("easy loop: %v, OK=%v", err, fit.OK)
+	}
+	if want := float64(easy.Trips)*float64(fit.II()) + float64(hard.Trips)*float64(flat.Length()); r.Cycles != want {
+		t.Errorf("Cycles = %v, want %v (the hard loop charged %d cycles per iteration)", r.Cycles, want, flat.Length())
 	}
 
 	// 1 failure out of 150 loops = under the 1% rule: OK, with the

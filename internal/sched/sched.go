@@ -50,6 +50,30 @@ type Schedule struct {
 	Model machine.CycleModel
 	Buses int
 	FPUs  int
+
+	// spans is the slab the one-span reservations are carved from (slot v
+	// for operation v), kept so that rescheduling into this schedule
+	// (Options.Into) places without allocating when occupancy <= II.
+	spans []mrt.Span
+}
+
+// Clone returns a deep copy of the schedule that shares only the loop.
+func (s *Schedule) Clone() *Schedule {
+	c := *s
+	c.Time = append([]int(nil), s.Time...)
+	c.Res = make([]mrt.Reservation, len(s.Res))
+	n := 0
+	for _, r := range s.Res {
+		n += len(r.Spans)
+	}
+	c.spans = make([]mrt.Span, n)
+	n = 0
+	for v, r := range s.Res {
+		k := copy(c.spans[n:], r.Spans)
+		c.Res[v] = mrt.Reservation{Class: r.Class, Spans: c.spans[n : n+k : n+k]}
+		n += k
+	}
+	return &c
 }
 
 // Row returns the cycle of operation v within the repeating kernel.
@@ -183,6 +207,13 @@ type Options struct {
 	// package pool for the duration of the call. The returned Schedule
 	// never aliases the workspace.
 	Workspace *Workspace
+	// Into, when set, is the schedule ModuloSchedule writes into and
+	// returns: its Time, Res and span storage are reused when large
+	// enough, so a caller that reschedules into one buffer (the spill
+	// pass) allocates nothing per call once the buffer has grown. Every
+	// field of *Into is overwritten, and its contents are unspecified
+	// after an error. When nil, a fresh Schedule is allocated.
+	Into *Schedule
 }
 
 // Workspace is a reusable scheduling scratch arena: the ordering and
@@ -270,11 +301,16 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	// One scratch arena serves the whole II search: the placement state
 	// (times, reservations, heap, reservation table, owner index) is reset
 	// in place at each candidate II instead of being reallocated.
-	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), ws)
+	dst := o.Into
+	if dst == nil {
+		dst = &Schedule{}
+	}
+	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), ws, dst)
 	for ii := mii; ii <= maxII; ii++ {
-		if s, ok := sc.tryPlace(buses, fpus, ii); ok {
-			s.Buses, s.FPUs = buses, fpus
-			return s, nil
+		if sc.tryPlace(buses, fpus, ii) {
+			dst.Loop, dst.II, dst.Model = l, ii, model
+			dst.Buses, dst.FPUs = buses, fpus
+			return dst, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
@@ -304,8 +340,8 @@ const inf = int(^uint(0) >> 2)
 
 // placer is the per-search scratch arena of the placement phase. One
 // placer serves every candidate II of a ModuloSchedule call: tryPlace
-// resets the state in place instead of reallocating it, and the final
-// schedule hands the time/reservation arrays off without copying.
+// resets the state in place instead of reallocating it, and it places
+// straight into the destination schedule's time/reservation arrays.
 type placer struct {
 	l            *ddg.Loop
 	model        machine.CycleModel
@@ -346,7 +382,7 @@ type placer struct {
 }
 
 func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
-	preds, succs [][]ddg.Edge, asap []int, ws *Workspace) *placer {
+	preds, succs [][]ddg.Edge, asap []int, ws *Workspace, dst *Schedule) *placer {
 
 	n := l.NumOps()
 	// Reuse the workspace's placer header (it carries the reservation
@@ -372,15 +408,24 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	p.epoch = 0
 	p.victims = p.victims[:0]
 
-	// time and res escape into the returned Schedule, so they are always
-	// freshly allocated. Every reservation starts with a one-span slot
-	// carved from one shared slab: the common case (occupancy <= II) fills
-	// it in place, so placement allocates no spans at all.
-	p.time = make([]int, n)
-	p.res = make([]mrt.Reservation, n)
-	spans := make([]mrt.Span, n)
+	// time and res belong to the destination schedule, never to the
+	// workspace, so the returned Schedule does not alias pooled scratch.
+	// Every reservation starts with a one-span slot carved from the
+	// schedule's slab: the common case (occupancy <= II) fills it in
+	// place, so placement allocates no spans at all.
+	if cap(dst.Time) < n {
+		dst.Time = make([]int, n)
+	}
+	if cap(dst.Res) < n {
+		dst.Res = make([]mrt.Reservation, n)
+	}
+	if cap(dst.spans) < n {
+		dst.spans = make([]mrt.Span, n)
+	}
+	dst.Time, dst.Res, dst.spans = dst.Time[:n], dst.Res[:n], dst.spans[:n]
+	p.time, p.res = dst.Time, dst.Res
 	for v := range p.res {
-		p.res[v].Spans = spans[v : v : v+1]
+		p.res[v].Spans = dst.spans[v : v : v+1]
 	}
 	for i, v := range order {
 		p.rank[v] = i
@@ -516,8 +561,9 @@ func (p *placer) rowOwners(c mrt.Class, u, row, occ int, collect bool) int {
 	return n
 }
 
-// tryPlace attempts a schedule at a fixed II following the placer's order.
-func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
+// tryPlace attempts a schedule at a fixed II following the placer's order,
+// leaving it in the destination's time and reservation arrays.
+func (p *placer) tryPlace(buses, fpus, ii int) bool {
 	l, model := p.l, p.model
 	n := l.NumOps()
 	p.reset(buses, fpus, ii)
@@ -529,12 +575,12 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 	frontier := 0 // latest placed start time: seeds new components nearby
 	for remaining > 0 {
 		if budget--; budget < 0 {
-			return nil, false
+			return false
 		}
 		// Pick the unplaced op with the best (smallest) rank.
 		v := p.popUnplaced()
 		if v < 0 {
-			return nil, false // unreachable: remaining > 0 implies an entry
+			return false // unreachable: remaining > 0 implies an entry
 		}
 		op := l.Ops[v]
 		occ := model.Occupancy(op.Kind)
@@ -681,7 +727,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			evict(w)
 		}
 		if !table.PlaceInto(&res[v], class, tf, occ) {
-			return nil, false // class too small for the reservation at this II
+			return false // class too small for the reservation at this II
 		}
 		time[v], placed[v] = tf, true
 		p.own(v, int32(v))
@@ -708,6 +754,5 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			}
 		}
 	}
-
-	return &Schedule{Loop: l, II: ii, Time: time, Res: res, Model: model}, true
+	return true
 }

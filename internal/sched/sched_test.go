@@ -491,6 +491,62 @@ func TestWarmWorkspaceAllocatesOnlySchedule(t *testing.T) {
 	if ws.orderFor != l.Analysis() || ws.orderModel != m.Model {
 		t.Error("the workspace does not hold the loop's HRMS order")
 	}
+
+	// Into a reused schedule, nothing is allocated at all.
+	buf := &Schedule{}
+	ii = base.II
+	allocs = testing.AllocsPerRun(200, func() {
+		ii++
+		if _, err = ModuloSchedule(l, m, &Options{MinII: ii, Workspace: ws, Into: buf}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm ModuloSchedule into a reused schedule allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestScheduleInto: scheduling into a caller's buffer returns that buffer
+// holding exactly the schedule a fresh call returns, over loops of
+// different sizes in turn (so the buffer both grows and shrinks), and a
+// Clone stays intact when the buffer is overwritten.
+func TestScheduleInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	buf := &Schedule{}
+	var clones []*Schedule
+	var want []*Schedule
+	for i := 0; i < 12; i++ {
+		l := randomLoop(rng, 4+rng.Intn(30))
+		m := machine.New(machine.Config{Buses: 1 + i%2, Width: 1}, 256, machine.CycleModels()[i%4])
+		fresh, err := ModuloSchedule(l, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ModuloSchedule(l, m, &Options{Into: buf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != buf {
+			t.Fatal("ModuloSchedule with Into returned another schedule")
+		}
+		if got.Loop != l || got.II != fresh.II || got.Model != fresh.Model || got.Buses != fresh.Buses ||
+			got.FPUs != fresh.FPUs || fmt.Sprint(got.Time, got.Res) != fmt.Sprint(fresh.Time, fresh.Res) {
+			t.Fatalf("loop %d: into the buffer %v, fresh %v", i, got.Format(), fresh.Format())
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		clones = append(clones, got.Clone())
+		want = append(want, fresh)
+	}
+	for i, c := range clones {
+		if c == buf || fmt.Sprint(c.Time, c.Res) != fmt.Sprint(want[i].Time, want[i].Res) {
+			t.Errorf("clone %d changed when the buffer was reused", i)
+		}
+		if err := c.Validate(); err != nil {
+			t.Errorf("clone %d: %v", i, err)
+		}
+	}
 }
 
 // TestSteadyStateAllocsColdSchedule bounds the cold-start path: a fresh

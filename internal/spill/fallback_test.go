@@ -59,14 +59,46 @@ func TestGrowIIFineSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ls lifetimes.Set
-	if g := growII(l, m, nil, 10, base.II, base.II*8+16, &ls, regalloc.NewSearch(&ls)); g != nil {
+	if g := growII(l, m, nil, 10, base.II, base.II*8+16, newScratch()); g != nil {
 		if got := regalloc.MinRegs(lifetimes.Compute(g), regalloc.EndFit); got > 10 {
 			t.Errorf("growII returned %d regs for a 10-register file", got)
 		}
 		if err := g.Validate(); err != nil {
 			t.Error(err)
 		}
+	}
+}
+
+// TestSteadyStateAllocsGrowII bounds a failing growII walk: 8 carried
+// values on 1w1 with 4 registers, walked from above the base II to just
+// below the first II that fits (seven candidates). Every candidate
+// reschedules into the pass's buffer with a warm workspace, so the walk
+// allocates at most a few times however many IIs it visits (measured:
+// 0). A fresh Schedule per candidate would cost 4 allocations each, 28 in
+// all.
+func TestSteadyStateAllocsGrowII(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	l := carriedLoop(8)
+	m := machine.New(machine.Config{Buses: 1, Width: 1}, 4, machine.FourCycle)
+	base, err := sched.ModuloSchedule(l, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, scr := sched.NewWorkspace(), newScratch()
+	fit := growII(l, m, ws, 4, base.II+1, base.II*8+16, scr)
+	if fit == nil || fit.II < base.II+4 {
+		t.Fatalf("premise broken: want a fit well above the base II %d, got %v", base.II, fit)
+	}
+	fitII := fit.II
+	allocs := testing.AllocsPerRun(10, func() {
+		if growII(l, m, ws, 4, base.II+1, fitII-1, scr) != nil {
+			t.Fatal("a walk below the first fitting II fits")
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("a failing growII walk over %d IIs allocates %v times, want <= 4", fitII-base.II-1, allocs)
 	}
 }
 

@@ -46,9 +46,13 @@ type Result struct {
 	// OK is false when the loop cannot be scheduled within the register
 	// file even with spill code and II growth.
 	OK bool
-	// Sched is the final schedule (nil when !OK).
+	// Sched is the final schedule (nil when !OK): the base schedule itself
+	// when it already fits, otherwise a copy the pass does not reuse.
 	Sched *sched.Schedule
-	// Loop is the final loop including spill code (nil when !OK).
+	// Loop is the final loop including spill code (nil when !OK). It is
+	// always Sched.Loop: the base schedule's loop when no spill code was
+	// kept (the base fits, or the pass grew the pristine loop's II), a
+	// private clone otherwise.
 	Loop *ddg.Loop
 	// BaseII is the II of the unconstrained schedule (before spilling).
 	BaseII int
@@ -66,47 +70,85 @@ func (r Result) II() int {
 	return r.Sched.II
 }
 
-// scratch is the allocator probe state of one Schedule call: a lifetime
-// set and a search permanently bound to it. Pooling the pair removes the
-// last per-call allocations of a warm engine's spill probes.
+// scratch is the probe state of one pass: a lifetime set with a search
+// permanently bound to it, and the schedule every reschedule writes into.
+// Pooling it removes the per-call allocations of a warm engine's spill
+// probes; only an accepted schedule is copied out.
 type scratch struct {
 	ls     lifetimes.Set
 	search *regalloc.Search
+	buf    sched.Schedule
 }
 
-var scratchPool = sync.Pool{New: func() any {
+func newScratch() *scratch {
 	s := &scratch{}
 	s.search = regalloc.NewSearch(&s.ls)
 	return s
-}}
+}
+
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
+// accept returns res marked OK with the schedule s, cloned out of the
+// buffer when the pass scheduled it there.
+func (scr *scratch) accept(res Result, s *sched.Schedule) Result {
+	if s == &scr.buf {
+		s = s.Clone()
+	}
+	res.OK, res.Sched, res.Loop = true, s, s.Loop
+	return res
+}
 
 // Schedule software-pipelines the loop under the machine's register file
 // size, allocating registers end-fit. The loop must already be
-// width-transformed for the machine.
+// width-transformed for the machine; it is never modified. Schedule is
+// ScheduleFrom over a base schedule of a clone of l.
 func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	var ws *sched.Workspace
 	if opts != nil {
 		ws = opts.Workspace
 	}
-	avail := m.RF.Regs
-	cur := l.Clone()
-
-	var res Result
-
-	s, err := sched.ModuloSchedule(cur, m, &sched.Options{Workspace: ws})
+	base, err := sched.ModuloSchedule(l.Clone(), m, &sched.Options{Workspace: ws})
 	if err != nil {
 		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
 	}
-	res.BaseII = s.II
+	return ScheduleFrom(base, m, opts)
+}
+
+// ScheduleFrom is Schedule starting from base, the unconstrained modulo
+// schedule of base.Loop on m's buses, FPUs and cycle model. The base
+// schedule does not depend on the register file, so a caller that
+// evaluates one loop under several register files schedules it once and
+// runs the pass once per file. The pass never modifies base or base.Loop:
+// spill code goes into a clone. ScheduleFrom returns an error when m is
+// invalid or base targets another machine.
+func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Result, error) {
+	if err := m.Validate(); err != nil {
+		return Result{}, fmt.Errorf("spill: %w", err)
+	}
+	if buses, fpus := m.Slots(); base.Buses != buses || base.FPUs != fpus || base.Model != m.Model {
+		return Result{}, fmt.Errorf("spill: base schedule targets %d buses, %d FPUs and z=%d, machine %s has %d, %d and z=%d",
+			base.Buses, base.FPUs, base.Model.Z, m, buses, fpus, m.Model.Z)
+	}
+	var ws *sched.Workspace
+	if opts != nil {
+		ws = opts.Workspace
+	}
+	avail := m.RF.Regs
+	l := base.Loop
+
+	res := Result{BaseII: base.II}
 
 	// One lifetime set and one allocator search are reused across every
 	// spill round and every candidate II of the growth fallbacks: each
 	// probe rebinds them instead of recomputing orders and reallocating
-	// scratch. The pair is pooled across Schedule calls — nothing below
-	// retains either past the return (results carry only schedules and
-	// counts).
+	// scratch. Every reschedule writes into the scratch's schedule buffer,
+	// and the accepted one is cloned out. The scratch is pooled across
+	// calls: nothing below retains it past the return.
 	scr := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(scr)
+	defer func() {
+		scr.buf.Loop = nil // do not pin the last spilled loop in the pool
+		scratchPool.Put(scr)
+	}()
 	ls, search := &scr.ls, scr.search
 
 	// Spill rounds interleaved with II escalation: spilling trims long
@@ -116,7 +158,9 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// the two mechanisms can feed each other (spill stores congest the
 	// buses, stretching the very lifetimes being spilled). The II may
 	// grow to 8x the first feasible II plus 16; a loop that does not fit
-	// within that bound is reported unschedulable.
+	// within that bound is reported unschedulable. Round 0 probes base
+	// itself; cur becomes a private clone before the first spill.
+	cur, s := l, base
 	minII := 0
 	capII := res.BaseII*8 + 16
 	bestGap := int(^uint(0) >> 1)
@@ -128,10 +172,7 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		lifetimes.ComputeInto(ls, s)
 		search.Reset(ls)
 		if search.Fits(avail, regalloc.EndFit) {
-			res.OK = true
-			res.Sched = s
-			res.Loop = cur
-			return res, nil
+			return scr.accept(res, s), nil
 		}
 		if round == maxRounds {
 			break
@@ -156,6 +197,9 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 			if k > 16 {
 				k = 16
 			}
+			if cur == l {
+				cur = l.Clone()
+			}
 			for _, c := range cands[:k] {
 				st, lds := spillValue(cur, c)
 				res.SpillStores += st
@@ -164,7 +208,8 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		} else if minII <= s.II {
 			minII = s.II + s.II/4 + 1
 		}
-		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: ws})
+		var err error
+		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: ws, Into: &scr.buf})
 		if err != nil {
 			return Result{}, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
 		}
@@ -178,11 +223,8 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	if alt := s.II * 2; alt > maxII {
 		maxII = alt
 	}
-	if g := growII(cur, m, ws, avail, s.II+1, maxII, ls, search); g != nil {
-		res.OK = true
-		res.Sched = g
-		res.Loop = cur
-		return res, nil
+	if g := growII(cur, m, ws, avail, s.II+1, maxII, scr); g != nil {
+		return scr.accept(res, g), nil
 	}
 
 	// Fallback 2: abandon the spill code and grow the II of the original
@@ -190,12 +232,9 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// up at any II; the pristine loop's pressure always falls with the II
 	// (only recurrence values resist), so this path rescues loops the
 	// spilling dug into a hole.
-	if g := growII(l, m, ws, avail, res.BaseII+1, capII, ls, search); g != nil {
-		res.OK = true
-		res.Sched = g
-		res.Loop = l.Clone()
+	if g := growII(l, m, ws, avail, res.BaseII+1, capII, scr); g != nil {
 		res.SpillStores, res.SpillLoads = 0, 0
-		return res, nil
+		return scr.accept(res, g), nil
 	}
 
 	// Fallback 3: the pressure that survives any II is the values consumed
@@ -225,12 +264,9 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		}
 	}
 	if stores3 > 0 {
-		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, ls, search); g != nil {
-			res.OK = true
-			res.Sched = g
-			res.Loop = cur3
+		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, scr); g != nil {
 			res.SpillStores, res.SpillLoads = stores3, loads3
-			return res, nil
+			return scr.accept(res, g), nil
 		}
 	}
 
@@ -240,16 +276,17 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 
 // growII returns the schedule at the smallest II in [startII, maxII] at
 // which the loop's allocation fits avail registers, or nil when none
-// does, recomputing lifetimes into the shared set and rebinding the
-// shared search at each candidate. Far from the target it steps
-// geometrically (pressure falls roughly as 1/II, so fine steps waste
+// does. Every candidate is scheduled into the scratch's buffer, so the
+// returned schedule is that buffer; lifetimes go into the shared set and
+// the shared search is rebound at each candidate. Far from the target it
+// steps geometrically (pressure falls roughly as 1/II, so fine steps waste
 // reschedules); within two registers of fitting it steps by one, because
 // pressure is not locally monotone and a narrow fitting window is easy to
 // jump over.
-func growII(l *ddg.Loop, m machine.Machine, ws *sched.Workspace, avail, startII, maxII int,
-	ls *lifetimes.Set, search *regalloc.Search) *sched.Schedule {
+func growII(l *ddg.Loop, m machine.Machine, ws *sched.Workspace, avail, startII, maxII int, scr *scratch) *sched.Schedule {
+	ls, search := &scr.ls, scr.search
 	for ii := startII; ii <= maxII; {
-		forced, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: ii, Workspace: ws})
+		forced, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: ii, Workspace: ws, Into: &scr.buf})
 		if err != nil {
 			return nil
 		}

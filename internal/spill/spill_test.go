@@ -1,7 +1,9 @@
 package spill
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ddg"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/regalloc"
 	"repro/internal/sched"
 	"repro/internal/widen"
+	"repro/internal/workload"
 )
 
 func mach(cfg string, regs int) machine.Machine {
@@ -275,9 +278,26 @@ func TestWideRegistersReduceSpill(t *testing.T) {
 	}
 }
 
+// sameResult reports how two results of the pass differ, or "".
+func sameResult(a, b Result) string {
+	switch {
+	case a.OK != b.OK || a.II() != b.II() || a.BaseII != b.BaseII || a.Rounds != b.Rounds:
+		return fmt.Sprintf("OK %v/%v, II %d/%d, base II %d/%d, rounds %d/%d",
+			a.OK, b.OK, a.II(), b.II(), a.BaseII, b.BaseII, a.Rounds, b.Rounds)
+	case a.SpillStores != b.SpillStores || a.SpillLoads != b.SpillLoads:
+		return fmt.Sprintf("spill %d+%d / %d+%d", a.SpillStores, a.SpillLoads, b.SpillStores, b.SpillLoads)
+	case a.OK && !slices.Equal(a.Sched.Time, b.Sched.Time):
+		return fmt.Sprintf("times %v / %v", a.Sched.Time, b.Sched.Time)
+	case a.OK && a.Loop != a.Sched.Loop:
+		return "Loop is not Sched.Loop"
+	}
+	return ""
+}
+
 // Property: on random loops and small register files, the pass terminates
 // with a consistent result: either OK with a validating schedule that fits,
-// or a clean failure.
+// or a clean failure. ScheduleFrom over a base schedule of a clone of the
+// loop returns the same result as Schedule.
 func TestSpillRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 60; trial++ {
@@ -310,6 +330,17 @@ func TestSpillRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		base, err := sched.ModuloSchedule(l.Clone(), m, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		rf, err := ScheduleFrom(base, m, nil)
+		if err != nil {
+			t.Fatalf("trial %d: ScheduleFrom: %v", trial, err)
+		}
+		if d := sameResult(rf, r); d != "" {
+			t.Fatalf("trial %d: ScheduleFrom differs from Schedule: %s", trial, d)
+		}
 		if !r.OK {
 			continue
 		}
@@ -322,5 +353,91 @@ func TestSpillRandomProperty(t *testing.T) {
 		if got := regalloc.MinRegs(lifetimes.Compute(r.Sched), regalloc.EndFit); got > regs {
 			t.Fatalf("trial %d: final allocation %d does not fit %d", trial, got, regs)
 		}
+	}
+}
+
+// TestScheduleFromSharedBase runs the pass the way a batch does: one base
+// schedule per loop of a default-workbench slice widened for 4w2, reused
+// for every register file size. Each result equals Schedule's, base and its
+// loop are never modified, and every returned schedule still validates,
+// unchanged, after all the later calls on this goroutine (which reuse the
+// pass's pooled buffer).
+func TestScheduleFromSharedBase(t *testing.T) {
+	w, err := workload.Build("default", 30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Config{Buses: 4, Width: 2}
+	type kept struct {
+		r    Result
+		time []int
+	}
+	var results []kept
+	spilled := 0
+	for _, src := range w.Loops {
+		l, _ := widen.Transform(src, cfg.Width)
+		base, err := sched.ModuloSchedule(l.Clone(), machine.New(cfg, 1<<20, machine.FourCycle), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseTime, ops, edges := slices.Clone(base.Time), len(base.Loop.Ops), slices.Clone(base.Loop.Edges)
+		for _, regs := range []int{32, 64} {
+			m := machine.New(cfg, regs, machine.FourCycle)
+			got, err := ScheduleFrom(base, m, nil)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", l.Name, regs, err)
+			}
+			want, err := Schedule(l, m, nil)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", l.Name, regs, err)
+			}
+			if d := sameResult(got, want); d != "" {
+				t.Fatalf("%s/%d: ScheduleFrom differs from Schedule: %s", l.Name, regs, d)
+			}
+			if got.SpillStores > 0 {
+				spilled++
+			}
+			if got.OK {
+				results = append(results, kept{got, slices.Clone(got.Sched.Time)})
+			}
+		}
+		if !slices.Equal(base.Time, baseTime) || len(base.Loop.Ops) != ops || !slices.Equal(base.Loop.Edges, edges) {
+			t.Fatalf("%s: the pass modified its base schedule or loop", l.Name)
+		}
+	}
+	if spilled == 0 {
+		t.Fatal("premise broken: no loop spilled at 4w2 with 32 registers")
+	}
+	for _, k := range results {
+		if err := k.r.Sched.Validate(); err != nil {
+			t.Errorf("%s: a returned schedule no longer validates: %v", k.r.Loop.Name, err)
+		}
+		if !slices.Equal(k.r.Sched.Time, k.time) {
+			t.Errorf("%s: a returned schedule changed under later calls", k.r.Loop.Name)
+		}
+	}
+}
+
+// TestScheduleFromRejectsOtherMachine: a base schedule made for another
+// cycle model or another configuration, or an invalid register file, is an
+// error, not a silently wrong result.
+func TestScheduleFromRejectsOtherMachine(t *testing.T) {
+	l := parallelChains(4)
+	base, err := sched.ModuloSchedule(l, mach("2w1", 256), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := machine.Config{Buses: 2, Width: 1}
+	for _, m := range []machine.Machine{
+		machine.New(c, 32, machine.ThreeCycle),
+		mach("4w1", 32),
+		machine.New(c, 0, machine.FourCycle),
+	} {
+		if _, err := ScheduleFrom(base, m, nil); err == nil {
+			t.Errorf("ScheduleFrom accepted a 2w1 4-cycle base schedule for %s z=%d", m, m.Model.Z)
+		}
+	}
+	if _, err := ScheduleFrom(base, mach("2w1", 32), nil); err != nil {
+		t.Errorf("matching machine: %v", err)
 	}
 }

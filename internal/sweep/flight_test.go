@@ -127,3 +127,101 @@ func TestFlightPanicDistinctKeysUnaffected(t *testing.T) {
 		t.Fatalf("cached(2)=%v cached(1)=%v, want true/false", f.Cached(2), f.Cached(1))
 	}
 }
+
+// TestFlightDoManyCoalesces hammers one group with DoMany calls over
+// overlapping, rotated key sets and Do calls on single keys: whatever the
+// interleaving, each key is computed exactly once and every caller sees
+// the same value.
+func TestFlightDoManyCoalesces(t *testing.T) {
+	f := NewFlight[int, int]()
+	const nkeys = 12
+	var computes [nkeys]atomic.Int64
+	value := func(k int) int {
+		computes[k].Add(1)
+		return 100 + k
+	}
+	check := func(g, k, v int) {
+		if v != 100+k {
+			t.Errorf("caller %d saw %d for key %d, want %d", g, v, k, 100+k)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%4 == 3 {
+				// Single-key callers walk every key through Do.
+				for i := range nkeys {
+					k := (i + g) % nkeys
+					check(g, k, f.Do(k, func() int { return value(k) }))
+				}
+				return
+			}
+			// Batch callers claim a rotated window of half the keys.
+			keys := make([]int, nkeys/2)
+			for i := range keys {
+				keys[i] = (i + g) % nkeys
+			}
+			vals := f.DoMany(keys, func(missing []int) []int {
+				out := make([]int, len(missing))
+				for j, i := range missing {
+					out[j] = value(keys[i])
+				}
+				return out
+			})
+			for i, k := range keys {
+				check(g, k, vals[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for k := range nkeys {
+		if n := computes[k].Load(); n != 1 {
+			t.Errorf("key %d computed %d times, want 1", k, n)
+		}
+	}
+}
+
+// TestFlightDoManyPanicDropsClaims: a batch builder that panics drops
+// every key it claimed, and a caller waiting on one of them retries and
+// computes it itself.
+func TestFlightDoManyPanicDropsClaims(t *testing.T) {
+	f := NewFlight[string, int]()
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		f.DoMany([]string{"a", "b"}, func([]int) []int { panic("batch dies") })
+		return nil
+	}()
+	if p != "batch dies" {
+		t.Fatalf("builder panic = %v, want it to propagate", p)
+	}
+	if f.Cached("a") || f.Cached("b") {
+		t.Fatalf("after the panic cached(a)=%v cached(b)=%v, want both dropped", f.Cached("a"), f.Cached("b"))
+	}
+
+	claimed := make(chan struct{})
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		f.DoMany([]string{"a", "b"}, func([]int) []int {
+			close(claimed)
+			<-release
+			panic("batch dies")
+		})
+	}()
+	<-claimed
+	waited := make(chan int, 1)
+	go func() { waited <- f.Do("b", func() int { return 7 }) }()
+	close(release)
+	if p := <-panicked; p != "batch dies" {
+		t.Fatalf("builder panic = %v, want it to propagate", p)
+	}
+	if got := <-waited; got != 7 {
+		t.Fatalf("waiter on b got %d, want its own computation (7)", got)
+	}
+	if f.Cached("a") {
+		t.Error("a still cached after the batch that claimed it panicked")
+	}
+}
