@@ -2,12 +2,13 @@ package ddg
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/machine"
 )
 
-// Analysis memoizes the scheduling analyses of one Loop: adjacency,
+// Analysis memoizes the scheduling analyses of one Loop: edge lists,
 // strongly connected components, ASAP/ALAP times, recurrence bounds and
 // resource bounds. One ModuloSchedule call needs most of these several
 // times (the ordering phase and the MII bound share SCCs and ASAP), and
@@ -16,9 +17,14 @@ import (
 //
 // An Analysis snapshot is keyed to the loop's shape (operation and edge
 // counts). Loop.Analysis revalidates the snapshot on every call, so
-// append-style mutations — the spill rewriter adds ops and edges — are
-// picked up automatically. Code that mutates a loop without changing
-// either count must call Loop.InvalidateAnalysis.
+// append-style mutations are picked up automatically: the next call builds
+// a fresh snapshot. Loop.Spill is the exception: when the loop holds a
+// snapshot of its current shape and the spilled value is on no
+// recurrence, Spill derives the next snapshot from it, patching its edge
+// lists and carrying its recurrence analyses over. The derived snapshot
+// reuses its parent's storage, so slices and maps read from a snapshot
+// before a Spill are stale after it. Code that mutates a loop without
+// changing either count must call Loop.InvalidateAnalysis.
 //
 // All methods are safe for concurrent use; the perfcost engine analyses
 // shared widened loops from many goroutines. Returned slices and maps are
@@ -33,13 +39,14 @@ type Analysis struct {
 	validErr  error
 
 	preds, succs [][]Edge
-	adj          [][]int // undirected neighbours, self edges dropped
-	topoZero     []int   // topological order of the distance-0 subgraph
+	topoZero     []int // topological order of the distance-0 subgraph
+	haveTopo     bool
 	sccs         [][]int
 	recOps       map[int]bool
 
 	// cnt is the shared counting scratch of the slab builders below
-	// (count-then-fill construction); it only lives under mu.
+	// (count-then-fill construction) and of the topological sort's
+	// in-degrees; it only lives under mu.
 	cnt []int
 
 	models map[machine.CycleModel]*modelAnalysis
@@ -107,14 +114,17 @@ func (a *Analysis) Preds() [][]Edge {
 // countsLocked returns the zeroed n-int counting scratch. Each builder
 // uses it fully before returning; nothing retains it.
 func (a *Analysis) countsLocked(n int) []int {
-	if cap(a.cnt) < n {
-		a.cnt = make([]int, n)
-	}
-	a.cnt = a.cnt[:n]
-	for i := range a.cnt {
-		a.cnt[i] = 0
-	}
+	a.cnt = zeroed(a.cnt, n)
 	return a.cnt
+}
+
+// zeroed returns s resized to n zeroed ints. It reuses s's storage when it
+// is large enough and grows it geometrically otherwise, so a snapshot
+// derived by Loop.Spill recomputes into its parent's storage.
+func zeroed(s []int, n int) []int {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // edgeListsLocked builds per-node edge lists keyed by key(e) with
@@ -162,41 +172,6 @@ func (a *Analysis) succsLocked() [][]Edge {
 	return a.succs
 }
 
-// Adjacency returns the undirected neighbour lists (self edges dropped),
-// as used by the scheduler's frontier-expansion ordering.
-func (a *Analysis) Adjacency() [][]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.adj == nil {
-		n := len(a.loop.Ops)
-		edges := a.loop.Edges
-		cnt := a.countsLocked(n)
-		m := 0
-		for _, e := range edges {
-			if e.From != e.To {
-				cnt[e.From]++
-				cnt[e.To]++
-				m += 2
-			}
-		}
-		slab := make([]int, m)
-		heads := make([][]int, n)
-		off := 0
-		for v := 0; v < n; v++ {
-			heads[v] = slab[off : off : off+cnt[v]]
-			off += cnt[v]
-		}
-		for _, e := range edges {
-			if e.From != e.To {
-				heads[e.From] = append(heads[e.From], e.To)
-				heads[e.To] = append(heads[e.To], e.From)
-			}
-		}
-		a.adj = heads
-	}
-	return a.adj
-}
-
 // SCCs returns the strongly connected components in reverse topological
 // order of the condensation (see Loop.SCCs).
 func (a *Analysis) SCCs() [][]int {
@@ -216,6 +191,10 @@ func (a *Analysis) sccsLocked() [][]int {
 func (a *Analysis) RecurrenceOps() map[int]bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.recOpsLocked()
+}
+
+func (a *Analysis) recOpsLocked() map[int]bool {
 	if a.recOps == nil {
 		rec := make(map[int]bool)
 		for _, comp := range a.sccsLocked() {
@@ -235,73 +214,45 @@ func (a *Analysis) RecurrenceOps() map[int]bool {
 	return a.recOps
 }
 
-// topoZeroLocked returns a topological order of the distance-0 subgraph;
-// it contains fewer than NumOps entries when that subgraph has a cycle
-// (Validate rejects such loops).
+// topoZeroLocked returns a topological order of the distance-0 subgraph
+// (Kahn's algorithm over the cached successor lists, in-degrees in the
+// counting scratch); it is empty when that subgraph has a cycle (Validate
+// rejects such loops).
 func (a *Analysis) topoZeroLocked() []int {
-	if a.topoZero == nil {
-		order := a.topoOrderZeroDistLocked()
-		if order == nil {
-			order = []int{} // non-nil marks "computed"
-		}
-		a.topoZero = order
+	if a.haveTopo {
+		return a.topoZero
 	}
-	return a.topoZero
-}
-
-// topoOrderZeroDistLocked is topoOrderZeroDist over slab scratch: the
-// counting scratch doubles as the flat adjacency offsets and the output
-// order doubles as the Kahn queue.
-func (a *Analysis) topoOrderZeroDistLocked() []int {
 	n := len(a.loop.Ops)
-	edges := a.loop.Edges
-	cnt := a.countsLocked(n)
-	indeg := make([]int, n)
-	m := 0
-	for _, e := range edges {
-		if e.Dist == 0 {
-			cnt[e.From]++
-			indeg[e.To]++
-			m++
+	succs := a.succsLocked()
+	indeg := a.countsLocked(n)
+	for _, out := range succs {
+		for _, e := range out {
+			if e.Dist == 0 {
+				indeg[e.To]++
+			}
 		}
 	}
-	// Prefix sums turn cnt into fill cursors; after the fill pass cnt[v]
-	// is the end offset of v's slice (its start is cnt[v-1]).
-	flat := make([]int, m)
-	sum := 0
-	for v := 0; v < n; v++ {
-		c := cnt[v]
-		cnt[v] = sum
-		sum += c
-	}
-	for _, e := range edges {
-		if e.Dist == 0 {
-			flat[cnt[e.From]] = e.To
-			cnt[e.From]++
-		}
-	}
-	order := make([]int, 0, n)
+	// The order doubles as the queue.
+	order := slices.Grow(a.topoZero[:0], n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
 			order = append(order, v)
 		}
 	}
 	for head := 0; head < len(order); head++ {
-		v := order[head]
-		lo := 0
-		if v > 0 {
-			lo = cnt[v-1]
-		}
-		for _, w := range flat[lo:cnt[v]] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				order = append(order, w)
+		for _, e := range succs[order[head]] {
+			if e.Dist != 0 {
+				continue
+			}
+			if indeg[e.To]--; indeg[e.To] == 0 {
+				order = append(order, e.To)
 			}
 		}
 	}
 	if len(order) != n {
-		return nil
+		order = order[:0]
 	}
+	a.topoZero, a.haveTopo = order, true
 	return order
 }
 
@@ -329,7 +280,7 @@ func (a *Analysis) asapLocked(model machine.CycleModel) []int {
 	ma := a.modelLocked(model)
 	if !ma.haveASAP {
 		l := a.loop
-		asap := make([]int, len(l.Ops))
+		asap := zeroed(ma.asap, len(l.Ops))
 		preds := a.predsLocked()
 		for _, v := range a.topoZeroLocked() {
 			for _, e := range preds[v] {
@@ -363,7 +314,7 @@ func (a *Analysis) ALAP(model machine.CycleModel) []int {
 				span = t
 			}
 		}
-		alap := make([]int, len(l.Ops))
+		alap := slices.Grow(ma.alap[:0], len(l.Ops))[:len(l.Ops)]
 		for i := range alap {
 			alap[i] = span
 		}

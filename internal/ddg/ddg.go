@@ -13,7 +13,9 @@
 // The package provides the standard modulo-scheduling analyses: strongly
 // connected components, the recurrence-constrained lower bound on the
 // initiation interval (RecMII), the resource-constrained bound (ResMII),
-// and ASAP/ALAP times used by the scheduler's ordering phase.
+// and ASAP/ALAP times used by the scheduler's ordering phase. Loop.Spill
+// is the spill pass's rewrite: it routes a value through memory and
+// derives the loop's next analysis snapshot from the current one.
 package ddg
 
 import (

@@ -1,0 +1,7 @@
+//go:build race
+
+package ddg_test
+
+// raceEnabled reports a -race build. Allocation bounds are pinned without
+// the race detector, whose instrumentation changes allocation counts.
+const raceEnabled = true

@@ -36,10 +36,10 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	if n == 0 {
 		return nil
 	}
-	// ASAP/ALAP, per-component recurrence criticality and the undirected
-	// adjacency all come from the loop's analysis cache: a reschedule of
-	// the same loop (every spill-pass II retry) reorders without
-	// re-traversing the graph.
+	// ASAP/ALAP, per-component recurrence criticality and the edge lists
+	// all come from the loop's analysis cache: a reschedule of the same
+	// loop (every spill-pass II retry) reorders without re-traversing the
+	// graph.
 	a := l.Analysis()
 	asap := a.ASAP(model)
 	alap := a.ALAP(model)
@@ -81,8 +81,8 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	// (0 for nodes outside recurrences).
 	recPrio := a.RecPrio(model)
 
-	// Undirected adjacency for frontier expansion.
-	adj := a.Adjacency()
+	// Frontier expansion walks both edge directions.
+	preds, succs := a.Preds(), a.Succs()
 
 	// Occupancy priority: non-pipelined operations reserve many rows and
 	// fragment badly if placed late, so they go as early as the frontier
@@ -131,8 +131,17 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 		}
 		ordered[v] = true
 		order = append(order, v)
-		for _, w := range adj[v] {
-			if !ordered[w] && !joined[w] {
+		// Each unordered neighbour joins the frontier once (a self edge
+		// finds v ordered). Ranks are unique, so the order of the pushes
+		// does not change the order of the pops.
+		for _, e := range preds[v] {
+			if w := e.From; !ordered[w] && !joined[w] {
+				joined[w] = true
+				frontier.push(rank[w])
+			}
+		}
+		for _, e := range succs[v] {
+			if w := e.To; !ordered[w] && !joined[w] {
 				joined[w] = true
 				frontier.push(rank[w])
 			}

@@ -257,7 +257,7 @@ var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
 // package); the scheduler treats wide operations as single operations.
 //
 // Every graph analysis the schedule needs (validation, ordering inputs,
-// the MII bound, ASAP times, adjacency) is served from the loop's
+// the MII bound, ASAP times, edge lists) is served from the loop's
 // analysis cache, and the HRMS order from the workspace, so rescheduling
 // the same loop — the spill pass does it at every II retry — pays for the
 // traversals and the ordering once.

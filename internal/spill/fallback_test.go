@@ -102,48 +102,6 @@ func TestSteadyStateAllocsGrowII(t *testing.T) {
 	}
 }
 
-// TestSpillValueGroupsReloadsByDistance: one reload per distinct consumer
-// distance, not per consumer.
-func TestSpillValueGroupsReloads(t *testing.T) {
-	b := ddg.NewBuilder("multi", 10)
-	ld := b.Load(1, "src")
-	u1 := b.Op(machine.Add, "")
-	u2 := b.Op(machine.Add, "")
-	u3 := b.Op(machine.Add, "")
-	b.Flow(ld, u1, 0)
-	b.Flow(ld, u2, 0)
-	b.Flow(ld, u3, 2)
-	l := b.Build()
-
-	stores, loads := spillValue(l, candidate{op: ld})
-	if stores != 1 {
-		t.Errorf("stores = %d, want 1", stores)
-	}
-	if loads != 2 { // one for the two dist-0 uses, one for the dist-2 use
-		t.Errorf("loads = %d, want 2 (grouped by distance)", loads)
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The original producer now feeds only its spill store.
-	for _, e := range l.Edges {
-		if e.From == ld && !l.Ops[e.To].Spill {
-			t.Errorf("unrerouted consumer edge %d->%d", e.From, e.To)
-		}
-	}
-}
-
-// TestSpillValueNoConsumers: nothing to reroute, nothing added.
-func TestSpillValueNoConsumers(t *testing.T) {
-	b := ddg.NewBuilder("dead", 10)
-	ld := b.Load(1, "")
-	l := b.Build()
-	stores, loads := spillValue(l, candidate{op: ld})
-	if stores != 0 || loads != 0 {
-		t.Errorf("spill of a dead value added %d stores %d loads", stores, loads)
-	}
-}
-
 // TestCandidatesExclusions: recurrence values, spill ops, dead values and
 // short lifetimes are not candidates.
 func TestCandidatesExclusions(t *testing.T) {
@@ -175,7 +133,7 @@ func TestCandidatesExclusions(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := lifetimes.Compute(s)
-	cands := candidates(l, ls, s.Model)
+	cands := candidates(l, ls, s.Model, nil)
 	for _, c := range cands {
 		if c.op == acc {
 			t.Error("recurrence value must not be a candidate")

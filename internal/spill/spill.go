@@ -6,20 +6,21 @@
 // Each round schedules the loop, allocates registers (wands-only end-fit),
 // and — if the requirement exceeds the file — spills the most profitable
 // values: the longest lifetime per use, excluding recurrence values (whose
-// spilling would inflate RecMII) and values created by earlier spills. A
-// spilled value gets a store after its definition and one reload per
-// distinct consumer distance; the reload feeds the consumers, cutting the
-// long register lifetime into short ones at the price of extra memory
-// traffic, which can itself raise the II. When no candidate remains, the
-// pass trades cycles directly by forcing a larger II, which lowers the
-// overlap and hence the pressure. A loop that still does not fit is
-// reported as unschedulable — exactly what the paper observes for the 8w1
-// configuration with a 32-register file.
+// spilling would inflate RecMII) and values created by earlier spills.
+// ddg.Loop.Spill gives a spilled value a store after its definition and
+// one reload per distinct consumer distance; the reload feeds the
+// consumers, cutting the long register lifetime into short ones at the
+// price of extra memory traffic, which can itself raise the II. When no
+// candidate remains, the pass trades cycles directly by forcing a larger
+// II, which lowers the overlap and hence the pressure. A loop that still
+// does not fit is reported as unschedulable — exactly what the paper
+// observes for the 8w1 configuration with a 32-register file.
 package spill
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/ddg"
@@ -71,13 +72,15 @@ func (r Result) II() int {
 }
 
 // scratch is the probe state of one pass: a lifetime set with a search
-// permanently bound to it, and the schedule every reschedule writes into.
-// Pooling it removes the per-call allocations of a warm engine's spill
-// probes; only an accepted schedule is copied out.
+// permanently bound to it, the schedule every reschedule writes into, and
+// the candidate list each round ranks. Pooling it removes the per-call
+// allocations of a warm engine's spill probes; only an accepted schedule
+// is copied out.
 type scratch struct {
 	ls     lifetimes.Set
 	search *regalloc.Search
 	buf    sched.Schedule
+	cands  []candidate
 }
 
 func newScratch() *scratch {
@@ -188,8 +191,8 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 			bestGap = gap
 		}
 
-		cands := candidates(cur, ls, s.Model)
-		if len(cands) > 0 {
+		scr.cands = candidates(cur, ls, s.Model, scr.cands)
+		if cands := scr.cands; len(cands) > 0 {
 			k := gap/2 + 1
 			if k > len(cands) {
 				k = len(cands)
@@ -201,7 +204,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 				cur = l.Clone()
 			}
 			for _, c := range cands[:k] {
-				st, lds := spillValue(cur, c)
+				st, lds := cur.Spill(c.op)
 				res.SpillStores += st
 				res.SpillLoads += lds
 			}
@@ -241,27 +244,28 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 	// in later iterations (each holds ~distance registers forever). Spill
 	// exactly those — identified straight off the graph — and grow the II
 	// of the result; at a large II the extra memory traffic is free.
+	// Every value is picked off the graph before the first spill, which
+	// rewrites cur3 and its analysis.
 	cur3 := l.Clone()
-	stores3, loads3 := 0, 0
 	rec := cur3.RecurrenceOps()
 	succs := cur3.Succs()
-	for v := range cur3.Ops {
-		op := cur3.Ops[v]
+	var carried []int
+	for v, op := range cur3.Ops {
 		if !op.Kind.HasResult() || op.Spill || rec[v] {
 			continue
 		}
-		carried := false
 		for _, e := range succs[v] {
 			if e.Dist > 0 && e.To != v {
-				carried = true
+				carried = append(carried, v)
 				break
 			}
 		}
-		if carried {
-			st, lds := spillValue(cur3, candidate{op: v})
-			stores3 += st
-			loads3 += lds
-		}
+	}
+	stores3, loads3 := 0, 0
+	for _, v := range carried {
+		st, lds := cur3.Spill(v)
+		stores3 += st
+		loads3 += lds
 	}
 	if stores3 > 0 {
 		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, scr); g != nil {
@@ -313,16 +317,17 @@ type candidate struct {
 	score float64
 }
 
-// candidates returns spillable values, most profitable first: longest
-// lifetime per use wins (each use costs a reload, so a long lifetime with
-// few uses frees the most register-cycles per added memory operation).
-func candidates(l *ddg.Loop, ls *lifetimes.Set, model machine.CycleModel) []candidate {
+// candidates returns spillable values, most profitable first, in out's
+// storage: longest lifetime per use wins (each use costs a reload, so a
+// long lifetime with few uses frees the most register-cycles per added
+// memory operation).
+func candidates(l *ddg.Loop, ls *lifetimes.Set, model machine.CycleModel, out []candidate) []candidate {
 	rec := l.RecurrenceOps()
 	succs := l.Succs()
 	// A spill only pays off when the lifetime is clearly longer than the
 	// reload path it introduces.
 	minLen := model.ArithLat + model.StoreLat + 2
-	var out []candidate
+	out = out[:0]
 	for _, v := range ls.Values {
 		op := l.Ops[v.Op]
 		if op.Spill || rec[v.Op] || v.Uses == 0 || v.Len <= minLen {
@@ -341,66 +346,12 @@ func candidates(l *ddg.Loop, ls *lifetimes.Set, model machine.CycleModel) []cand
 		}
 		out = append(out, candidate{op: v.Op, score: float64(v.Len) / float64(1+v.Uses)})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].score != out[j].score {
-			return out[i].score > out[j].score
+	// Higher score first, then lower op: a strict total order.
+	slices.SortFunc(out, func(a, b candidate) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return out[i].op < out[j].op
+		return cmp.Compare(a.op, b.op)
 	})
 	return out
-}
-
-// spillValue rewrites the loop in place: the value of operation def gets a
-// spill store, and its non-spill consumers are rerouted through reloads
-// (one reload per distinct dependence distance). Returns the number of
-// stores and loads added.
-func spillValue(l *ddg.Loop, c candidate) (stores, loads int) {
-	def := c.op
-	defOp := l.Ops[def]
-
-	// Collect the flow edges to reroute. Self edges and edges feeding
-	// spill ops stay (recurrence values are excluded by the candidate
-	// filter; spill stores must still read the register).
-	var reroute []int // indices into l.Edges
-	for i, e := range l.Edges {
-		if e.From == def && e.To != def && !l.Ops[e.To].Spill {
-			reroute = append(reroute, i)
-		}
-	}
-	if len(reroute) == 0 {
-		return 0, 0
-	}
-
-	newOp := func(kind machine.OpKind, name string) int {
-		id := len(l.Ops)
-		l.Ops = append(l.Ops, ddg.Op{
-			ID:     id,
-			Kind:   kind,
-			Stride: 0,
-			Wide:   defOp.Wide,
-			Lanes:  defOp.Lanes,
-			Spill:  true,
-			Name:   name,
-		})
-		return id
-	}
-
-	st := newOp(machine.Store, fmt.Sprintf("spst%d", def))
-	l.Edges = append(l.Edges, ddg.Edge{From: def, To: st, Dist: 0})
-	stores = 1
-
-	// One reload per distinct consumer distance.
-	reloadAt := map[int]int{}
-	for _, ei := range reroute {
-		e := l.Edges[ei]
-		ld, ok := reloadAt[e.Dist]
-		if !ok {
-			ld = newOp(machine.Load, fmt.Sprintf("spld%d.%d", def, e.Dist))
-			l.Edges = append(l.Edges, ddg.Edge{From: st, To: ld, Dist: e.Dist})
-			reloadAt[e.Dist] = ld
-			loads++
-		}
-		l.Edges[ei] = ddg.Edge{From: ld, To: e.To, Dist: 0}
-	}
-	return stores, loads
 }
