@@ -18,13 +18,21 @@ import (
 // An Analysis snapshot is keyed to the loop's shape (operation and edge
 // counts). Loop.Analysis revalidates the snapshot on every call, so
 // append-style mutations are picked up automatically: the next call builds
-// a fresh snapshot. Loop.Spill is the exception: when the loop holds a
-// snapshot of its current shape and the spilled value is on no
-// recurrence, Spill derives the next snapshot from it, patching its edge
-// lists and carrying its recurrence analyses over. The derived snapshot
-// reuses its parent's storage, so slices and maps read from a snapshot
-// before a Spill are stale after it. Code that mutates a loop without
-// changing either count must call Loop.InvalidateAnalysis.
+// a fresh snapshot. Code that mutates a loop without changing either count
+// must call Loop.InvalidateAnalysis.
+//
+// Two mutations of an owned loop install their own snapshot instead, and
+// hand it the old snapshot's storage, so its analyses are recomputed into
+// that storage rather than into fresh allocations:
+//   - Loop.Spill, when the loop holds a snapshot of its current shape and
+//     the spilled value is on no recurrence, derives the next snapshot from
+//     it, patching its edge lists and carrying its recurrence analyses over;
+//   - Loop.CopyFrom starts the copy's snapshot from the source's edge lists
+//     and recurrence analyses when the source holds them.
+//
+// Each installs a new *Analysis, so a memo keyed by snapshot identity sees
+// a new loop; the old snapshot gives up its fields. Slices and maps read
+// from a snapshot before a Spill or a CopyFrom are stale after it.
 //
 // All methods are safe for concurrent use; the perfcost engine analyses
 // shared widened loops from many goroutines. Returned slices and maps are
@@ -35,12 +43,10 @@ type Analysis struct {
 
 	mu sync.Mutex
 
-	validated bool
-	validErr  error
+	validErr error
 
-	preds, succs [][]Edge
+	preds, succs edgeLists
 	topoZero     []int // topological order of the distance-0 subgraph
-	haveTopo     bool
 	sccs         [][]int
 	recOps       map[int]bool
 
@@ -51,6 +57,50 @@ type Analysis struct {
 
 	models map[machine.CycleModel]*modelAnalysis
 	resMII map[resMIIKey]int
+
+	validated, haveTopo, havePreds, haveSuccs bool
+}
+
+// edgeLists is one direction's per-node edge lists, carved from one slab.
+// They keep their storage while not built (see Analysis.havePreds), so a
+// snapshot handed an earlier snapshot's lists builds or copies into them.
+type edgeLists struct {
+	lists [][]Edge
+	slab  []Edge
+}
+
+// build fills the lists with the edges keyed by key(e), in edge-index
+// order, by count-then-fill: cnt (n zeroed ints) counts each list, and the
+// lists are carved from the slab.
+func (el *edgeLists) build(n int, edges []Edge, cnt []int, key func(Edge) int) {
+	for _, e := range edges {
+		cnt[key(e)]++
+	}
+	slab := slices.Grow(el.slab[:0], len(edges))[:len(edges)]
+	heads := slices.Grow(el.lists[:0], n)[:n]
+	off := 0
+	for v := range heads {
+		heads[v] = slab[off : off : off+cnt[v]]
+		off += cnt[v]
+	}
+	for _, e := range edges {
+		v := key(e)
+		heads[v] = append(heads[v], e)
+	}
+	el.lists, el.slab = heads, slab
+}
+
+// copyFrom makes the lists a copy of src, list by list in the same order,
+// carved from the slab; m is the number of edges src holds.
+func (el *edgeLists) copyFrom(src [][]Edge, m int) {
+	slab := slices.Grow(el.slab[:0], m)
+	heads := slices.Grow(el.lists[:0], len(src))
+	for _, in := range src {
+		start := len(slab)
+		slab = append(slab, in...)
+		heads = append(heads, slab[start:len(slab):len(slab)])
+	}
+	el.lists, el.slab = heads, slab
 }
 
 // modelAnalysis holds the analyses that depend on the cycle model.
@@ -88,6 +138,59 @@ func (l *Loop) Analysis() *Analysis {
 // appends are detected by Analysis itself.
 func (l *Loop) InvalidateAnalysis() { l.analysis.Store(nil) }
 
+// handDown gives a's storage to next, a new snapshot of a's loop (see
+// Loop.CopyFrom): the edge lists, the topological order, the counting
+// scratch and the per-model arrays, none of them marked computed, and the
+// emptied ResMII memo. a gives up its fields.
+func (a *Analysis) handDown(next *Analysis) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	next.preds, next.succs = a.preds, a.succs
+	next.topoZero, next.cnt = a.topoZero, a.cnt
+	next.models, next.resMII = a.models, a.resMII
+	for _, ma := range next.models {
+		ma.haveASAP, ma.haveALAP, ma.haveRec = false, false, false
+	}
+	clear(next.resMII)
+	a.giveUpLocked()
+}
+
+// giveUpLocked drops a's fields once a successor snapshot took them over.
+func (a *Analysis) giveUpLocked() {
+	a.preds, a.succs, a.havePreds, a.haveSuccs = edgeLists{}, edgeLists{}, false, false
+	a.sccs, a.recOps, a.topoZero, a.haveTopo, a.cnt = nil, nil, nil, false, nil
+	a.models, a.resMII = nil, nil
+}
+
+// copyTo starts next, the new snapshot of a copy of a's loop, from a: when
+// a is a snapshot of its loop's current shape with successor lists and
+// RecurrenceOps computed, next gets copies of the successor lists and of
+// the predecessor lists if built, in next's storage and in the same
+// per-node order; it shares the recurrence-op map, which nothing writes
+// once computed; and it gets a copy of each computed model's RecPrio and
+// RecMII. Otherwise next stays empty.
+func (a *Analysis) copyTo(next *Analysis) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.nOps != len(a.loop.Ops) || a.nEdges != len(a.loop.Edges) || !a.haveSuccs || a.recOps == nil {
+		return
+	}
+	next.succs.copyFrom(a.succs.lists, a.nEdges)
+	next.haveSuccs = true
+	if a.havePreds {
+		next.preds.copyFrom(a.preds.lists, a.nEdges)
+		next.havePreds = true
+	}
+	next.recOps = a.recOps
+	for model, ma := range a.models {
+		if ma.haveRec {
+			nm := next.modelLocked(model)
+			nm.recPrio = append(nm.recPrio[:0], ma.recPrio...)
+			nm.recMII, nm.haveRec = ma.recMII, true
+		}
+	}
+}
+
 // Validate memoizes Loop.Validate for the snapshot's shape. The
 // distance-0 acyclicity check shares the cached topological order with
 // ASAP/ALAP instead of re-sorting the subgraph.
@@ -120,42 +223,20 @@ func (a *Analysis) countsLocked(n int) []int {
 
 // zeroed returns s resized to n zeroed ints. It reuses s's storage when it
 // is large enough and grows it geometrically otherwise, so a snapshot
-// derived by Loop.Spill recomputes into its parent's storage.
+// handed its predecessor's storage recomputes into it.
 func zeroed(s []int, n int) []int {
 	s = slices.Grow(s[:0], n)[:n]
 	clear(s)
 	return s
 }
 
-// edgeListsLocked builds per-node edge lists keyed by key(e) with
-// count-then-fill slab construction: one header slice plus one edge slab
-// instead of n append-grown lists.
-func (a *Analysis) edgeListsLocked(key func(Edge) int) [][]Edge {
-	n := len(a.loop.Ops)
-	edges := a.loop.Edges
-	cnt := a.countsLocked(n)
-	for _, e := range edges {
-		cnt[key(e)]++
-	}
-	slab := make([]Edge, len(edges))
-	heads := make([][]Edge, n)
-	off := 0
-	for v := 0; v < n; v++ {
-		heads[v] = slab[off : off : off+cnt[v]]
-		off += cnt[v]
-	}
-	for _, e := range edges {
-		v := key(e)
-		heads[v] = append(heads[v], e)
-	}
-	return heads
-}
-
 func (a *Analysis) predsLocked() [][]Edge {
-	if a.preds == nil {
-		a.preds = a.edgeListsLocked(func(e Edge) int { return e.To })
+	if !a.havePreds {
+		n := len(a.loop.Ops)
+		a.preds.build(n, a.loop.Edges, a.countsLocked(n), func(e Edge) int { return e.To })
+		a.havePreds = true
 	}
-	return a.preds
+	return a.preds.lists
 }
 
 // Succs returns, for each operation, its outgoing edges.
@@ -166,10 +247,12 @@ func (a *Analysis) Succs() [][]Edge {
 }
 
 func (a *Analysis) succsLocked() [][]Edge {
-	if a.succs == nil {
-		a.succs = a.edgeListsLocked(func(e Edge) int { return e.From })
+	if !a.haveSuccs {
+		n := len(a.loop.Ops)
+		a.succs.build(n, a.loop.Edges, a.countsLocked(n), func(e Edge) int { return e.From })
+		a.haveSuccs = true
 	}
-	return a.succs
+	return a.succs.lists
 }
 
 // SCCs returns the strongly connected components in reverse topological
@@ -364,7 +447,7 @@ func (a *Analysis) recPrioLocked(model machine.CycleModel) []int {
 	ma := a.modelLocked(model)
 	if !ma.haveRec {
 		l := a.loop
-		prio := make([]int, len(l.Ops))
+		prio := zeroed(ma.recPrio, len(l.Ops))
 		recMII := 1
 		for _, comp := range a.sccsLocked() {
 			if len(comp) == 1 && !a.hasSelfEdgeLocked(comp[0]) {

@@ -16,6 +16,9 @@
 // and ASAP/ALAP times used by the scheduler's ordering phase. Loop.Spill
 // is the spill pass's rewrite: it routes a value through memory and
 // derives the loop's next analysis snapshot from the current one.
+// Loop.CopyFrom makes an owned loop a copy of another in its own storage,
+// starting its snapshot from the source's, so the spill pass reuses one
+// working loop across calls.
 package ddg
 
 import (
@@ -143,6 +146,36 @@ func (l *Loop) Clone() *Loop {
 	out.Ops = append([]Op(nil), l.Ops...)
 	out.Edges = append([]Edge(nil), l.Edges...)
 	return out
+}
+
+// CopyFrom makes l a copy of src in l's own storage: src's name, trip
+// count, operations and edges, reusing l's slices. It installs a new
+// analysis snapshot that takes over the storage of l's old one (see
+// Analysis). When src holds a snapshot of its current shape with
+// successor lists and RecurrenceOps computed, the new snapshot starts from
+// it: copies of the edge lists, src's recurrence-op map shared read-only,
+// and each computed cycle model's RecPrio and RecMII, so a following Spill
+// derives instead of rebuilding. Validation, the topological order,
+// ASAP/ALAP and ResMII are recomputed on demand. Otherwise the snapshot
+// starts empty.
+//
+// A loop that is copied into again and again (the spill pass's working
+// loop) thus stops allocating storage proportional to its size once it
+// has grown to the largest loop it holds. src's snapshot is read under its
+// lock, so src may be shared; l must be owned by the caller, and slices
+// and maps read from l's snapshot before the copy are stale after it.
+func (l *Loop) CopyFrom(src *Loop) {
+	l.Name, l.Trips = src.Name, src.Trips
+	l.Ops = append(l.Ops[:0], src.Ops...)
+	l.Edges = append(l.Edges[:0], src.Edges...)
+	next := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
+	if old := l.analysis.Load(); old != nil {
+		old.handDown(next)
+	}
+	if a := src.analysis.Load(); a != nil {
+		a.copyTo(next)
+	}
+	l.analysis.Store(next)
 }
 
 // Preds returns, for each operation, the list of incoming edges. The

@@ -7,3 +7,16 @@ func HoldsSnapshot(l *Loop) bool {
 	a := l.analysis.Load()
 	return a != nil && a.nOps == len(l.Ops) && a.nEdges == len(l.Edges)
 }
+
+// StartedFromSource reports whether l's snapshot holds successor lists and
+// RecurrenceOps, without computing them: after a CopyFrom it tells a
+// snapshot started from the source's from an empty one.
+func StartedFromSource(l *Loop) bool {
+	a := l.analysis.Load()
+	if a == nil {
+		return false
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.haveSuccs && a.recOps != nil
+}

@@ -117,6 +117,7 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 	n := len(l.Ops)
 	next := &Analysis{
 		loop: l, nOps: n, nEdges: len(l.Edges),
+		preds: a.preds, succs: a.succs, havePreds: a.havePreds, haveSuccs: true,
 		recOps: a.recOps, topoZero: a.topoZero, cnt: a.cnt,
 		models: a.models, resMII: a.resMII,
 	}
@@ -127,14 +128,15 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 	// The successor lists exist (derivable found the recurrence ops, which
 	// are computed from them); the predecessor lists may not.
 	size := n - n0 - 1 + len(reroute)
-	if a.preds != nil {
+	if a.havePreds {
 		size += n - n0
 	}
 	slab := make([]Edge, 0, size)
 	// carve returns the edges appended to slab since start as one list.
 	carve := func(start int) []Edge { return slab[start:len(slab):len(slab)] }
 
-	if preds := a.preds; preds != nil {
+	if a.havePreds {
+		preds := a.preds.lists
 		// A consumer's k-th entry from def is its k-th rerouted edge.
 		for _, ei := range reroute {
 			e := l.Edges[ei]
@@ -150,12 +152,12 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 			slab = append(slab, e)
 			preds = append(preds, carve(len(slab)-1))
 		}
-		next.preds = preds
+		next.preds.lists = preds
 	}
 
 	// def keeps its edges into spill ops, and the edge to its store has
 	// the largest index.
-	succs := a.succs
+	succs := a.succs.lists
 	kept := succs[def][:0]
 	for _, e := range succs[def] {
 		if l.Ops[e.To].Spill {
@@ -175,7 +177,7 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 		}
 		succs = append(succs, carve(start))
 	}
-	next.succs = succs
+	next.succs.lists = succs
 
 	for _, ma := range next.models {
 		ma.haveASAP, ma.haveALAP = false, false
@@ -185,8 +187,6 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 	}
 	clear(next.resMII)
 
-	a.preds, a.succs, a.sccs, a.recOps = nil, nil, nil, nil
-	a.topoZero, a.haveTopo, a.cnt = nil, false, nil
-	a.models, a.resMII = nil, nil
+	a.giveUpLocked()
 	return next
 }

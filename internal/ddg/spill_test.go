@@ -247,7 +247,10 @@ func TestSpillValueNoConsumers(t *testing.T) {
 
 // FuzzSpillDerivesAnalysis spills random ops, recurrent or not, of
 // generated loops in a random order, and after every Spill that is
-// followed by a read compares the loop's analyses with a fresh build.
+// followed by a read compares the loop's analyses with a fresh build. It
+// then replays each loop's spill sequence on one working loop reused
+// across the input's loops, made a copy of the pristine loop with
+// CopyFrom, and checks the replay the same way and against the original.
 func FuzzSpillDerivesAnalysis(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(5), uint8(0), int64(1))
 	f.Add(int64(7), uint8(66), uint8(25), uint8(2), int64(3))
@@ -262,19 +265,42 @@ func FuzzSpillDerivesAnalysis(f *testing.F) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(order))
+		type step struct {
+			def  int
+			read bool
+		}
+		var w ddg.Loop
 		for _, src := range loops {
 			wl, _ := widen.Transform(src, 1<<(widthExp%4))
+			warm(wl)
+			wl.RecurrenceOps()
 			l := wl.Clone()
 			warm(l)
-			for step := 0; step < 12; step++ {
-				def := rng.Intn(len(l.Ops))
-				if rng.Intn(4) == 0 {
-					l.Spill(def) // chain without reading in between
+			var steps []step
+			for i := 0; i < 12; i++ {
+				s := step{rng.Intn(len(l.Ops)), rng.Intn(4) != 0}
+				steps = append(steps, s)
+				if !s.read {
+					l.Spill(s.def) // chain without reading in between
 					continue
 				}
-				spillAndCheck(t, l, def)
+				spillAndCheck(t, l, s.def)
 			}
 			checkAnalysis(t, l, l.Name+" at the end")
+
+			w.CopyFrom(wl)
+			checkAnalysis(t, &w, wl.Name+" copied")
+			for _, s := range steps {
+				if !s.read {
+					w.Spill(s.def)
+					continue
+				}
+				spillAndCheck(t, &w, s.def)
+			}
+			checkAnalysis(t, &w, wl.Name+" replayed at the end")
+			if !slices.Equal(w.Ops, l.Ops) || !slices.Equal(w.Edges, l.Edges) {
+				t.Fatalf("%s: the replay on the working loop differs from the original", wl.Name)
+			}
 		}
 	})
 }

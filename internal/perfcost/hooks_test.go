@@ -1,6 +1,7 @@
 package perfcost
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/machine"
@@ -64,5 +65,35 @@ func TestSteadyStateAllocsWarmEval(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { e.Evaluate(c, 64, 1) }); n != 0 {
 		t.Errorf("warm Evaluate allocates %v times, want 0", n)
+	}
+}
+
+// TestSteadyStateAllocsSpillStudy bounds what a cold SpillStudy of
+// Figure 3's nine configurations allocates on the 40-loop test workbench.
+// The batch clones and analyses each loop once per width, and the spill
+// pass copies each base loop into its pooled working loop and copies no
+// schedule out. Grouping by machine, with a fresh clone and analysis per
+// spilling call and a copied-out schedule, allocated 34 MB; the pooled
+// path measures 12 to 17. Each worker, and each P's pool, warms its own
+// scratch, so the bound holds for two Ps and two workers whatever the
+// host's CPU count (at eight it reads up to 20).
+func TestSteadyStateAllocsSpillStudy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var configs []machine.Config
+	for _, s := range []string{"2w1", "1w2", "4w1", "2w2", "1w4", "8w1", "4w2", "2w4", "1w8"} {
+		configs = append(configs, cfg(s))
+	}
+	e := testEngine(t, 40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.SpillStudy(configs)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("a cold SpillStudy allocates %.1f MB", mb)
+	if mb > 20 {
+		t.Errorf("a cold SpillStudy of Figure 3 allocates %.1f MB, want <= 20", mb)
 	}
 }

@@ -20,12 +20,14 @@
 // Suite results are cached by (config, registers, cycle model) — the
 // partition count affects only the cycle time — and the workbench is
 // evaluated on all CPUs. A loop's unconstrained (base) modulo schedule
-// depends only on the configuration and cycle model, so a batch
-// (SpillStudy, EvaluateMany) groups its cells by machine and schedules each
-// loop once per group: one task per loop computes the base schedule and
-// runs the spill pass from it for every register file of the group, and
-// the base schedule dies with the task. A loop that cannot be pipelined is
-// charged its base schedule's flat length.
+// depends only on the configuration and cycle model, and its widened form
+// and graph analysis only on the width and cycle model. So a batch
+// (SpillStudy, EvaluateMany) groups its cells by (width, cycle model): one
+// task per loop clones the widened loop once, computes the base schedule
+// of every machine of the group on that clone, and runs the spill pass
+// from each base for every register file of its machine; the clone and the
+// bases die with the task. A loop that cannot be pipelined is charged its
+// base schedule's flat length.
 package perfcost
 
 import (
@@ -35,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,9 +128,16 @@ type suiteKey struct {
 }
 
 // machineKey identifies a machine up to its register file: the peak
-// memo's key, and the group of a batch's suite cells.
+// memo's key.
 type machineKey struct {
 	buses, width, z int
+}
+
+// groupKey identifies a batch group: the suite cells of one width and
+// cycle model, which share each loop's widened clone and its analysis
+// whatever their bus counts.
+type groupKey struct {
+	width, z int
 }
 
 // Options configures an Engine.
@@ -414,12 +424,13 @@ type SuiteResult struct {
 // file size under a cycle model, with spill insertion. Results are cached
 // with singleflight semantics: a duplicate cell arriving on two goroutines
 // waits for the first computation instead of recomputing the schedule. It
-// is the one-register-file case of a batch: each loop's base schedule is
-// computed for this cell alone (see SpillStudy and EvaluateMany for cells
-// that share it).
+// is the one-machine, one-register-file case of a batch: each loop is
+// cloned and base-scheduled for this cell alone (see SpillStudy and
+// EvaluateMany for cells that share them).
 func (e *Engine) SuiteCycles(c machine.Config, regs int, model machine.CycleModel) SuiteResult {
-	return e.suites.Do(suiteKey{c.Buses, c.Width, regs, model.Z}, func() SuiteResult {
-		return e.loadOrComputeSuites(c, model, []int{regs})[0]
+	key := suiteKey{c.Buses, c.Width, regs, model.Z}
+	return e.suites.Do(key, func() SuiteResult {
+		return e.loadOrComputeSuites(model, []suiteKey{key})[0]
 	})
 }
 
@@ -430,19 +441,18 @@ type suiteCell struct {
 	model machine.CycleModel
 }
 
-// suiteBatch memoizes the suites of cells. It groups them by machine
-// (buses, width, cycle model) and claims each group's missing cells at
-// once, so every loop of a group is scheduled once for all the register
-// files it needs. Groups run concurrently; cells another caller holds are
-// waited for, not recomputed.
+// suiteBatch memoizes the suites of cells. It groups them by width and
+// cycle model and claims each group's missing cells with one DoMany, so
+// every loop of a group is cloned and analysed once for all the machines
+// and register files it needs. Groups run concurrently; cells another
+// caller holds are waited for, not recomputed.
 func (e *Engine) suiteBatch(cells []suiteCell) {
 	type group struct {
-		c     machine.Config
 		model machine.CycleModel
 		keys  []suiteKey
 	}
 	var groups []*group
-	byMachine := map[machineKey]*group{}
+	byWidth := map[groupKey]*group{}
 	seen := map[suiteKey]bool{}
 	for _, cell := range cells {
 		k := suiteKey{cell.c.Buses, cell.c.Width, cell.regs, cell.model.Z}
@@ -450,11 +460,11 @@ func (e *Engine) suiteBatch(cells []suiteCell) {
 			continue
 		}
 		seen[k] = true
-		mk := machineKey{k.buses, k.width, k.z}
-		g := byMachine[mk]
+		gk := groupKey{k.width, k.z}
+		g := byWidth[gk]
 		if g == nil {
-			g = &group{c: cell.c, model: cell.model}
-			byMachine[mk] = g
+			g = &group{model: cell.model}
+			byWidth[gk] = g
 			groups = append(groups, g)
 		}
 		g.keys = append(g.keys, k)
@@ -462,28 +472,28 @@ func (e *Engine) suiteBatch(cells []suiteCell) {
 	sweep.Each(e.workers, len(groups), func(i int) {
 		g := groups[i]
 		e.suites.DoMany(g.keys, func(missing []int) []SuiteResult {
-			regs := make([]int, len(missing))
+			keys := make([]suiteKey, len(missing))
 			for j, k := range missing {
-				regs[j] = g.keys[k].regs
+				keys[j] = g.keys[k]
 			}
-			return e.loadOrComputeSuites(g.c, g.model, regs)
+			return e.loadOrComputeSuites(g.model, keys)
 		})
 	})
 }
 
-// loadOrComputeSuites returns the suites of one machine's register files,
-// which the caller holds claimed in the singleflight, so at most one
+// loadOrComputeSuites returns the suites of keys, cells of one width under
+// model, which the caller holds claimed in the singleflight, so at most one
 // goroutine per cell reads or writes the persistent store. Each cell is
 // read from and written to the disk layer on its own; the cells not on
 // disk are computed together.
-func (e *Engine) loadOrComputeSuites(c machine.Config, model machine.CycleModel, regs []int) []SuiteResult {
-	out := make([]SuiteResult, len(regs))
-	keys := make([]string, len(regs))
-	var todo []int // indices into regs of the cells to compute
-	for i, r := range regs {
-		dk, persist := e.cellKey("suite", c.Buses, c.Width, r, model.Z)
+func (e *Engine) loadOrComputeSuites(model machine.CycleModel, keys []suiteKey) []SuiteResult {
+	out := make([]SuiteResult, len(keys))
+	diskKeys := make([]string, len(keys))
+	var todo []int // indices into keys of the cells to compute
+	for i, k := range keys {
+		dk, persist := e.cellKey("suite", k.buses, k.width, k.regs, k.z)
 		if persist {
-			keys[i] = dk
+			diskKeys[i] = dk
 			var cached SuiteResult
 			if e.cacheLoad(dk, &cached) {
 				out[i] = cached
@@ -495,30 +505,44 @@ func (e *Engine) loadOrComputeSuites(c machine.Config, model machine.CycleModel,
 	if len(todo) == 0 {
 		return out
 	}
-	compute := make([]int, len(todo))
+	compute := make([]suiteKey, len(todo))
 	for j, i := range todo {
-		compute[j] = regs[i]
+		compute[j] = keys[i]
 	}
-	for j, r := range e.computeSuites(c, model, compute) {
+	for j, r := range e.computeSuites(model, compute) {
 		i := todo[j]
 		out[i] = r
-		if keys[i] != "" {
-			e.cacheStore(keys[i], r)
+		if diskKeys[i] != "" {
+			e.cacheStore(diskKeys[i], r)
 		}
 	}
 	return out
 }
 
-// computeSuites schedules the workbench on XwY under a cycle model for
-// each register file size in regs. One task per loop clones the widened
-// loop, computes its base schedule (which does not depend on the register
-// file) and runs the spill pass from it for every size; the base dies with
-// the task.
-func (e *Engine) computeSuites(c machine.Config, model machine.CycleModel, regs []int) []SuiteResult {
-	e.suiteComputes.Add(int64(len(regs)))
-	loops := e.widenedLoops(c.Width)
-	// The base schedule ignores the register file; any valid size will do.
-	unbounded := machine.New(c, 1<<20, model)
+// computeSuites schedules the workbench for each cell of keys, cells of
+// one width under model. One task per loop clones the widened loop, then
+// computes the base schedule of each machine (bus count) of the cells on
+// that clone, back to back: the machines share the clone's analysis, and
+// the pooled scheduling workspace's HRMS order, which depends on the loop
+// and cycle model only, can serve the next bus count. It then runs the
+// spill pass from each base for every register file of its machine. The
+// clone and the bases die with the task.
+func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []SuiteResult {
+	e.suiteComputes.Add(int64(len(keys)))
+	width := keys[0].width
+	loops := e.widenedLoops(width)
+
+	// The cells' bus counts in first-seen order; machineOf[k] indexes them.
+	var buses []int
+	machineOf := make([]int, len(keys))
+	for k, key := range keys {
+		j := slices.Index(buses, key.buses)
+		if j < 0 {
+			j = len(buses)
+			buses = append(buses, key.buses)
+		}
+		machineOf[k] = j
+	}
 
 	type partial struct {
 		cycles   float64
@@ -527,22 +551,28 @@ func (e *Engine) computeSuites(c machine.Config, model machine.CycleModel, regs 
 		spillOps int
 		exact    bool
 	}
-	// parts[k*len(loops)+i] is loop i under register file regs[k].
-	parts := make([]partial, len(regs)*len(loops))
+	// parts[k*len(loops)+i] is loop i in cell keys[k].
+	parts := make([]partial, len(keys)*len(loops))
 	e.eachLoop(len(loops), func(i int) {
-		base, err := sched.ModuloSchedule(loops[i].Clone(), unbounded, nil)
-		if err != nil {
-			// No schedule at all: a failure that costs nothing.
-			for k := range regs {
-				parts[k*len(loops)+i].failed = true
-			}
-			return
+		l := loops[i].Clone()
+		// The base schedule ignores the register file; any valid size
+		// will do. A machine without one fails every cell at no cost.
+		bases := make([]*sched.Schedule, len(buses))
+		for j, b := range buses {
+			unbounded := machine.New(machine.Config{Buses: b, Width: width}, 1<<20, model)
+			bases[j], _ = sched.ModuloSchedule(l, unbounded, nil)
 		}
 		trips := float64(e.loops[i].Trips)
-		for k, r := range regs {
+		for k, key := range keys {
 			p := &parts[k*len(loops)+i]
-			m := machine.New(c, r, model)
-			res, err := spill.ScheduleFrom(base, m, nil)
+			b := bases[machineOf[k]]
+			if b == nil {
+				p.failed = true
+				continue
+			}
+			c := machine.Config{Buses: key.buses, Width: width}
+			m := machine.New(c, key.regs, model)
+			res, err := spill.ScheduleFrom(b, m, nil)
 			if err != nil || !res.OK {
 				// Charge the loop its non-pipelined cost: one flat
 				// schedule span per (unrolled) iteration, the base
@@ -550,20 +580,20 @@ func (e *Engine) computeSuites(c machine.Config, model machine.CycleModel, regs 
 				// flat schedule are not re-checked — the abstraction
 				// here is "the compiler emits unpipelined code".
 				p.failed = true
-				p.cycles = trips * float64(base.Length()) / float64(c.Width)
+				p.cycles = trips * float64(b.Length()) / float64(width)
 				continue
 			}
-			p.cycles = trips * float64(res.II()) / float64(c.Width)
+			p.cycles = trips * float64(res.II()) / float64(width)
 			p.spilled = res.SpillStores+res.SpillLoads > 0
 			p.spillOps = res.SpillStores + res.SpillLoads
-			if e.backend == BackendExact && base.Loop.NumOps() <= e.exactMaxOps {
+			if e.backend == BackendExact && l.NumOps() <= e.exactMaxOps {
 				// Exact refinement is accepted only when it is a strictly
 				// better feasible schedule whose register packing fits the
 				// file without spilling — it can never make a cell worse.
 				eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps}
-				if er, xerr := exact.Solve(base.Loop, m, &eo); xerr == nil &&
+				if er, xerr := exact.Solve(l, m, &eo); xerr == nil &&
 					er.II < res.II() && er.MinRegs <= m.RF.Regs {
-					p.cycles = trips * float64(er.II) / float64(c.Width)
+					p.cycles = trips * float64(er.II) / float64(width)
 					p.spilled = false
 					p.spillOps = 0
 					p.exact = true
@@ -572,8 +602,8 @@ func (e *Engine) computeSuites(c machine.Config, model machine.CycleModel, regs 
 		}
 	})
 
-	out := make([]SuiteResult, len(regs))
-	for k := range regs {
+	out := make([]SuiteResult, len(keys))
+	for k := range keys {
 		// Accumulate in loop order so the totals are bit-identical no
 		// matter how the parallel schedule interleaved.
 		res := &out[k]
@@ -711,11 +741,11 @@ func (e *Engine) EvaluateWithModel(c machine.Config, regs, partitions int, model
 
 // EvaluateMany prices and times a whole panel of design cells, returning
 // points in submission order. The panel's suites are scheduled as one
-// batch: cells that share a machine (buses, width and the cycle model
-// their access time selects) share each loop's base schedule, and
-// overlapping panels coalesce on the engine's schedule cache, so each
-// unique cell is scheduled exactly once no matter how many drivers
-// request it.
+// batch: cells that share a width and the cycle model their access time
+// selects share each loop's widened clone and its analysis, cells that
+// also share a bus count share its base schedule, and overlapping panels
+// coalesce on the engine's schedule cache, so each unique cell is
+// scheduled exactly once no matter how many drivers request it.
 func (e *Engine) EvaluateMany(cells []sweep.Cell) []Point {
 	batch := make([]suiteCell, len(cells))
 	for i, c := range cells {
@@ -795,8 +825,10 @@ type SpillRow struct {
 // SpillStudy computes Figure 3 for the given configurations. All
 // (configuration, register file) suites — the baseline included — are
 // scheduled as one batch before the rows are assembled in submission
-// order: each configuration's loops are scheduled once, and the spill
-// pass runs from that base schedule for every register file size.
+// order: the configurations of one width share each loop's widened clone
+// and its analysis, each configuration's loops are base-scheduled once,
+// and the spill pass runs from that base schedule for every register file
+// size.
 func (e *Engine) SpillStudy(configs []machine.Config) []SpillRow {
 	baseCfg := machine.Config{Buses: 1, Width: 1}
 	cells := []suiteCell{{baseCfg, 256, machine.FourCycle}}

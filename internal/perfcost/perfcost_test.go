@@ -196,10 +196,12 @@ func TestSpillStudyShape(t *testing.T) {
 // path: every suite SpillStudy schedules from a shared base schedule equals
 // a fresh engine's SuiteCycles for the same cell. 1w8 at 32 and 64
 // registers takes the flat fallback (10 and 1 loops), and 8w1 spills
-// heavily at every size. The exact backend repeats the check on a small
-// workbench, where refinement replaces a heuristic schedule.
+// heavily at every size. With the 1w1 baseline, 4w1 and 8w1 make one width
+// group span three bus counts, whose base schedules share each loop's
+// clone. The exact backend repeats the check on a small workbench, where
+// refinement replaces a heuristic schedule.
 func TestSpillStudyMatchesSuiteCycles(t *testing.T) {
-	configs := []machine.Config{cfg("1w8"), cfg("8w1")}
+	configs := []machine.Config{cfg("1w8"), cfg("4w1"), cfg("8w1")}
 	for _, tc := range []struct {
 		name    string
 		loops   int

@@ -15,6 +15,13 @@
 // II, which lowers the overlap and hence the pressure. A loop that still
 // does not fit is reported as unschedulable — exactly what the paper
 // observes for the 8w1 configuration with a 32-register file.
+//
+// The pass works in pooled scratch: spill code goes into a working loop
+// that is copied from the base loop (ddg.Loop.CopyFrom) in the scratch's
+// own storage, and every reschedule writes into one schedule buffer.
+// ScheduleFrom, the batch entry point, reports the outcome and copies
+// nothing out; Schedule returns private copies of the accepted schedule
+// and loop.
 package spill
 
 import (
@@ -47,11 +54,12 @@ type Result struct {
 	// OK is false when the loop cannot be scheduled within the register
 	// file even with spill code and II growth.
 	OK bool
-	// Sched is the final schedule (nil when !OK): the base schedule itself
-	// when it already fits, otherwise a copy the pass does not reuse.
+	// Sched is the final schedule from Schedule (nil when !OK): the base
+	// schedule itself when it already fits, otherwise a private copy.
+	// ScheduleFrom leaves it nil.
 	Sched *sched.Schedule
-	// Loop is the final loop including spill code (nil when !OK). It is
-	// always Sched.Loop: the base schedule's loop when no spill code was
+	// Loop is the final loop including spill code: Sched.Loop, and nil
+	// when Sched is. It is the base schedule's loop when no spill code was
 	// kept (the base fits, or the pass grew the pristine loop's II), a
 	// private clone otherwise.
 	Loop *ddg.Loop
@@ -61,26 +69,32 @@ type Result struct {
 	SpillStores, SpillLoads int
 	// Rounds is the number of spill-reschedule iterations used.
 	Rounds int
+
+	ii int // the accepted schedule's II
 }
 
-// II returns the final initiation interval.
-func (r Result) II() int {
-	if r.Sched == nil {
-		return 0
-	}
-	return r.Sched.II
+// II returns the final initiation interval (0 when !OK).
+func (r Result) II() int { return r.ii }
+
+// accept returns r marked OK with s, the accepted schedule.
+func (r Result) accept(s *sched.Schedule) Result {
+	r.OK, r.ii = true, s.II
+	return r
 }
 
-// scratch is the probe state of one pass: a lifetime set with a search
-// permanently bound to it, the schedule every reschedule writes into, and
-// the candidate list each round ranks. Pooling it removes the per-call
-// allocations of a warm engine's spill probes; only an accepted schedule
-// is copied out.
+// scratch is the working state of one pass: a lifetime set with a search
+// permanently bound to it, the schedule every reschedule writes into, the
+// candidate list each round ranks, and the working loop spill code goes
+// into. Pooling it removes the per-call allocations of a warm engine's
+// spill probes.
 type scratch struct {
 	ls     lifetimes.Set
 	search *regalloc.Search
 	buf    sched.Schedule
 	cands  []candidate
+	loop   ddg.Loop
+	// copied records that loop holds a copy made during this call.
+	copied bool
 }
 
 func newScratch() *scratch {
@@ -91,50 +105,94 @@ func newScratch() *scratch {
 
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
-// accept returns res marked OK with the schedule s, cloned out of the
-// buffer when the pass scheduled it there.
-func (scr *scratch) accept(res Result, s *sched.Schedule) Result {
-	if s == &scr.buf {
-		s = s.Clone()
+// noLoop is the empty loop release copies into the working loop. Nothing
+// writes it.
+var noLoop ddg.Loop
+
+// working returns the working loop, made a copy of l.
+func (scr *scratch) working(l *ddg.Loop) *ddg.Loop {
+	scr.loop.CopyFrom(l)
+	scr.copied = true
+	return &scr.loop
+}
+
+// release returns the scratch to the pool without keeping the caller's
+// loops reachable: the buffer forgets its loop, and the working loop,
+// whose snapshot shares the base loop's recurrence-op map, is emptied
+// (keeping its storage for the next call).
+func (scr *scratch) release() {
+	scr.buf.Loop = nil
+	if scr.copied {
+		scr.loop.CopyFrom(&noLoop)
+		scr.copied = false
 	}
-	res.OK, res.Sched, res.Loop = true, s, s.Loop
-	return res
+	scratchPool.Put(scr)
 }
 
 // Schedule software-pipelines the loop under the machine's register file
 // size, allocating registers end-fit. The loop must already be
-// width-transformed for the machine; it is never modified. Schedule is
-// ScheduleFrom over a base schedule of a clone of l.
+// width-transformed for the machine; it is never modified. Schedule runs
+// the pass of ScheduleFrom over a base schedule of a clone of l, and its
+// Result carries private copies of the accepted schedule and loop, which
+// later calls never touch.
 func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
-	var ws *sched.Workspace
-	if opts != nil {
-		ws = opts.Workspace
-	}
+	ws := workspace(opts)
 	base, err := sched.ModuloSchedule(l.Clone(), m, &sched.Options{Workspace: ws})
 	if err != nil {
 		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
 	}
-	return ScheduleFrom(base, m, opts)
+	scr := scratchPool.Get().(*scratch)
+	defer scr.release()
+	res, s, err := scr.pass(base, m, ws)
+	if err != nil || !res.OK {
+		return res, err
+	}
+	if s == &scr.buf {
+		s = s.Clone()
+	}
+	if s.Loop == &scr.loop {
+		s.Loop = scr.loop.Clone()
+	}
+	res.Sched, res.Loop = s, s.Loop
+	return res, nil
 }
 
 // ScheduleFrom is Schedule starting from base, the unconstrained modulo
 // schedule of base.Loop on m's buses, FPUs and cycle model. The base
 // schedule does not depend on the register file, so a caller that
 // evaluates one loop under several register files schedules it once and
-// runs the pass once per file. The pass never modifies base or base.Loop:
-// spill code goes into a clone. ScheduleFrom returns an error when m is
-// invalid or base targets another machine.
+// runs the pass once per file. The pass never modifies base or base.Loop.
+// ScheduleFrom reports the outcome only: OK, II, BaseII, the spill counts
+// and Rounds. Its Result carries no schedule or loop (Sched and Loop are
+// nil), because the accepted schedule lives in the pass's pooled scratch.
+// ScheduleFrom returns an error when m is invalid or base targets another
+// machine.
 func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Result, error) {
+	scr := scratchPool.Get().(*scratch)
+	defer scr.release()
+	res, _, err := scr.pass(base, m, workspace(opts))
+	return res, err
+}
+
+// workspace returns the scheduling workspace opts supplies, if any.
+func workspace(opts *Options) *sched.Workspace {
+	if opts == nil {
+		return nil
+	}
+	return opts.Workspace
+}
+
+// pass is the spill pass of both entry points, run in the scratch. It
+// returns the result, with Sched and Loop unset, and the accepted schedule
+// (nil when !OK): base itself, or the scratch's buffer, whose loop is
+// base.Loop or the working loop.
+func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Workspace) (Result, *sched.Schedule, error) {
 	if err := m.Validate(); err != nil {
-		return Result{}, fmt.Errorf("spill: %w", err)
+		return Result{}, nil, fmt.Errorf("spill: %w", err)
 	}
 	if buses, fpus := m.Slots(); base.Buses != buses || base.FPUs != fpus || base.Model != m.Model {
-		return Result{}, fmt.Errorf("spill: base schedule targets %d buses, %d FPUs and z=%d, machine %s has %d, %d and z=%d",
+		return Result{}, nil, fmt.Errorf("spill: base schedule targets %d buses, %d FPUs and z=%d, machine %s has %d, %d and z=%d",
 			base.Buses, base.FPUs, base.Model.Z, m, buses, fpus, m.Model.Z)
-	}
-	var ws *sched.Workspace
-	if opts != nil {
-		ws = opts.Workspace
 	}
 	avail := m.RF.Regs
 	l := base.Loop
@@ -144,14 +202,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 	// One lifetime set and one allocator search are reused across every
 	// spill round and every candidate II of the growth fallbacks: each
 	// probe rebinds them instead of recomputing orders and reallocating
-	// scratch. Every reschedule writes into the scratch's schedule buffer,
-	// and the accepted one is cloned out. The scratch is pooled across
-	// calls: nothing below retains it past the return.
-	scr := scratchPool.Get().(*scratch)
-	defer func() {
-		scr.buf.Loop = nil // do not pin the last spilled loop in the pool
-		scratchPool.Put(scr)
-	}()
+	// scratch. Every reschedule writes into the scratch's schedule buffer.
 	ls, search := &scr.ls, scr.search
 
 	// Spill rounds interleaved with II escalation: spilling trims long
@@ -162,7 +213,8 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 	// buses, stretching the very lifetimes being spilled). The II may
 	// grow to 8x the first feasible II plus 16; a loop that does not fit
 	// within that bound is reported unschedulable. Round 0 probes base
-	// itself; cur becomes a private clone before the first spill.
+	// itself; cur becomes the working loop, a copy of l, before the first
+	// spill.
 	cur, s := l, base
 	minII := 0
 	capII := res.BaseII*8 + 16
@@ -175,7 +227,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 		lifetimes.ComputeInto(ls, s)
 		search.Reset(ls)
 		if search.Fits(avail, regalloc.EndFit) {
-			return scr.accept(res, s), nil
+			return res.accept(s), s, nil
 		}
 		if round == maxRounds {
 			break
@@ -201,7 +253,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 				k = 16
 			}
 			if cur == l {
-				cur = l.Clone()
+				cur = scr.working(l)
 			}
 			for _, c := range cands[:k] {
 				st, lds := cur.Spill(c.op)
@@ -214,7 +266,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 		var err error
 		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: ws, Into: &scr.buf})
 		if err != nil {
-			return Result{}, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
+			return Result{}, nil, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
 		}
 	}
 
@@ -227,7 +279,7 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 		maxII = alt
 	}
 	if g := growII(cur, m, ws, avail, s.II+1, maxII, scr); g != nil {
-		return scr.accept(res, g), nil
+		return res.accept(g), g, nil
 	}
 
 	// Fallback 2: abandon the spill code and grow the II of the original
@@ -237,16 +289,17 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 	// spilling dug into a hole.
 	if g := growII(l, m, ws, avail, res.BaseII+1, capII, scr); g != nil {
 		res.SpillStores, res.SpillLoads = 0, 0
-		return scr.accept(res, g), nil
+		return res.accept(g), g, nil
 	}
 
 	// Fallback 3: the pressure that survives any II is the values consumed
 	// in later iterations (each holds ~distance registers forever). Spill
 	// exactly those — identified straight off the graph — and grow the II
-	// of the result; at a large II the extra memory traffic is free.
-	// Every value is picked off the graph before the first spill, which
-	// rewrites cur3 and its analysis.
-	cur3 := l.Clone()
+	// of the result; at a large II the extra memory traffic is free. cur
+	// is dead, so the working loop becomes a fresh copy of l. Every value
+	// is picked off the graph before the first spill, which rewrites cur3
+	// and its analysis.
+	cur3 := scr.working(l)
 	rec := cur3.RecurrenceOps()
 	succs := cur3.Succs()
 	var carried []int
@@ -270,12 +323,10 @@ func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Resul
 	if stores3 > 0 {
 		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, scr); g != nil {
 			res.SpillStores, res.SpillLoads = stores3, loads3
-			return scr.accept(res, g), nil
+			return res.accept(g), g, nil
 		}
 	}
-
-	res.OK = false
-	return res, nil
+	return res, nil, nil
 }
 
 // growII returns the schedule at the smallest II in [startII, maxII] at

@@ -3,12 +3,15 @@ package spill
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/ddg"
 	"repro/internal/lifetimes"
 	"repro/internal/machine"
+	"repro/internal/mrt"
 	"repro/internal/regalloc"
 	"repro/internal/sched"
 	"repro/internal/widen"
@@ -278,7 +281,7 @@ func TestWideRegistersReduceSpill(t *testing.T) {
 	}
 }
 
-// sameResult reports how two results of the pass differ, or "".
+// sameResult reports how the outcomes of two results differ, or "".
 func sameResult(a, b Result) string {
 	switch {
 	case a.OK != b.OK || a.II() != b.II() || a.BaseII != b.BaseII || a.Rounds != b.Rounds:
@@ -286,18 +289,73 @@ func sameResult(a, b Result) string {
 			a.OK, b.OK, a.II(), b.II(), a.BaseII, b.BaseII, a.Rounds, b.Rounds)
 	case a.SpillStores != b.SpillStores || a.SpillLoads != b.SpillLoads:
 		return fmt.Sprintf("spill %d+%d / %d+%d", a.SpillStores, a.SpillLoads, b.SpillStores, b.SpillLoads)
-	case a.OK && !slices.Equal(a.Sched.Time, b.Sched.Time):
-		return fmt.Sprintf("times %v / %v", a.Sched.Time, b.Sched.Time)
-	case a.OK && a.Loop != a.Sched.Loop:
-		return "Loop is not Sched.Loop"
 	}
 	return ""
+}
+
+// sameSchedule reports how two schedules differ in II, times or
+// reservations, or "".
+func sameSchedule(a, b *sched.Schedule) string {
+	switch {
+	case (a == nil) != (b == nil):
+		return fmt.Sprintf("schedule %v / %v", a != nil, b != nil)
+	case a == nil:
+		return ""
+	case a.II != b.II || !slices.Equal(a.Time, b.Time):
+		return fmt.Sprintf("II %d / %d, times %v / %v", a.II, b.II, a.Time, b.Time)
+	}
+	sameRes := func(x, y mrt.Reservation) bool { return x.Class == y.Class && slices.Equal(x.Spans, y.Spans) }
+	if !slices.EqualFunc(a.Res, b.Res, sameRes) {
+		return fmt.Sprintf("reservations %v / %v", a.Res, b.Res)
+	}
+	return ""
+}
+
+// passFrom runs ScheduleFrom's pass from base and also returns a copy of
+// the schedule it accepted (nil when !OK), whose loop must not be read:
+// it may be the scratch's working loop.
+func passFrom(base *sched.Schedule, m machine.Machine) (Result, *sched.Schedule, error) {
+	scr := scratchPool.Get().(*scratch)
+	defer scr.release()
+	res, s, err := scr.pass(base, m, nil)
+	if s != nil {
+		s = s.Clone()
+	}
+	return res, s, err
+}
+
+// checkFrom runs ScheduleFrom from base and checks it against want, the
+// Schedule result for the same loop and machine: the same outcome, no
+// schedule or loop, and, through the pass, the same accepted schedule.
+func checkFrom(base *sched.Schedule, m machine.Machine, want Result) (Result, string) {
+	got, err := ScheduleFrom(base, m, nil)
+	if err != nil {
+		return got, err.Error()
+	}
+	if d := sameResult(got, want); d != "" {
+		return got, "ScheduleFrom differs from Schedule: " + d
+	}
+	if got.Sched != nil || got.Loop != nil {
+		return got, "ScheduleFrom returned a schedule or a loop"
+	}
+	res, s, err := passFrom(base, m)
+	if err != nil {
+		return got, err.Error()
+	}
+	if d := sameResult(res, want); d != "" {
+		return got, "the pass differs from Schedule: " + d
+	}
+	if d := sameSchedule(s, want.Sched); d != "" {
+		return got, "the pass accepted another schedule than Schedule: " + d
+	}
+	return got, ""
 }
 
 // Property: on random loops and small register files, the pass terminates
 // with a consistent result: either OK with a validating schedule that fits,
 // or a clean failure. ScheduleFrom over a base schedule of a clone of the
-// loop returns the same result as Schedule.
+// loop reports the same outcome as Schedule, and its pass accepts the same
+// schedule.
 func TestSpillRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 60; trial++ {
@@ -334,15 +392,14 @@ func TestSpillRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rf, err := ScheduleFrom(base, m, nil)
-		if err != nil {
-			t.Fatalf("trial %d: ScheduleFrom: %v", trial, err)
-		}
-		if d := sameResult(rf, r); d != "" {
-			t.Fatalf("trial %d: ScheduleFrom differs from Schedule: %s", trial, d)
+		if _, d := checkFrom(base, m, r); d != "" {
+			t.Fatalf("trial %d: %s", trial, d)
 		}
 		if !r.OK {
 			continue
+		}
+		if r.Loop != r.Sched.Loop {
+			t.Fatalf("trial %d: Loop is not Sched.Loop", trial)
 		}
 		if err := r.Sched.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -356,66 +413,175 @@ func TestSpillRandomProperty(t *testing.T) {
 	}
 }
 
-// TestScheduleFromSharedBase runs the pass the way a batch does: one base
-// schedule per loop of a default-workbench slice widened for 4w2, reused
-// for every register file size. Each result equals Schedule's, base and its
-// loop are never modified, and every returned schedule still validates,
-// unchanged, after all the later calls on this goroutine (which reuse the
-// pass's pooled buffer).
-func TestScheduleFromSharedBase(t *testing.T) {
-	w, err := workload.Build("default", 30, 0)
+// sharedBases returns the first n loops of the default workbench widened
+// for cfg, with one base schedule each under the 4-cycle model.
+func sharedBases(t *testing.T, n int, cfg machine.Config) []*sched.Schedule {
+	t.Helper()
+	w, err := workload.Build("default", n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := machine.Config{Buses: 4, Width: 2}
-	type kept struct {
-		r    Result
-		time []int
-	}
-	var results []kept
-	spilled := 0
-	for _, src := range w.Loops {
+	bases := make([]*sched.Schedule, len(w.Loops))
+	for i, src := range w.Loops {
 		l, _ := widen.Transform(src, cfg.Width)
-		base, err := sched.ModuloSchedule(l.Clone(), machine.New(cfg, 1<<20, machine.FourCycle), nil)
+		bases[i], err = sched.ModuloSchedule(l, machine.New(cfg, 1<<20, machine.FourCycle), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseTime, ops, edges := slices.Clone(base.Time), len(base.Loop.Ops), slices.Clone(base.Loop.Edges)
+	}
+	return bases
+}
+
+// TestScheduleFromSharedBase runs the pass the way a batch does: one base
+// schedule per loop of a default-workbench slice widened for 4w2, reused
+// for every register file size. Each result equals Schedule's, and base
+// and its loop are never modified.
+func TestScheduleFromSharedBase(t *testing.T) {
+	cfg := machine.Config{Buses: 4, Width: 2}
+	spilled := 0
+	for _, base := range sharedBases(t, 30, cfg) {
+		l := base.Loop
+		baseTime, ops, edges := slices.Clone(base.Time), len(l.Ops), slices.Clone(l.Edges)
 		for _, regs := range []int{32, 64} {
 			m := machine.New(cfg, regs, machine.FourCycle)
-			got, err := ScheduleFrom(base, m, nil)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", l.Name, regs, err)
-			}
 			want, err := Schedule(l, m, nil)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", l.Name, regs, err)
 			}
-			if d := sameResult(got, want); d != "" {
-				t.Fatalf("%s/%d: ScheduleFrom differs from Schedule: %s", l.Name, regs, d)
+			got, d := checkFrom(base, m, want)
+			if d != "" {
+				t.Fatalf("%s/%d: %s", l.Name, regs, d)
 			}
 			if got.SpillStores > 0 {
 				spilled++
 			}
-			if got.OK {
-				results = append(results, kept{got, slices.Clone(got.Sched.Time)})
-			}
 		}
-		if !slices.Equal(base.Time, baseTime) || len(base.Loop.Ops) != ops || !slices.Equal(base.Loop.Edges, edges) {
+		if !slices.Equal(base.Time, baseTime) || len(l.Ops) != ops || !slices.Equal(l.Edges, edges) {
 			t.Fatalf("%s: the pass modified its base schedule or loop", l.Name)
 		}
 	}
 	if spilled == 0 {
 		t.Fatal("premise broken: no loop spilled at 4w2 with 32 registers")
 	}
-	for _, k := range results {
-		if err := k.r.Sched.Validate(); err != nil {
-			t.Errorf("%s: a returned schedule no longer validates: %v", k.r.Loop.Name, err)
-		}
-		if !slices.Equal(k.r.Sched.Time, k.time) {
-			t.Errorf("%s: a returned schedule changed under later calls", k.r.Loop.Name)
+}
+
+// TestScheduleResultsOutliveScratch: Schedule's results are private. Every
+// result kept across the later calls on other loops (which reuse the
+// pass's pooled scratch) still validates, is unchanged, and holds a loop
+// that is not the scratch's working loop.
+func TestScheduleResultsOutliveScratch(t *testing.T) {
+	w, err := workload.Build("default", 30, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := machine.Config{Buses: 4, Width: 2}
+	type kept struct {
+		r     Result
+		time  []int
+		ops   []ddg.Op
+		edges []ddg.Edge
+	}
+	var results []kept
+	spilled := 0
+	for _, src := range w.Loops {
+		l, _ := widen.Transform(src, cfg.Width)
+		for _, regs := range []int{32, 64} {
+			r, err := Schedule(l, machine.New(cfg, regs, machine.FourCycle), nil)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", l.Name, regs, err)
+			}
+			if !r.OK {
+				continue
+			}
+			if r.SpillStores > 0 {
+				spilled++
+			}
+			results = append(results, kept{r, slices.Clone(r.Sched.Time), slices.Clone(r.Loop.Ops), slices.Clone(r.Loop.Edges)})
 		}
 	}
+	if spilled == 0 {
+		t.Fatal("premise broken: no kept result carries spill code")
+	}
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	for _, k := range results {
+		name := k.r.Loop.Name
+		if k.r.Loop == &scr.loop || k.r.Sched.Loop != k.r.Loop {
+			t.Fatalf("%s: a result holds the scratch's working loop or another loop than its schedule's", name)
+		}
+		if err := k.r.Sched.Validate(); err != nil {
+			t.Errorf("%s: a returned schedule no longer validates: %v", name, err)
+		}
+		if !slices.Equal(k.r.Sched.Time, k.time) || !slices.Equal(k.r.Loop.Ops, k.ops) || !slices.Equal(k.r.Loop.Edges, k.edges) {
+			t.Errorf("%s: a returned schedule or loop changed under later calls", name)
+		}
+	}
+}
+
+// TestScratchReleasesLoops: a call that spilled returns its scratch to the
+// pool holding neither the caller's loop nor a copy of it: the buffer has
+// no loop, and the working loop, whose snapshot shared the base loop's
+// recurrence-op map, is empty.
+func TestScratchReleasesLoops(t *testing.T) {
+	l := carriedLoop(12)
+	m := machine.New(machine.Config{Buses: 2, Width: 1}, 12, machine.FourCycle)
+	base, err := sched.ModuloSchedule(l, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := ScheduleFrom(base, m, nil)
+	if err != nil || r.SpillStores == 0 {
+		t.Fatalf("premise broken: ScheduleFrom = %+v, %v; want spill code", r, err)
+	}
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	if scr.buf.Loop != nil || scr.copied || scr.loop.Name != "" || len(scr.loop.Ops) != 0 || len(scr.loop.Edges) != 0 {
+		t.Fatalf("the pooled scratch keeps a loop: buffer loop %v, working loop %q with %d ops",
+			scr.buf.Loop != nil, scr.loop.Name, len(scr.loop.Ops))
+	}
+}
+
+// TestScheduleFromConcurrent: goroutines running ScheduleFrom over shared
+// base schedules, each with its own pooled scratch, report exactly what a
+// sequential run reports.
+func TestScheduleFromConcurrent(t *testing.T) {
+	cfg := machine.Config{Buses: 4, Width: 2}
+	bases := sharedBases(t, 20, cfg)
+	regs := []int{32, 64}
+	want := make([]Result, len(bases)*len(regs))
+	for i, base := range bases {
+		for k, r := range regs {
+			res, err := ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i*len(regs)+k] = res
+		}
+	}
+	const workers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each worker starts at another cell, so the calls overlap on
+			// different bases as well as on the same ones.
+			for j := range want {
+				c := (j + g*len(want)/workers) % len(want)
+				base, r := bases[c/len(regs)], regs[c%len(regs)]
+				got, err := ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle), nil)
+				if err != nil {
+					t.Errorf("worker %d: %s/%d: %v", g, base.Loop.Name, r, err)
+					return
+				}
+				if d := sameResult(got, want[c]); d != "" {
+					t.Errorf("worker %d: %s/%d differs from the sequential run: %s", g, base.Loop.Name, r, d)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestScheduleFromRejectsOtherMachine: a base schedule made for another
@@ -439,5 +605,60 @@ func TestScheduleFromRejectsOtherMachine(t *testing.T) {
 	}
 	if _, err := ScheduleFrom(base, mach("2w1", 32), nil); err != nil {
 		t.Errorf("matching machine: %v", err)
+	}
+}
+
+// TestSteadyStateAllocsScheduleFromBytes bounds the bytes a warm
+// ScheduleFrom allocates per inserted spill operation, over the loops of
+// the 40-loop default slice that spill at 2w4 with 32 registers. The pass
+// copies the base loop into its pooled working loop and copies no schedule
+// out, so what remains is each spill's new operation names, its derived
+// snapshot and that snapshot's small edge slab. A fresh loop clone with a
+// rebuilt analysis per call and a copied-out schedule cost 1605 bytes per
+// spill operation; the pooled pass measures 206.
+func TestSteadyStateAllocsScheduleFromBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	cfg := machine.Config{Buses: 2, Width: 4}
+	m := machine.New(cfg, 32, machine.FourCycle)
+	var spilling []*sched.Schedule
+	spillOps := 0
+	for _, base := range sharedBases(t, 40, cfg) {
+		r, err := ScheduleFrom(base, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.SpillStores + r.SpillLoads; n > 0 {
+			spilling = append(spilling, base)
+			spillOps += n
+		}
+	}
+	if len(spilling) < 10 {
+		t.Fatalf("premise broken: %d loops spill at 2w4 with 32 registers, want at least 10", len(spilling))
+	}
+	run := func() {
+		for _, base := range spilling {
+			if _, err := ScheduleFrom(base, m, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // warm the pooled scratch for the largest loop
+	// The least of three runs: a run that happens to meet a collection of
+	// the pools pays for refilling them.
+	var best uint64 = 1<<64 - 1
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	perOp := float64(best) / float64(spillOps)
+	t.Logf("%.0f bytes per spill operation (%d bytes, %d operations over %d loops)", perOp, best, spillOps, len(spilling))
+	if perOp > 256 {
+		t.Errorf("a warm ScheduleFrom allocates %.0f bytes per spill operation (%d bytes, %d operations over %d loops), want <= 256",
+			perOp, best, spillOps, len(spilling))
 	}
 }
