@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden render files")
@@ -20,17 +24,19 @@ func goldenContext(t *testing.T) *Context {
 	return c
 }
 
-// TestGoldenRenders pins the byte-exact terminal renders of table5 and
-// fig8 at a fixed seed. The goldens were captured from the pre-sweep
-// sequential implementation, and the artifacts here are regenerated
-// through the concurrent RunMany path, so the test proves in every tier
-// (short mode included) that the sweep executor does not change a single
-// byte of experiment output. Regenerate with
+// TestGoldenRenders pins every registered artifact byte for byte at a
+// fixed seed: its terminal render under the CLI's "== id: title" line
+// (testdata/render/<id>.txt) and its CSV export (testdata/render/<id>.csv).
+// It also checks that each JSON envelope decodes under the artifact's id.
+// The artifacts are regenerated through the concurrent RunMany path, so
+// the test proves in every tier (short mode included) that neither the
+// sweep executor nor the render pipeline changes a byte of output.
+// Regenerate with
 //
 //	go test ./internal/experiments -run TestGoldenRenders -update
 func TestGoldenRenders(t *testing.T) {
 	c := goldenContext(t)
-	ids := []string{"table5", "fig8"}
+	ids := IDs()
 	results, err := c.RunMany(ids)
 	if err != nil {
 		t.Fatal(err)
@@ -41,25 +47,46 @@ func TestGoldenRenders(t *testing.T) {
 			if res.ID() != id {
 				t.Fatalf("RunMany slot %d holds %s, want %s", i, res.ID(), id)
 			}
-			got := "== " + res.ID() + ": " + res.Title() + "\n" + res.Render()
-			path := filepath.Join("testdata", id+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
+			checkGolden(t, id+".txt", "== "+res.ID()+": "+res.Title()+"\n"+res.Render())
+			var csv bytes.Buffer
+			if err := sweep.WriteCSV(&csv, res); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
+			checkGolden(t, id+".csv", csv.String())
+
+			buf, err := sweep.MarshalArtifact(res)
 			if err != nil {
-				t.Fatalf("missing golden (run with -update): %v", err)
+				t.Fatal(err)
 			}
-			if got != string(want) {
-				t.Errorf("%s render deviates from golden.\n--- got ---\n%s\n--- want ---\n%s",
-					id, got, want)
+			var env struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(buf, &env); err != nil || env.ID != id {
+				t.Errorf("JSON envelope broken: id=%q err=%v", env.ID, err)
 			}
 		})
+	}
+}
+
+// checkGolden compares got with testdata/render/<name>, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "render", name)
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s deviates from golden.\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
