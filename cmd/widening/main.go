@@ -178,13 +178,11 @@ func run(args []string) error {
 	}
 
 	if *out != "" {
-		artifacts := make([]sweep.Artifact, len(results))
 		ids := make([]string, len(results))
 		for i, r := range results {
-			artifacts[i] = r
 			ids[i] = r.ID()
 		}
-		paths, err := sweep.Export(*out, formats, artifacts)
+		paths, err := sweep.Export(*out, formats, results)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ const artifactCacheVersion = "artifact-v1"
 
 // cachedArtifact is a whole experiment artifact rehydrated from the
 // persistent store: the exact render text, CSV table and JSON envelope
-// of the run that populated it. It satisfies Result, sweep.Tabular and
+// of the run that populated it. It satisfies Result and
 // sweep.RawArtifact, so every export path emits byte-identical output
 // without touching the engine. Envelope is []byte (base64 in the bundle)
 // rather than json.RawMessage: Marshal compacts an embedded RawMessage,
@@ -81,10 +81,6 @@ func (c *Context) cachePut(r runner, res Result) {
 	if !ok {
 		return
 	}
-	tab, ok := res.(sweep.Tabular)
-	if !ok {
-		return
-	}
 	envelope, err := sweep.MarshalArtifact(res)
 	if err != nil {
 		return
@@ -93,7 +89,7 @@ func (c *Context) cachePut(r runner, res Result) {
 		AID:      res.ID(),
 		ATitle:   res.Title(),
 		ARender:  res.Render(),
-		ATable:   tab.Table(),
+		ATable:   res.Table(),
 		Envelope: envelope,
 	})
 	if err != nil {

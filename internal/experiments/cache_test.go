@@ -60,12 +60,7 @@ func TestArtifactCacheByteIdentical(t *testing.T) {
 	if got.Render() != want.Render() {
 		t.Error("cached render differs")
 	}
-	wt, _ := want.(sweep.Tabular)
-	gt, ok := got.(sweep.Tabular)
-	if !ok {
-		t.Fatal("cached artifact lost its table")
-	}
-	a, b := wt.Table(), gt.Table()
+	a, b := want.Table(), got.Table()
 	if len(a) != len(b) {
 		t.Fatalf("table rows %d != %d", len(b), len(a))
 	}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/area"
 	"repro/internal/codesize"
@@ -26,28 +28,21 @@ func Table1() (*Table1Result, error) {
 func (*Table1Result) ID() string    { return "table1" }
 func (*Table1Result) Title() string { return "Table 1: SIA predictions (1994 roadmap)" }
 
-func (r *Table1Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("year")
-	t.Str("lambda (um)")
-	t.Str("die (mm2)")
-	t.Str("lambda^2/chip (x1e6)")
-	for _, tech := range r.Rows {
-		t.Row()
-		t.Int(tech.Year)
-		t.Float(tech.Lambda, 2)
-		t.Int(tech.DieMM2)
-		t.Float(tech.ChipLambda2/1e6, 0)
+// Table returns the header plus data rows (the rows the render draws).
+func (r *Table1Result) Table() [][]string {
+	rows := [][]string{{"year", "lambda (um)", "die (mm2)", "lambda^2/chip (x1e6)"}}
+	for _, t := range r.Rows {
+		rows = append(rows, []string{
+			fmt.Sprint(t.Year),
+			fmt.Sprintf("%.2f", t.Lambda),
+			fmt.Sprint(t.DieMM2),
+			fmt.Sprintf("%.0f", t.ChipLambda2/1e6),
+		})
 	}
+	return rows
 }
 
-// Table returns the header plus data rows (the rows the render draws).
-func (r *Table1Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table1Result) RenderTo(b *textplot.RenderBuffer) { b.Table(r.cells) }
-
-func (r *Table1Result) Render() string { return renderString(r) }
+func (r *Table1Result) Render() string { return textplot.Table(r.Table()) }
 
 // ---------------------------------------------------------------- table 2
 
@@ -99,48 +94,23 @@ func Table2() (*Table2Result, error) {
 func (*Table2Result) ID() string    { return "table2" }
 func (*Table2Result) Title() string { return "Table 2: multiported register cell dimensions" }
 
-func (r *Table2Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("ports")
-	t.Str("model WxH")
-	t.Str("paper WxH")
-	t.Str("rel area")
-	t.Str("paper rel")
-	t.Str("area dev")
+// Table returns the header plus data rows (the rows the render draws).
+func (r *Table2Result) Table() [][]string {
+	rows := [][]string{{"ports", "model WxH", "paper WxH", "rel area", "paper rel", "area dev"}}
 	for _, c := range r.Rows {
-		t.Row()
-		t.Open()
-		t.Int(c.Reads)
-		t.Str("R,")
-		t.Int(c.Writes)
-		t.Str("W")
-		t.Close()
-		t.Open()
-		t.Int(c.Width)
-		t.Str("x")
-		t.Int(c.Height)
-		t.Close()
-		t.Open()
-		t.Int(c.PaperW)
-		t.Str("x")
-		t.Int(c.PaperH)
-		t.Close()
-		t.Float(c.RelArea, 2)
-		t.Float(c.PaperRelArea, 2)
-		t.Open()
-		t.SignedFloat(c.DeviationPercent, 1)
-		t.Str("%")
-		t.Close()
+		rows = append(rows, []string{
+			fmt.Sprintf("%dR,%dW", c.Reads, c.Writes),
+			fmt.Sprintf("%dx%d", c.Width, c.Height),
+			fmt.Sprintf("%dx%d", c.PaperW, c.PaperH),
+			fmt.Sprintf("%.2f", c.RelArea),
+			fmt.Sprintf("%.2f", c.PaperRelArea),
+			fmt.Sprintf("%+.1f%%", c.DeviationPercent),
+		})
 	}
+	return rows
 }
 
-// Table returns the header plus data rows (the rows the render draws).
-func (r *Table2Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table2Result) RenderTo(b *textplot.RenderBuffer) { b.Table(r.cells) }
-
-func (r *Table2Result) Render() string { return renderString(r) }
+func (r *Table2Result) Render() string { return textplot.Table(r.Table()) }
 
 // ---------------------------------------------------------------- table 3
 
@@ -185,37 +155,23 @@ func Table3() (*Table3Result, error) {
 func (*Table3Result) ID() string    { return "table3" }
 func (*Table3Result) Title() string { return "Table 3: register file area, 64 registers" }
 
-func (r *Table3Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("ports")
-	t.Str("cell (λ²)")
-	t.Str("bits/reg")
-	t.Str("RF area (1e6 λ²)")
-	t.Str("paper")
+// Table returns the header plus data rows (the rows the render draws).
+func (r *Table3Result) Table() [][]string {
+	rows := [][]string{{"config", "ports", "cell (λ²)", "bits/reg", "RF area (1e6 λ²)", "paper"}}
 	for _, c := range r.Rows {
-		t.Row()
-		cfgCell(t, c.Config)
-		t.Open()
-		t.Int(c.Reads)
-		t.Str("R+")
-		t.Int(c.Writes)
-		t.Str("W")
-		t.Close()
-		t.Int(c.CellArea)
-		t.Int(c.BitsPerReg)
-		t.Float(c.TotalRF/1e6, 0)
-		t.Float(c.PaperTotalE6, 0)
+		rows = append(rows, []string{
+			c.Config.String(),
+			fmt.Sprintf("%dR+%dW", c.Reads, c.Writes),
+			fmt.Sprint(c.CellArea),
+			fmt.Sprint(c.BitsPerReg),
+			fmt.Sprintf("%.0f", c.TotalRF/1e6),
+			fmt.Sprintf("%.0f", c.PaperTotalE6),
+		})
 	}
+	return rows
 }
 
-// Table returns the header plus data rows (the rows the render draws).
-func (r *Table3Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table3Result) RenderTo(b *textplot.RenderBuffer) { b.Table(r.cells) }
-
-func (r *Table3Result) Render() string { return renderString(r) }
+func (r *Table3Result) Render() string { return textplot.Table(r.Table()) }
 
 // ---------------------------------------------------------------- table 4
 
@@ -248,40 +204,25 @@ func Table4() (*Table4Result, error) {
 func (*Table4Result) ID() string    { return "table4" }
 func (*Table4Result) Title() string { return "Table 4: relative RF access time (baseline 1w1 32-RF)" }
 
-func (r *Table4Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("RF")
-	t.Str("model")
-	t.Str("paper")
-	t.Str("err")
-	for i, e := range r.Entries {
-		t.Row()
-		cfgCell(t, e.Config)
-		t.Int(e.Regs)
-		t.Float(r.ModelRel[i], 2)
-		t.Float(e.Rel, 2)
-		t.Open()
-		t.SignedFloat(100*(r.ModelRel[i]-e.Rel)/e.Rel, 1)
-		t.Str("%")
-		t.Close()
-	}
-}
-
 // Table returns the header plus data rows (the rows the render draws).
-func (r *Table4Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table4Result) RenderTo(b *textplot.RenderBuffer) {
-	b.Table(r.cells)
-	b.Str("fit: mean abs err ")
-	b.Float(100*r.MeanErr, 1)
-	b.Str("%, max ")
-	b.Float(100*r.MaxErr, 1)
-	b.Str("%\n")
+func (r *Table4Result) Table() [][]string {
+	rows := [][]string{{"config", "RF", "model", "paper", "err"}}
+	for i, e := range r.Entries {
+		rows = append(rows, []string{
+			e.Config.String(),
+			fmt.Sprint(e.Regs),
+			fmt.Sprintf("%.2f", r.ModelRel[i]),
+			fmt.Sprintf("%.2f", e.Rel),
+			fmt.Sprintf("%+.1f%%", 100*(r.ModelRel[i]-e.Rel)/e.Rel),
+		})
+	}
+	return rows
 }
 
-func (r *Table4Result) Render() string { return renderString(r) }
+func (r *Table4Result) Render() string {
+	return textplot.Table(r.Table()) +
+		fmt.Sprintf("fit: mean abs err %.1f%%, max %.1f%%\n", 100*r.MeanErr, 100*r.MaxErr)
+}
 
 // ---------------------------------------------------------------- table 5
 
@@ -329,35 +270,25 @@ func Table5() (*Table5Result, error) {
 func (*Table5Result) ID() string    { return "table5" }
 func (*Table5Result) Title() string { return "Table 5: implementable configurations (20% budget)" }
 
-func (r *Table5Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("RF")
-	t.Str("partitions")
-	t.Str("earliest tech")
+// Table returns the header plus data rows (the rows the render draws).
+func (r *Table5Result) Table() [][]string {
+	rows := [][]string{{"config", "RF", "partitions", "earliest tech"}}
 	for _, c := range r.Cells {
-		t.Row()
-		cfgCell(t, c.Config)
-		t.Int(c.Regs)
-		t.Int(c.Partitions)
+		tech := "never"
 		if c.Lambda > 0 {
-			t.Open()
-			t.Float(c.Lambda, 2)
-			t.Str("um")
-			t.Close()
-		} else {
-			t.Str("never")
+			tech = fmt.Sprintf("%.2fum", c.Lambda)
 		}
+		rows = append(rows, []string{
+			c.Config.String(),
+			fmt.Sprint(c.Regs),
+			fmt.Sprint(c.Partitions),
+			tech,
+		})
 	}
+	return rows
 }
 
-// Table returns the header plus data rows (the rows the render draws).
-func (r *Table5Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table5Result) RenderTo(b *textplot.RenderBuffer) { b.Table(r.cells) }
-
-func (r *Table5Result) Render() string { return renderString(r) }
+func (r *Table5Result) Render() string { return textplot.Table(r.Table()) }
 
 // ---------------------------------------------------------------- table 6
 
@@ -374,36 +305,24 @@ func Table6() (*Table6Result, error) {
 func (*Table6Result) ID() string    { return "table6" }
 func (*Table6Result) Title() string { return "Table 6: cycles per operation per cycle model" }
 
-func (r *Table6Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("model")
-	t.Str("store")
-	t.Str("+,*,load")
-	t.Str("div")
-	t.Str("sqrt")
-	for _, m := range r.Models {
-		t.Row()
-		t.Open()
-		t.Int(m.Z)
-		t.Str("-cycles")
-		t.Close()
-		t.Int(m.StoreLat)
-		t.Int(m.ArithLat)
-		t.Int(m.DivLat)
-		t.Int(m.SqrtLat)
-	}
-}
-
 // Table returns the header plus data rows (the rows the render draws).
-func (r *Table6Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Table6Result) RenderTo(b *textplot.RenderBuffer) {
-	b.Table(r.cells)
-	b.Str("div and sqrt are not pipelined; the rest are fully pipelined\n")
+func (r *Table6Result) Table() [][]string {
+	rows := [][]string{{"model", "store", "+,*,load", "div", "sqrt"}}
+	for _, m := range r.Models {
+		rows = append(rows, []string{
+			m.String(),
+			fmt.Sprint(m.StoreLat),
+			fmt.Sprint(m.ArithLat),
+			fmt.Sprint(m.DivLat),
+			fmt.Sprint(m.SqrtLat),
+		})
+	}
+	return rows
 }
 
-func (r *Table6Result) Render() string { return renderString(r) }
+func (r *Table6Result) Render() string {
+	return textplot.Table(r.Table()) + "div and sqrt are not pipelined; the rest are fully pipelined\n"
+}
 
 // ------------------------------------------------------------------ fig 4
 
@@ -438,13 +357,10 @@ func Fig4() (*Fig4Result, error) {
 func (*Fig4Result) ID() string    { return "fig4" }
 func (*Fig4Result) Title() string { return "Figure 4: area cost (register file plus FPUs)" }
 
-func (r *Fig4Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("32-RF")
-	t.Str("64-RF")
-	t.Str("128-RF")
-	t.Str("256-RF (1e6 λ²)")
+// Table returns the per-configuration area matrix (the rows the render
+// draws).
+func (r *Fig4Result) Table() [][]string {
+	rows := [][]string{{"config", "32-RF", "64-RF", "128-RF", "256-RF (1e6 λ²)"}}
 	byCfg := map[machine.Config]map[int]float64{}
 	var order []machine.Config
 	for _, row := range r.Rows {
@@ -455,36 +371,27 @@ func (r *Fig4Result) cells(t *textplot.Cells) {
 		byCfg[row.Config][row.Regs] = row.Area
 	}
 	for _, k := range order {
-		t.Row()
-		cfgCell(t, k)
-		t.Float(byCfg[k][32]/1e6, 0)
-		t.Float(byCfg[k][64]/1e6, 0)
-		t.Float(byCfg[k][128]/1e6, 0)
-		t.Float(byCfg[k][256]/1e6, 0)
+		rows = append(rows, []string{
+			k.String(),
+			fmt.Sprintf("%.0f", byCfg[k][32]/1e6),
+			fmt.Sprintf("%.0f", byCfg[k][64]/1e6),
+			fmt.Sprintf("%.0f", byCfg[k][128]/1e6),
+			fmt.Sprintf("%.0f", byCfg[k][256]/1e6),
+		})
 	}
+	return rows
 }
 
-// Table returns the per-configuration area matrix (the rows the render
-// draws).
-func (r *Fig4Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Fig4Result) RenderTo(b *textplot.RenderBuffer) {
-	b.Table(r.cells)
-	b.Str("technology bands (10%..20% of die, 1e6 λ²):\n")
+func (r *Fig4Result) Render() string {
+	var b strings.Builder
+	b.WriteString(textplot.Table(r.Table()))
+	b.WriteString("technology bands (10%..20% of die, 1e6 λ²):\n")
 	for _, t := range area.SIA() {
 		band := r.Bands[t.String()]
-		b.Str("  ")
-		b.Float(t.Lambda, 2)
-		b.Str("um: ")
-		b.Float(band[0]/1e6, 0)
-		b.Str(" .. ")
-		b.Float(band[1]/1e6, 0)
-		b.Byte('\n')
+		fmt.Fprintf(&b, "  %s: %.0f .. %.0f\n", t, band[0]/1e6, band[1]/1e6)
 	}
+	return b.String()
 }
-
-func (r *Fig4Result) Render() string { return renderString(r) }
 
 // ------------------------------------------------------------------ fig 6
 
@@ -522,26 +429,20 @@ func Fig6() (*Fig6Result, error) {
 func (*Fig6Result) ID() string    { return "fig6" }
 func (*Fig6Result) Title() string { return "Figure 6: 8w1 64-RF partitioning (area vs access time)" }
 
-func (r *Fig6Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("blocks")
-	t.Str("relative area")
-	t.Str("relative access time")
+// Table returns the header plus data rows (the rows the render draws).
+func (r *Fig6Result) Table() [][]string {
+	rows := [][]string{{"blocks", "relative area", "relative access time"}}
 	for _, row := range r.Rows {
-		t.Row()
-		t.Int(row.Partitions)
-		t.Float(row.RelativeArea, 2)
-		t.Float(row.RelativeTime, 2)
+		rows = append(rows, []string{
+			fmt.Sprint(row.Partitions),
+			fmt.Sprintf("%.2f", row.RelativeArea),
+			fmt.Sprintf("%.2f", row.RelativeTime),
+		})
 	}
+	return rows
 }
 
-// Table returns the header plus data rows (the rows the render draws).
-func (r *Fig6Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Fig6Result) RenderTo(b *textplot.RenderBuffer) { b.Table(r.cells) }
-
-func (r *Fig6Result) Render() string { return renderString(r) }
+func (r *Fig6Result) Render() string { return textplot.Table(r.Table()) }
 
 // ------------------------------------------------------------------ fig 7
 
@@ -566,29 +467,23 @@ func Fig7(loops []*ddg.Loop) (*Fig7Result, error) {
 func (*Fig7Result) ID() string    { return "fig7" }
 func (*Fig7Result) Title() string { return "Figure 7: relative code size (vs equal-factor Xw1)" }
 
-func (r *Fig7Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("bits_per_iteration")
-	t.Str("relative_size")
+// Table returns the per-configuration footprint rows behind the bars.
+func (r *Fig7Result) Table() [][]string {
+	rows := [][]string{{"config", "bits_per_iteration", "relative_size"}}
 	for _, row := range r.Rows {
-		t.Row()
-		cfgCell(t, row.Config)
-		t.Float(row.Bits, 1)
-		t.Float(row.Rel, 4)
+		rows = append(rows, []string{
+			row.Config.String(),
+			fmt.Sprintf("%.1f", row.Bits),
+			fmt.Sprintf("%.4f", row.Rel),
+		})
 	}
+	return rows
 }
 
-// Table returns the per-configuration footprint rows behind the bars.
-func (r *Fig7Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Fig7Result) RenderTo(b *textplot.RenderBuffer) {
+func (r *Fig7Result) Render() string {
 	bars := make([]textplot.Bar, 0, len(r.Rows))
 	for _, row := range r.Rows {
 		bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Rel})
 	}
-	b.HBar(bars, 40)
+	return textplot.HBar(bars, 40)
 }
-
-func (r *Fig7Result) Render() string { return renderString(r) }

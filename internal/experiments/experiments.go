@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each driver returns typed rows plus a terminal rendering and
-// a tabular form for CSV export; the experiment index in README.md maps
-// the drivers to the paper's artifacts.
+// evaluation. Each driver returns typed rows plus a tabular form for CSV
+// export (Table) and a terminal rendering (Render), built with fmt and
+// textplot; the experiment index in README.md maps the drivers to the
+// paper's artifacts.
 //
 // Drivers submit whole panels of design cells to the engine's batch
 // evaluators (see perfcost and sweep), and RunAll regenerates the nine
@@ -20,30 +21,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Result is a regenerated paper artifact. Every result also implements
-// sweep.Tabular (a Table method returning header plus data rows), which
-// the CSV exporter uses; the interface here stays minimal so render-only
-// consumers do not depend on the tabular form.
-type Result interface {
-	// ID is the experiment identifier (e.g. "fig2", "table5").
-	ID() string
-	// Title describes the artifact.
-	Title() string
-	// Render returns the terminal representation.
-	Render() string
-}
-
-// Every artifact carries a tabular form for the CSV exporter.
-var _ = []interface {
-	Result
-	sweep.Tabular
-}{
-	(*Table1Result)(nil), (*Table2Result)(nil), (*Table3Result)(nil),
-	(*Table4Result)(nil), (*Table5Result)(nil), (*Table6Result)(nil),
-	(*Fig2Result)(nil), (*Fig3Result)(nil), (*Fig4Result)(nil),
-	(*Fig6Result)(nil), (*Fig7Result)(nil), (*Fig8Result)(nil),
-	(*Fig9Result)(nil), (*WorkloadsResult)(nil), (*OptgapResult)(nil),
-}
+// Result is a regenerated paper artifact: its ID and title, a terminal
+// Render, and the Table (header plus data rows) the CSV exporter writes.
+type Result = sweep.Artifact
 
 // Context carries the workload-backed engine the drivers share.
 type Context struct {

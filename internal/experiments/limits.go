@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/perfcost"
@@ -39,21 +41,18 @@ func (*Fig2Result) Title() string {
 	return "Figure 2: speed-up limits of replication and widening (infinite RF)"
 }
 
-func (r *Fig2Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("factor")
-	t.Str("speedup")
-	for _, row := range r.Rows {
-		t.Row()
-		cfgCell(t, row.Config)
-		t.Int(row.Config.Factor())
-		t.Float(row.Speedup, 4)
-	}
-}
-
 // Table returns the flat (config, factor, speed-up) rows for CSV export.
-func (r *Fig2Result) Table() [][]string { return textplot.BuildCells(r.cells) }
+func (r *Fig2Result) Table() [][]string {
+	rows := [][]string{{"config", "factor", "speedup"}}
+	for _, row := range r.Rows {
+		rows = append(rows, []string{
+			row.Config.String(),
+			fmt.Sprint(row.Config.Factor()),
+			fmt.Sprintf("%.4f", row.Speedup),
+		})
+	}
+	return rows
+}
 
 // Speedup returns the speed-up of a configuration, or 0 if absent.
 func (r *Fig2Result) Speedup(c machine.Config) float64 {
@@ -65,8 +64,8 @@ func (r *Fig2Result) Speedup(c machine.Config) float64 {
 	return 0
 }
 
-// RenderTo renders into a reusable workspace.
-func (r *Fig2Result) RenderTo(b *textplot.RenderBuffer) {
+func (r *Fig2Result) Render() string {
+	var b strings.Builder
 	byFactor := map[int][]Fig2Row{}
 	var factors []int
 	for _, row := range r.Rows {
@@ -77,51 +76,35 @@ func (r *Fig2Result) RenderTo(b *textplot.RenderBuffer) {
 		byFactor[f] = append(byFactor[f], row)
 	}
 	sort.Ints(factors)
-	b.Table(func(t *textplot.Cells) {
-		t.Row()
-		t.Str("factor")
-		t.Str("configs (speed-up)")
-		for _, f := range factors {
-			t.Row()
-			t.Open()
-			t.Str("x")
-			t.Int(f)
-			t.Close()
-			t.Open()
-			for i, row := range byFactor[f] {
-				if i > 0 {
-					t.Str("  ")
-				}
-				t.Int(row.Config.Buses)
-				t.Str("w")
-				t.Int(row.Config.Width)
-				t.Str("=")
-				t.Float(row.Speedup, 2)
-			}
-			t.Close()
+	rows := [][]string{{"factor", "configs (speed-up)"}}
+	for _, f := range factors {
+		var cells []string
+		for _, row := range byFactor[f] {
+			cells = append(cells, fmt.Sprintf("%s=%.2f", row.Config, row.Speedup))
 		}
-	})
+		rows = append(rows, []string{fmt.Sprintf("x%d", f), strings.Join(cells, "  ")})
+	}
+	b.WriteString(textplot.Table(rows))
 
 	// The two saturation curves of the paper's plots.
-	b.Str("\nreplication-only curve (Xw1):\n")
+	b.WriteString("\nreplication-only curve (Xw1):\n")
 	var bars []textplot.Bar
 	for _, row := range r.Rows {
 		if row.Config.Width == 1 {
 			bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Speedup})
 		}
 	}
-	b.HBar(bars, 40)
-	b.Str("\nwidening-only curve (1wY):\n")
+	b.WriteString(textplot.HBar(bars, 40))
+	b.WriteString("\nwidening-only curve (1wY):\n")
 	bars = bars[:0]
 	for _, row := range r.Rows {
 		if row.Config.Buses == 1 {
 			bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Speedup})
 		}
 	}
-	b.HBar(bars, 40)
+	b.WriteString(textplot.HBar(bars, 40))
+	return b.String()
 }
-
-func (r *Fig2Result) Render() string { return renderString(r) }
 
 // ------------------------------------------------------------------ fig 3
 
@@ -161,33 +144,23 @@ func (r *Fig3Result) Speedup(cfg string, regs int) (float64, bool) {
 	return 0, false
 }
 
-func (r *Fig3Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("config")
-	t.Str("32-RF")
-	t.Str("64-RF")
-	t.Str("128-RF")
-	t.Str("256-RF")
+// Table returns the speed-up matrix rows ("-" marks unschedulable cells).
+func (r *Fig3Result) Table() [][]string {
+	rows := [][]string{{"config", "32-RF", "64-RF", "128-RF", "256-RF"}}
 	for _, row := range r.Rows {
-		t.Row()
-		cfgCell(t, row.Config)
+		cells := []string{row.Config.String()}
 		for _, regs := range machine.RegFileSizes {
 			if s, ok := row.Speedup[regs]; ok {
-				t.Float(s, 2)
+				cells = append(cells, fmt.Sprintf("%.2f", s))
 			} else {
-				t.Str("-")
+				cells = append(cells, "-")
 			}
 		}
+		rows = append(rows, cells)
 	}
+	return rows
 }
 
-// Table returns the speed-up matrix rows ("-" marks unschedulable cells).
-func (r *Fig3Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Fig3Result) RenderTo(b *textplot.RenderBuffer) {
-	b.Table(r.cells)
-	b.Str("(- = unschedulable within the register file)\n")
+func (r *Fig3Result) Render() string {
+	return textplot.Table(r.Table()) + "(- = unschedulable within the register file)\n"
 }
-
-func (r *Fig3Result) Render() string { return renderString(r) }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/ddg"
 	"repro/internal/exact"
 	"repro/internal/lifetimes"
@@ -246,133 +249,85 @@ func (r *OptgapResult) searchedStats() (searched, iiProved, regsProved, interest
 	return
 }
 
-func (r *OptgapResult) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("loop")
-	t.Str("ops")
-	t.Str("searched")
-	t.Str("heur_ii")
-	t.Str("exact_ii")
-	t.Str("lower_ii")
-	t.Str("ii_proved")
-	t.Str("heur_regs")
-	t.Str("exact_regs")
-	t.Str("regs_lower")
-	t.Str("regs_proved")
-	t.Str("nodes")
+// Table returns the flat per-loop comparison for CSV export.
+func (r *OptgapResult) Table() [][]string {
+	rows := [][]string{{"loop", "ops", "searched", "heur_ii", "exact_ii", "lower_ii",
+		"ii_proved", "heur_regs", "exact_regs", "regs_lower", "regs_proved", "nodes"}}
 	for _, g := range r.Loops {
-		t.Row()
-		t.Str(g.Name)
-		t.Int(g.Ops)
-		t.Bool(g.Searched)
-		t.Int(g.HeurII)
-		t.Int(g.ExactII)
-		t.Int(g.LowerII)
-		t.Bool(g.IIProved)
-		t.Int(g.HeurRegs)
-		t.Int(g.ExactRegs)
-		t.Int(g.RegsLower)
-		t.Bool(g.RegsProved)
-		t.Int(g.Nodes)
+		rows = append(rows, []string{
+			g.Name,
+			fmt.Sprint(g.Ops),
+			fmt.Sprint(g.Searched),
+			fmt.Sprint(g.HeurII),
+			fmt.Sprint(g.ExactII),
+			fmt.Sprint(g.LowerII),
+			fmt.Sprint(g.IIProved),
+			fmt.Sprint(g.HeurRegs),
+			fmt.Sprint(g.ExactRegs),
+			fmt.Sprint(g.RegsLower),
+			fmt.Sprint(g.RegsProved),
+			fmt.Sprint(g.Nodes),
+		})
 	}
+	return rows
 }
 
-// Table returns the flat per-loop comparison for CSV export.
-func (r *OptgapResult) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *OptgapResult) RenderTo(b *textplot.RenderBuffer) {
+func (r *OptgapResult) Render() string {
 	searched, iiProved, regsProved, interesting := r.searchedStats()
-	b.Str("exact branch-and-bound vs heuristic pipeline on 2w1, unconstrained registers; search on loops <= ")
-	b.Int(r.MaxOps)
-	b.Str(" ops, ")
-	b.Int(r.NodeBudget)
-	b.Str(" nodes/loop (larger loops: bounds only)\n")
-	b.Str("workbench ")
-	b.Str(r.Workload)
-	b.Str(": ")
-	b.Int(len(r.Loops))
-	b.Str(" loops (")
-	b.Int(searched)
-	b.Str(" searched exactly); II optimal proved ")
-	b.Int(iiProved)
-	b.Byte('/')
-	b.Int(len(r.Loops))
-	b.Str(", register count proved ")
-	b.Int(regsProved)
-	b.Byte('/')
-	b.Int(len(r.Loops))
-	b.Str("\n\n")
-	b.Table(func(t *textplot.Cells) {
-		t.Row()
-		t.Str("workload")
-		t.Str("loops")
-		t.Str("small")
-		t.Str("ii_proved")
-		t.Str("ii_gaps")
-		t.Str("max_ii_gap")
-		t.Str("regs_proved")
-		t.Str("regs_gaps")
-		t.Str("max_regs_gap")
-		t.Str("nodes")
-		for _, row := range r.Rows {
-			t.Row()
-			t.Str(row.Name)
-			t.Int(row.Loops)
-			t.Int(row.Small)
-			t.Int(row.IIProved)
-			t.Int(row.IIGapLoops)
-			t.Int(row.IIGapMax)
-			t.Int(row.RegsProved)
-			t.Int(row.RegsGapLoops)
-			t.Int(row.RegsGapMax)
-			t.Int(row.Nodes)
-		}
-	})
-	b.Byte('\n')
-	if interesting == 0 {
-		b.Str("every searched workbench loop: heuristic II and register count proved optimal\n")
-		return
+	var b strings.Builder
+	fmt.Fprintf(&b, "exact branch-and-bound vs heuristic pipeline on 2w1, unconstrained registers; search on loops <= %d ops, %d nodes/loop (larger loops: bounds only)\n",
+		r.MaxOps, r.NodeBudget)
+	fmt.Fprintf(&b, "workbench %s: %d loops (%d searched exactly); II optimal proved %d/%d, register count proved %d/%d\n\n",
+		r.Workload, len(r.Loops), searched, iiProved, len(r.Loops), regsProved, len(r.Loops))
+	rows := [][]string{{"workload", "loops", "small", "ii_proved", "ii_gaps",
+		"max_ii_gap", "regs_proved", "regs_gaps", "max_regs_gap", "nodes"}}
+	for _, row := range r.Rows {
+		rows = append(rows, []string{
+			row.Name,
+			fmt.Sprint(row.Loops),
+			fmt.Sprint(row.Small),
+			fmt.Sprint(row.IIProved),
+			fmt.Sprint(row.IIGapLoops),
+			fmt.Sprint(row.IIGapMax),
+			fmt.Sprint(row.RegsProved),
+			fmt.Sprint(row.RegsGapLoops),
+			fmt.Sprint(row.RegsGapMax),
+			fmt.Sprint(row.Nodes),
+		})
 	}
-	b.Str("workbench loops with a gap or unproved optimum (")
+	b.WriteString(textplot.Table(rows))
+	b.WriteByte('\n')
+	if interesting == 0 {
+		b.WriteString("every searched workbench loop: heuristic II and register count proved optimal\n")
+		return b.String()
+	}
 	shown := interesting
 	if shown > optgapDetail {
 		shown = optgapDetail
 	}
-	b.Int(shown)
-	b.Str(" of ")
-	b.Int(interesting)
-	b.Str("):\n")
-	b.Table(func(t *textplot.Cells) {
-		t.Row()
-		t.Str("loop")
-		t.Str("ops")
-		t.Str("heur_ii")
-		t.Str("exact_ii")
-		t.Str("lower_ii")
-		t.Str("ii_proved")
-		t.Str("heur_regs")
-		t.Str("exact_regs")
-		n := 0
-		for _, g := range r.Loops {
-			if !g.interesting() || n == optgapDetail {
-				continue
-			}
-			n++
-			t.Row()
-			t.Str(g.Name)
-			t.Int(g.Ops)
-			t.Int(g.HeurII)
-			t.Int(g.ExactII)
-			t.Int(g.LowerII)
-			t.Bool(g.IIProved)
-			t.Int(g.HeurRegs)
-			t.Int(g.ExactRegs)
+	fmt.Fprintf(&b, "workbench loops with a gap or unproved optimum (%d of %d):\n", shown, interesting)
+	det := [][]string{{"loop", "ops", "heur_ii", "exact_ii", "lower_ii",
+		"ii_proved", "heur_regs", "exact_regs"}}
+	n := 0
+	for _, g := range r.Loops {
+		if !g.interesting() || n == optgapDetail {
+			continue
 		}
-	})
+		n++
+		det = append(det, []string{
+			g.Name,
+			fmt.Sprint(g.Ops),
+			fmt.Sprint(g.HeurII),
+			fmt.Sprint(g.ExactII),
+			fmt.Sprint(g.LowerII),
+			fmt.Sprint(g.IIProved),
+			fmt.Sprint(g.HeurRegs),
+			fmt.Sprint(g.ExactRegs),
+		})
+	}
+	b.WriteString(textplot.Table(det))
+	return b.String()
 }
-
-func (r *OptgapResult) Render() string { return renderString(r) }
 
 // optgapHeuristic recomputes the heuristic side alone (schedule + greedy
 // end-fit register count); the differential tests cross-check the solver's

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/area"
@@ -117,71 +118,42 @@ func (r *Fig8Result) Panel(letter string) *Fig8Panel {
 	return nil
 }
 
-// statusCell appends the per-point scheduling status cell.
-func statusCell(t *textplot.Cells, p perfcost.Point) {
-	if p.OK {
-		t.Str("ok")
-		return
+// columns returns one design point's columns, shared by the flat table and
+// the per-panel render.
+func (p Fig8Point) columns() []string {
+	status := "ok"
+	if !p.Point.OK {
+		status = fmt.Sprintf("%d loops failed", p.Point.Failures)
 	}
-	t.Open()
-	t.Int(p.Failures)
-	t.Str(" loops failed")
-	t.Close()
-}
-
-// pointCells appends one design point's data cells (all but the leading
-// label columns, shared by the flat table and the per-panel render).
-func pointCells(t *textplot.Cells, p Fig8Point) {
-	labelCell(t, p.Point)
-	t.Float(p.Point.Tc, 2)
-	t.Int(p.Point.Z)
-	t.Float(p.Speedup, 2)
-	t.Float(p.Point.Area/1e6, 0)
-	statusCell(t, p.Point)
-}
-
-func (r *Fig8Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("panel")
-	t.Str("point")
-	t.Str("Tc")
-	t.Str("z")
-	t.Str("speedup")
-	t.Str("area_1e6_lambda2")
-	t.Str("scheduled")
-	for _, panel := range r.Panels {
-		for _, p := range panel.Points {
-			t.Row()
-			t.Str(panel.Name)
-			pointCells(t, p)
-		}
+	return []string{
+		p.Point.Label(),
+		fmt.Sprintf("%.2f", p.Point.Tc),
+		fmt.Sprint(p.Point.Z),
+		fmt.Sprintf("%.2f", p.Speedup),
+		fmt.Sprintf("%.0f", p.Point.Area/1e6),
+		status,
 	}
 }
 
 // Table returns the flat per-point rows with a leading panel column.
-func (r *Fig8Result) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// RenderTo renders into a reusable workspace.
-func (r *Fig8Result) RenderTo(b *textplot.RenderBuffer) {
+func (r *Fig8Result) Table() [][]string {
+	rows := [][]string{{"panel", "point", "Tc", "z", "speedup", "area_1e6_lambda2", "scheduled"}}
 	for _, panel := range r.Panels {
-		b.Str("panel ")
-		b.Str(panel.Name)
-		b.Byte('\n')
-		b.Table(func(t *textplot.Cells) {
-			t.Row()
-			t.Str("point")
-			t.Str("Tc")
-			t.Str("z")
-			t.Str("speed-up")
-			t.Str("area (1e6 λ²)")
-			t.Str("scheduled")
-			for _, p := range panel.Points {
-				t.Row()
-				pointCells(t, p)
-			}
-		})
+		for _, p := range panel.Points {
+			rows = append(rows, append([]string{panel.Name}, p.columns()...))
+		}
+	}
+	return rows
+}
+
+func (r *Fig8Result) Render() string {
+	var b strings.Builder
+	for _, panel := range r.Panels {
+		fmt.Fprintf(&b, "panel %s\n", panel.Name)
+		rows := [][]string{{"point", "Tc", "z", "speed-up", "area (1e6 λ²)", "scheduled"}}
 		var pts []textplot.Point
 		for _, p := range panel.Points {
+			rows = append(rows, p.columns())
 			if p.Point.OK {
 				pts = append(pts, textplot.Point{
 					Label: p.Point.Label(),
@@ -190,12 +162,12 @@ func (r *Fig8Result) RenderTo(b *textplot.RenderBuffer) {
 				})
 			}
 		}
-		b.Scatter(pts, 48, 10, "speed-up", "area (1e6 λ²)")
-		b.Byte('\n')
+		b.WriteString(textplot.Table(rows))
+		b.WriteString(textplot.Scatter(pts, 48, 10, "speed-up", "area (1e6 λ²)"))
+		b.WriteByte('\n')
 	}
+	return b.String()
 }
-
-func (r *Fig8Result) Render() string { return renderString(r) }
 
 // ------------------------------------------------------------------ fig 9
 
@@ -253,74 +225,47 @@ func (r *Fig9Result) Top(lambda float64) []Fig9Point {
 	return nil
 }
 
-func (r *Fig9Result) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("tech")
-	t.Str("year")
-	t.Str("rank")
-	t.Str("point")
-	t.Str("Tc")
-	t.Str("z")
-	t.Str("speedup")
-	t.Str("pct_die")
-	for _, tech := range r.Techs {
-		for i, p := range tech.Top {
-			t.Row()
-			t.Open()
-			t.Float(tech.Tech.Lambda, 2)
-			t.Str("um")
-			t.Close()
-			t.Int(tech.Tech.Year)
-			t.Int(i + 1)
-			labelCell(t, p.Point)
-			t.Float(p.Point.Tc, 2)
-			t.Int(p.Point.Z)
-			t.Float(p.Speedup, 2)
-			t.Float(100*p.DieFraction, 1)
-		}
+// columns returns one ranked point's columns, shared by the flat table and
+// the per-technology render.
+func (p Fig9Point) columns(rank int) []string {
+	return []string{
+		fmt.Sprint(rank),
+		p.Point.Label(),
+		fmt.Sprintf("%.2f", p.Point.Tc),
+		fmt.Sprint(p.Point.Z),
+		fmt.Sprintf("%.2f", p.Speedup),
+		fmt.Sprintf("%.1f", 100*p.DieFraction),
 	}
 }
 
 // Table returns the flat ranking rows with leading technology columns.
-func (r *Fig9Result) Table() [][]string { return textplot.BuildCells(r.cells) }
+func (r *Fig9Result) Table() [][]string {
+	rows := [][]string{{"tech", "year", "rank", "point", "Tc", "z", "speedup", "pct_die"}}
+	for _, t := range r.Techs {
+		for i, p := range t.Top {
+			rows = append(rows, append([]string{t.Tech.String(), fmt.Sprint(t.Tech.Year)}, p.columns(i+1)...))
+		}
+	}
+	return rows
+}
 
-// RenderTo renders into a reusable workspace.
-func (r *Fig9Result) RenderTo(b *textplot.RenderBuffer) {
-	for _, tech := range r.Techs {
-		b.Str("technology ")
-		b.Float(tech.Tech.Lambda, 2)
-		b.Str("um (")
-		b.Int(tech.Tech.Year)
-		b.Str(")\n")
-		b.Table(func(t *textplot.Cells) {
-			t.Row()
-			t.Str("rank")
-			t.Str("point")
-			t.Str("Tc")
-			t.Str("z")
-			t.Str("speed-up")
-			t.Str("% die")
-			for i, p := range tech.Top {
-				t.Row()
-				t.Int(i + 1)
-				labelCell(t, p.Point)
-				t.Float(p.Point.Tc, 2)
-				t.Int(p.Point.Z)
-				t.Float(p.Speedup, 2)
-				t.Float(100*p.DieFraction, 1)
-			}
-		})
+func (r *Fig9Result) Render() string {
+	var b strings.Builder
+	for _, t := range r.Techs {
+		fmt.Fprintf(&b, "technology %s (%d)\n", t.Tech, t.Tech.Year)
+		rows := [][]string{{"rank", "point", "Tc", "z", "speed-up", "% die"}}
 		var pts []textplot.Point
-		for _, p := range tech.Top {
+		for i, p := range t.Top {
+			rows = append(rows, p.columns(i+1))
 			pts = append(pts, textplot.Point{
 				Label: p.Point.Label(),
 				X:     p.Speedup,
 				Y:     100 * p.DieFraction,
 			})
 		}
-		b.Scatter(pts, 48, 8, "speed-up", "% die")
-		b.Byte('\n')
+		b.WriteString(textplot.Table(rows))
+		b.WriteString(textplot.Scatter(pts, 48, 8, "speed-up", "% die"))
+		b.WriteByte('\n')
 	}
+	return b.String()
 }
-
-func (r *Fig9Result) Render() string { return renderString(r) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/perfcost"
@@ -171,90 +172,69 @@ func (r *WorkloadsResult) Speedup(name, label string) (float64, bool) {
 	return 0, false
 }
 
-func (r *WorkloadsResult) cells(t *textplot.Cells) {
-	t.Row()
-	t.Str("workload")
-	t.Str("loops")
-	t.Str("ops")
-	t.Str("compactable")
-	t.Str("recurrent")
-	t.Str("baseline_ok")
-	for _, label := range HeadlineLabels() {
-		t.Str(label)
-	}
-	t.Str("best")
-	for _, row := range r.Rows {
-		t.Row()
-		t.Str(row.Name)
-		t.Int(row.Loops)
-		t.Int(row.Ops)
-		t.Float(row.CompactableFrac, 2)
-		t.Float(row.RecurrentFrac, 2)
-		t.Bool(row.BaselineOK)
-		for _, c := range row.Cells {
-			cellCell(t, c)
-		}
-		t.Str(row.Best)
-	}
-}
-
 // Table returns the flat sensitivity rows for CSV export.
-func (r *WorkloadsResult) Table() [][]string { return textplot.BuildCells(r.cells) }
-
-// cellCell appends one sensitivity cell ("%.2f", "!"-marked when the
-// point's suite did not fully pipeline).
-func cellCell(t *textplot.Cells, c WorkloadCell) {
-	if c.OK {
-		t.Float(c.Speedup, 2)
-		return
-	}
-	t.Open()
-	t.Float(c.Speedup, 2)
-	t.Str("!")
-	t.Close()
-}
-
-// RenderTo renders into a reusable workspace.
-func (r *WorkloadsResult) RenderTo(b *textplot.RenderBuffer) {
-	b.Str("speed-up over each scenario's own 1w1(32:1) baseline; generated scenarios at ")
-	b.Int(r.SuiteLoops)
-	b.Str(" loops\n")
-	b.Str("(! marks points whose suite did not fully pipeline; speed-ups then lean on the flat-schedule fallback)\n\n")
-	b.Table(func(t *textplot.Cells) {
-		t.Row()
-		t.Str("workload")
-		t.Str("loops")
-		t.Str("compact")
-		t.Str("recur")
-		t.Str("base")
-		for _, label := range HeadlineLabels() {
-			t.Str(label)
-		}
-		t.Str("best")
-		for _, row := range r.Rows {
-			t.Row()
-			t.Str(row.Name)
-			t.Int(row.Loops)
-			t.Float(row.CompactableFrac, 2)
-			t.Float(row.RecurrentFrac, 2)
-			if row.BaselineOK {
-				t.Str("ok")
-			} else {
-				t.Str("spills!")
-			}
-			for _, c := range row.Cells {
-				cellCell(t, c)
-			}
-			t.Str(row.Best)
-		}
-	})
-	b.Byte('\n')
+func (r *WorkloadsResult) Table() [][]string {
+	head := []string{"workload", "loops", "ops", "compactable", "recurrent", "baseline_ok"}
+	head = append(head, HeadlineLabels()...)
+	head = append(head, "best")
+	rows := [][]string{head}
 	for _, row := range r.Rows {
-		b.Pad(row.Name, 10)
-		b.Byte(' ')
-		b.Str(row.Description)
-		b.Byte('\n')
+		cols := []string{
+			row.Name,
+			fmt.Sprint(row.Loops),
+			fmt.Sprint(row.Ops),
+			fmt.Sprintf("%.2f", row.CompactableFrac),
+			fmt.Sprintf("%.2f", row.RecurrentFrac),
+			fmt.Sprint(row.BaselineOK),
+		}
+		for _, c := range row.Cells {
+			cols = append(cols, workloadCell(c))
+		}
+		cols = append(cols, row.Best)
+		rows = append(rows, cols)
 	}
+	return rows
 }
 
-func (r *WorkloadsResult) Render() string { return renderString(r) }
+// workloadCell renders one sensitivity cell ("%.2f", "!"-marked when the
+// point's suite did not fully pipeline).
+func workloadCell(c WorkloadCell) string {
+	if !c.OK {
+		return fmt.Sprintf("%.2f!", c.Speedup)
+	}
+	return fmt.Sprintf("%.2f", c.Speedup)
+}
+
+func (r *WorkloadsResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "speed-up over each scenario's own 1w1(32:1) baseline; generated scenarios at %d loops\n", r.SuiteLoops)
+	b.WriteString("(! marks points whose suite did not fully pipeline; speed-ups then lean on the flat-schedule fallback)\n\n")
+	head := []string{"workload", "loops", "compact", "recur", "base"}
+	head = append(head, HeadlineLabels()...)
+	head = append(head, "best")
+	rows := [][]string{head}
+	for _, row := range r.Rows {
+		base := "ok"
+		if !row.BaselineOK {
+			base = "spills!"
+		}
+		cols := []string{
+			row.Name,
+			fmt.Sprint(row.Loops),
+			fmt.Sprintf("%.2f", row.CompactableFrac),
+			fmt.Sprintf("%.2f", row.RecurrentFrac),
+			base,
+		}
+		for _, c := range row.Cells {
+			cols = append(cols, workloadCell(c))
+		}
+		cols = append(cols, row.Best)
+		rows = append(rows, cols)
+	}
+	b.WriteString(textplot.Table(rows))
+	b.WriteByte('\n')
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "%-10s %s\n", row.Name, row.Description)
+	}
+	return b.String()
+}

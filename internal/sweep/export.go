@@ -7,21 +7,23 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-
-	"repro/internal/textplot"
 )
 
 // ParseFormats parses a comma-separated export format list ("json,csv"),
-// trimming spaces and dropping empty elements. It is the single source of
-// truth for the formats Export understands, so callers can fail fast on a
-// typo before doing any expensive work.
+// trimming spaces and dropping empty elements and repeats (first-seen
+// order is kept). It is the single source of truth for the formats Export
+// understands, so callers can fail fast on a typo before doing any
+// expensive work.
 func ParseFormats(s string) ([]string, error) {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
 		switch f = strings.TrimSpace(f); f {
 		case "json", "csv", "txt":
-			out = append(out, f)
+			if !slices.Contains(out, f) {
+				out = append(out, f)
+			}
 		case "":
 		default:
 			return nil, fmt.Errorf("sweep: unknown export format %q (want json, csv or txt)", f)
@@ -34,27 +36,17 @@ func ParseFormats(s string) ([]string, error) {
 }
 
 // Artifact is a regenerated paper artifact as the export layer sees it;
-// experiments.Result satisfies it structurally.
+// experiments.Result is an alias of it.
 type Artifact interface {
+	// ID is the experiment identifier (e.g. "fig2", "table5").
 	ID() string
+	// Title describes the artifact.
 	Title() string
+	// Render returns the terminal representation.
 	Render() string
-}
-
-// Tabular is implemented by artifacts whose primary content is a table;
-// Table returns the header row followed by the data rows, the same rows
-// the terminal render draws.
-type Tabular interface {
+	// Table returns the header row followed by the data rows, the primary
+	// table the CSV exporter writes.
 	Table() [][]string
-}
-
-// BufferRenderer is implemented by artifacts that can render into a
-// reusable textplot workspace instead of building a string per call.
-// Export threads one pooled buffer through a whole artifact batch; every
-// experiments result implements it, and the rendering is byte-identical
-// to Render() (the experiments package's differential test pins both).
-type BufferRenderer interface {
-	RenderTo(*textplot.RenderBuffer)
 }
 
 // RawArtifact is implemented by artifacts that carry their own canonical
@@ -98,23 +90,14 @@ func ExportJSON(dir string, a Artifact) (string, error) {
 	return writeArtifact(dir, a.ID()+".json", buf)
 }
 
-// WriteCSV encodes the artifact's primary table onto w. Artifacts that
-// are not Tabular are reported as such.
+// WriteCSV encodes the artifact's primary table onto w.
 func WriteCSV(w io.Writer, a Artifact) error {
-	tab, ok := a.(Tabular)
-	if !ok {
-		return fmt.Errorf("sweep: %s has no tabular form", a.ID())
-	}
-	cw := csv.NewWriter(w)
-	return cw.WriteAll(tab.Table())
+	return csv.NewWriter(w).WriteAll(a.Table())
 }
 
 // ExportCSV writes dir/<id>.csv with the artifact's primary table and
-// returns the path. Artifacts that are not Tabular are reported as such.
+// returns the path.
 func ExportCSV(dir string, a Artifact) (string, error) {
-	if _, ok := a.(Tabular); !ok {
-		return "", fmt.Errorf("sweep: %s has no tabular form", a.ID())
-	}
 	path := filepath.Join(dir, a.ID()+".csv")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -133,34 +116,9 @@ func ExportCSV(dir string, a Artifact) (string, error) {
 	return path, nil
 }
 
-// renderInto renders the artifact through the workspace when it supports
-// one (all experiment results), falling back to Render() for artifacts
-// that only carry a string form (cache-rehydrated artifacts).
-func renderInto(b *textplot.RenderBuffer, a Artifact) []byte {
-	b.Reset()
-	if br, ok := a.(BufferRenderer); ok {
-		br.RenderTo(b)
-		return b.Bytes()
-	}
-	b.Str(a.Render())
-	return b.Bytes()
-}
-
-// ExportText writes dir/<id>.txt with the terminal render and returns the
-// path.
-func ExportText(dir string, a Artifact) (string, error) {
-	b := textplot.GetBuffer()
-	defer textplot.PutBuffer(b)
-	return writeArtifact(dir, a.ID()+".txt", renderInto(b, a))
-}
-
 // Export writes every artifact in every requested format (see
-// ParseFormats) into dir and returns the written paths. Non-tabular
-// artifacts are skipped by the CSV exporter rather than failing the
-// batch. One pooled render workspace serves the whole batch.
+// ParseFormats) into dir and returns the written paths.
 func Export(dir string, formats []string, artifacts []Artifact) ([]string, error) {
-	b := textplot.GetBuffer()
-	defer textplot.PutBuffer(b)
 	var paths []string
 	for _, a := range artifacts {
 		for _, format := range formats {
@@ -172,12 +130,9 @@ func Export(dir string, formats []string, artifacts []Artifact) ([]string, error
 			case "json":
 				p, err = ExportJSON(dir, a)
 			case "csv":
-				if _, tabular := a.(Tabular); !tabular {
-					continue
-				}
 				p, err = ExportCSV(dir, a)
 			case "txt":
-				p, err = writeArtifact(dir, a.ID()+".txt", renderInto(b, a))
+				p, err = writeArtifact(dir, a.ID()+".txt", []byte(a.Render()))
 			default:
 				return paths, fmt.Errorf("sweep: unknown export format %q (want json, csv or txt)", format)
 			}

@@ -24,23 +24,15 @@ func (f *fakeArtifact) Table() [][]string {
 	return out
 }
 
-// bareArtifact has no tabular form.
-type bareArtifact struct{}
-
-func (bareArtifact) ID() string     { return "bare" }
-func (bareArtifact) Title() string  { return "no table" }
-func (bareArtifact) Render() string { return "prose\n" }
-
 func TestExportFormats(t *testing.T) {
 	dir := t.TempDir()
-	arts := []Artifact{&fakeArtifact{Rows: []int{1, 2}}, bareArtifact{}}
+	arts := []Artifact{&fakeArtifact{Rows: []int{1, 2}}}
 	paths, err := Export(dir, []string{"json", "csv", "txt"}, arts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// fake1 exports all three; bare skips CSV silently.
-	if len(paths) != 5 {
-		t.Fatalf("wrote %d files, want 5: %v", len(paths), paths)
+	if len(paths) != 3 {
+		t.Fatalf("wrote %d files, want 3: %v", len(paths), paths)
 	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, "fake1.json"))
@@ -80,9 +72,6 @@ func TestExportFormats(t *testing.T) {
 	if _, err := Export(dir, []string{"yaml"}, arts); err == nil {
 		t.Error("unknown format must error")
 	}
-	if _, err := ExportCSV(dir, bareArtifact{}); err == nil {
-		t.Error("CSV of non-tabular artifact must error")
-	}
 }
 
 func TestWriteManifest(t *testing.T) {
@@ -120,6 +109,15 @@ func TestParseFormats(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "json" || got[1] != "csv" {
 		t.Errorf("ParseFormats = %v", got)
+	}
+	// Repeats are dropped, keeping first-seen order, so Export writes each
+	// file once and the manifest lists each format once.
+	got, err = ParseFormats("json,json,csv,json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != "json" || got[1] != "csv" {
+		t.Errorf("ParseFormats(repeats) = %v, want [json csv]", got)
 	}
 	if _, err := ParseFormats("yaml"); err == nil {
 		t.Error("unknown format must error")

@@ -1,8 +1,8 @@
 // Package sweep is the concurrent design-space sweep orchestrator behind
 // the Section 5 evaluation: a deterministic worker-pool executor over sets
 // of (configuration, register file, cycle model) cells, a singleflight
-// group deduplicating concurrent work on shared caches, and structured
-// JSON/CSV export of the regenerated artifacts.
+// group deduplicating concurrent work on shared caches, and JSON, CSV and
+// text export of the regenerated artifacts (see Artifact).
 //
 // The design space is embarrassingly parallel across cells — the only
 // shared state is the memoized schedule cache — so the executor simply

@@ -1,355 +1,60 @@
 // Package textplot renders simple ASCII tables, bar charts and scatter
 // plots for the experiment drivers' terminal output.
-//
-// Rendering is built around a reusable RenderBuffer workspace: one
-// grown-once []byte output, a cell arena for the table under construction
-// and strconv-based number formatting, so a whole-artifact render does
-// O(1) allocations in steady state instead of one fmt.Sprintf per cell.
-// The package-level Table/HBar/Scatter functions are thin wrappers over a
-// pooled workspace and render byte-identically to the historical
-// fmt-based implementations (pinned by the experiments package's
-// differential render test).
 package textplot
 
 import (
+	"fmt"
 	"math"
-	"strconv"
-	"sync"
-	"unicode/utf8"
+	"strings"
 )
 
-// Cells accumulates the cell texts of one table in a single byte arena:
-// no per-cell string allocation, no per-row slice allocation. Cells are
-// appended left to right, rows top to bottom; Row starts a new row and
-// the formatting helpers (Str, Int, Float, ...) each append one complete
-// cell unless bracketed by Open/Close, which compose several fragments
-// into one cell.
-type Cells struct {
-	text []byte
-	ends []int // cumulative end offset in text of each sealed cell
-	rows []int // index into ends of each row's first cell
-	open bool  // a composite cell is being built
-}
-
-// Reset empties the arena, keeping its capacity.
-func (c *Cells) Reset() {
-	c.text = c.text[:0]
-	c.ends = c.ends[:0]
-	c.rows = c.rows[:0]
-	c.open = false
-}
-
-// Row starts a new row.
-func (c *Cells) Row() {
-	c.seal()
-	c.rows = append(c.rows, len(c.ends))
-}
-
-// Open begins a composite cell: subsequent helpers append fragments to
-// the same cell until Close.
-func (c *Cells) Open() { c.open = true }
-
-// Close seals the composite cell begun by Open.
-func (c *Cells) Close() {
-	c.open = false
-	c.ends = append(c.ends, len(c.text))
-}
-
-func (c *Cells) seal() {
-	if !c.open {
-		return
+// Table renders rows of cells with aligned columns. The first row is the
+// header, separated by a rule. Column widths are measured in bytes while
+// %-*s pads in runes, so a column holding multi-byte runes (λ²) pads
+// wider than its visible text; the artifacts' bytes depend on that.
+func Table(rows [][]string) string {
+	if len(rows) == 0 {
+		return ""
 	}
-	c.Close()
-}
-
-func (c *Cells) done() {
-	if !c.open {
-		return
-	}
-	c.ends = append(c.ends, len(c.text))
-	c.open = false
-}
-
-// Str appends a string cell (or fragment, inside Open/Close).
-func (c *Cells) Str(s string) {
-	c.text = append(c.text, s...)
-	if !c.open {
-		c.ends = append(c.ends, len(c.text))
-	}
-}
-
-// Int appends a decimal integer cell, as fmt's %d renders it.
-func (c *Cells) Int(v int) {
-	c.text = strconv.AppendInt(c.text, int64(v), 10)
-	if !c.open {
-		c.ends = append(c.ends, len(c.text))
-	}
-}
-
-// Float appends a fixed-precision float cell, as fmt's %.<prec>f.
-func (c *Cells) Float(v float64, prec int) {
-	c.text = appendFloat(c.text, v, prec)
-	if !c.open {
-		c.ends = append(c.ends, len(c.text))
-	}
-}
-
-// SignedFloat appends a sign-carrying fixed-precision float, as fmt's
-// %+.<prec>f: non-negative values get an explicit leading '+'.
-func (c *Cells) SignedFloat(v float64, prec int) {
-	c.text = appendSignedFloat(c.text, v, prec)
-	if !c.open {
-		c.ends = append(c.ends, len(c.text))
-	}
-}
-
-// Bool appends "true" or "false", as fmt's %v.
-func (c *Cells) Bool(v bool) {
-	c.text = strconv.AppendBool(c.text, v)
-	if !c.open {
-		c.ends = append(c.ends, len(c.text))
-	}
-}
-
-// Build materializes the arena as the [][]string shape the CSV exporter
-// and the artifact cache consume: one backing string, one cell slab and
-// one row index — three allocations regardless of table size. The cells
-// share the backing string; treat them as immutable (they are).
-func (c *Cells) Build() [][]string {
-	c.done()
-	all := string(c.text)
-	flat := make([]string, len(c.ends))
-	prev := 0
-	for i, e := range c.ends {
-		flat[i] = all[prev:e]
-		prev = e
-	}
-	out := make([][]string, len(c.rows))
-	for i, lo := range c.rows {
-		hi := len(c.ends)
-		if i+1 < len(c.rows) {
-			hi = c.rows[i+1]
-		}
-		out[i] = flat[lo:hi]
-	}
-	return out
-}
-
-// BuildCells runs fill over a pooled arena and returns the built rows —
-// the one-liner Table() methods use.
-func BuildCells(fill func(*Cells)) [][]string {
-	b := GetBuffer()
-	defer PutBuffer(b)
-	b.cells.Reset()
-	fill(&b.cells)
-	return b.cells.Build()
-}
-
-// appendFloat renders v exactly as fmt's %.<prec>f does.
-func appendFloat(dst []byte, v float64, prec int) []byte {
-	if math.IsNaN(v) {
-		return append(dst, "NaN"...)
-	}
-	return strconv.AppendFloat(dst, v, 'f', prec, 64)
-}
-
-// appendSignedFloat renders v exactly as fmt's %+.<prec>f does.
-func appendSignedFloat(dst []byte, v float64, prec int) []byte {
-	if !math.Signbit(v) {
-		dst = append(dst, '+')
-	}
-	return appendFloat(dst, v, prec)
-}
-
-// appendFloatG renders v exactly as fmt's %.<prec>g does.
-func appendFloatG(dst []byte, v float64, prec int) []byte {
-	if math.IsNaN(v) {
-		return append(dst, "NaN"...)
-	}
-	return strconv.AppendFloat(dst, v, 'g', prec, 64)
-}
-
-// RenderBuffer is a reusable render workspace: the output bytes plus the
-// scratch (cell arena, column widths, scatter grid) every drawing
-// primitive needs. A zero RenderBuffer is ready to use; GetBuffer/
-// PutBuffer pool them. Not safe for concurrent use — each goroutine
-// takes its own from the pool.
-type RenderBuffer struct {
-	out   []byte
-	cells Cells
-	width []int
-	grid  []byte
-}
-
-// NewRenderBuffer returns a fresh, empty workspace.
-func NewRenderBuffer() *RenderBuffer { return &RenderBuffer{} }
-
-var bufPool = sync.Pool{New: func() any { return &RenderBuffer{} }}
-
-// GetBuffer takes a reset workspace from the package pool.
-func GetBuffer() *RenderBuffer {
-	b := bufPool.Get().(*RenderBuffer)
-	b.Reset()
-	return b
-}
-
-// PutBuffer returns a workspace to the pool. The caller must not touch
-// the buffer (or slices derived from Bytes) afterwards.
-func PutBuffer(b *RenderBuffer) { bufPool.Put(b) }
-
-// Reset truncates the output, keeping all scratch capacity.
-func (b *RenderBuffer) Reset() {
-	b.out = b.out[:0]
-	b.cells.Reset()
-}
-
-// Len returns the size of the rendered output so far.
-func (b *RenderBuffer) Len() int { return len(b.out) }
-
-// Bytes returns the rendered output. The slice is invalidated by the
-// next Reset or PutBuffer.
-func (b *RenderBuffer) Bytes() []byte { return b.out }
-
-// String copies the rendered output into a fresh string.
-func (b *RenderBuffer) String() string { return string(b.out) }
-
-// Str appends a literal string.
-func (b *RenderBuffer) Str(s string) { b.out = append(b.out, s...) }
-
-// Byte appends one byte.
-func (b *RenderBuffer) Byte(c byte) { b.out = append(b.out, c) }
-
-// Int appends a decimal integer, as fmt's %d.
-func (b *RenderBuffer) Int(v int) { b.out = strconv.AppendInt(b.out, int64(v), 10) }
-
-// Float appends a fixed-precision float, as fmt's %.<prec>f.
-func (b *RenderBuffer) Float(v float64, prec int) { b.out = appendFloat(b.out, v, prec) }
-
-// FloatG appends a significant-digit float, as fmt's %.<prec>g.
-func (b *RenderBuffer) FloatG(v float64, prec int) { b.out = appendFloatG(b.out, v, prec) }
-
-// Pad appends s left-justified in a field of at least w runes, as fmt's
-// %-*s (fmt measures field widths in runes, not bytes).
-func (b *RenderBuffer) Pad(s string, w int) {
-	b.out = append(b.out, s...)
-	b.pad(w - utf8.RuneCountInString(s))
-}
-
-func (b *RenderBuffer) pad(n int) {
-	for ; n > 0; n-- {
-		b.out = append(b.out, ' ')
-	}
-}
-
-func (b *RenderBuffer) rule(ch byte, n int) {
-	for ; n > 0; n-- {
-		b.out = append(b.out, ch)
-	}
-}
-
-// Table builds a table through fill (which populates the reusable cell
-// arena) and appends the aligned rendering: the first row is the header,
-// separated by a rule, every column padded to its widest cell.
-func (b *RenderBuffer) Table(fill func(*Cells)) {
-	b.cells.Reset()
-	fill(&b.cells)
-	b.emitTable()
-}
-
-// TableRows appends the aligned rendering of pre-built rows (the
-// historical Table signature routed through the same emitter).
-func (b *RenderBuffer) TableRows(rows [][]string) {
-	b.cells.Reset()
-	for _, r := range rows {
-		b.cells.Row()
-		for _, cell := range r {
-			b.cells.Str(cell)
-		}
-	}
-	b.emitTable()
-}
-
-func (b *RenderBuffer) emitTable() {
-	c := &b.cells
-	c.done()
-	if len(c.rows) == 0 {
-		return
-	}
-	// Column count and widths in one pass over the sealed cells.
 	cols := 0
-	for i := range c.rows {
-		if n := c.rowLen(i); n > cols {
-			cols = n
+	for _, r := range rows {
+		if len(r) > cols {
+			cols = len(r)
 		}
 	}
-	b.width = b.width[:0]
-	for i := 0; i < cols; i++ {
-		b.width = append(b.width, 0)
-	}
-	for i := range c.rows {
-		lo := c.rows[i]
-		for j := 0; j < c.rowLen(i); j++ {
-			if w := c.cellLen(lo + j); w > b.width[j] {
-				b.width[j] = w
+	width := make([]int, cols)
+	for _, r := range rows {
+		for i, c := range r {
+			if len(c) > width[i] {
+				width[i] = len(c)
 			}
 		}
 	}
-	b.emitRow(0, cols)
+	var b strings.Builder
+	writeRow := func(r []string) {
+		for i := 0; i < cols; i++ {
+			c := ""
+			if i < len(r) {
+				c = r[i]
+			}
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", width[i], c)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(rows[0])
 	total := 0
-	for _, w := range b.width {
+	for _, w := range width {
 		total += w
 	}
-	b.rule('-', total+2*(cols-1))
-	b.Byte('\n')
-	for i := 1; i < len(c.rows); i++ {
-		b.emitRow(i, cols)
+	b.WriteString(strings.Repeat("-", total+2*(cols-1)))
+	b.WriteByte('\n')
+	for _, r := range rows[1:] {
+		writeRow(r)
 	}
-}
-
-func (c *Cells) rowLen(i int) int {
-	hi := len(c.ends)
-	if i+1 < len(c.rows) {
-		hi = c.rows[i+1]
-	}
-	return hi - c.rows[i]
-}
-
-func (c *Cells) cellLen(i int) int {
-	lo := 0
-	if i > 0 {
-		lo = c.ends[i-1]
-	}
-	return c.ends[i] - lo
-}
-
-func (c *Cells) cell(i int) []byte {
-	lo := 0
-	if i > 0 {
-		lo = c.ends[i-1]
-	}
-	return c.text[lo:c.ends[i]]
-}
-
-// emitRow writes row i padded to cols columns: two spaces between
-// columns, every cell (the last included) padded to its column width.
-// Widths are computed in bytes but padding counts runes, matching the
-// historical len()-measured widths fed to fmt's rune-counting %-*s.
-func (b *RenderBuffer) emitRow(i, cols int) {
-	c := &b.cells
-	lo, n := c.rows[i], c.rowLen(i)
-	for j := 0; j < cols; j++ {
-		if j > 0 {
-			b.Str("  ")
-		}
-		w := 0
-		if j < n {
-			cell := c.cell(lo + j)
-			b.out = append(b.out, cell...)
-			w = utf8.RuneCount(cell)
-		}
-		b.pad(b.width[j] - w)
-	}
-	b.Byte('\n')
+	return b.String()
 }
 
 // Bar is one labelled quantity of a bar chart.
@@ -358,38 +63,35 @@ type Bar struct {
 	Value float64
 }
 
-// HBar appends horizontal bars scaled to the maximum value, annotated
-// with the numeric value.
-func (b *RenderBuffer) HBar(bars []Bar, width int) {
+// HBar renders horizontal bars scaled to the maximum value, annotated with
+// the numeric value.
+func HBar(bars []Bar, width int) string {
 	if width < 8 {
 		width = 8
 	}
 	max := 0.0
 	labelW := 0
-	for _, bar := range bars {
-		if bar.Value > max {
-			max = bar.Value
+	for _, b := range bars {
+		if b.Value > max {
+			max = b.Value
 		}
-		if len(bar.Label) > labelW {
-			labelW = len(bar.Label)
+		if len(b.Label) > labelW {
+			labelW = len(b.Label)
 		}
 	}
-	for _, bar := range bars {
+	var sb strings.Builder
+	for _, b := range bars {
 		n := 0
 		if max > 0 {
-			n = int(math.Round(bar.Value / max * float64(width)))
+			n = int(math.Round(b.Value / max * float64(width)))
 		}
 		if n < 0 {
 			n = 0
 		}
-		b.Pad(bar.Label, labelW)
-		b.Str(" |")
-		b.rule('#', n)
-		b.pad(width - n)
-		b.Byte(' ')
-		b.Float(bar.Value, 2)
-		b.Byte('\n')
+		fmt.Fprintf(&sb, "%-*s |%s%s %.2f\n",
+			labelW, b.Label, strings.Repeat("#", n), strings.Repeat(" ", width-n), b.Value)
 	}
+	return sb.String()
 }
 
 // Point is one labelled point of a scatter plot.
@@ -398,15 +100,11 @@ type Point struct {
 	X, Y  float64
 }
 
-const scatterMarkers = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-
-// Scatter appends labelled points on a w x h character grid, with a
-// legend mapping single-character markers to labels. X grows rightward,
-// Y upward.
-func (b *RenderBuffer) Scatter(points []Point, w, h int, xLabel, yLabel string) {
+// Scatter renders labelled points on a w x h character grid, with a legend
+// mapping single-character markers to labels. X grows rightward, Y upward.
+func Scatter(points []Point, w, h int, xLabel, yLabel string) string {
 	if len(points) == 0 {
-		b.Str("(no points)\n")
-		return
+		return "(no points)\n"
 	}
 	if w < 16 {
 		w = 16
@@ -426,84 +124,31 @@ func (b *RenderBuffer) Scatter(points []Point, w, h int, xLabel, yLabel string) 
 	if maxY == minY {
 		maxY = minY + 1
 	}
-	if cap(b.grid) < w*h {
-		b.grid = make([]byte, w*h)
+	grid := make([][]byte, h)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", w))
 	}
-	b.grid = b.grid[:w*h]
-	for i := range b.grid {
-		b.grid[i] = ' '
-	}
+	markers := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+	var legend strings.Builder
 	for i, p := range points {
 		mk := byte('*')
-		if i < len(scatterMarkers) {
-			mk = scatterMarkers[i]
+		if i < len(markers) {
+			mk = markers[i]
+			fmt.Fprintf(&legend, "  %c = %s (%.3g, %.3g)\n", mk, p.Label, p.X, p.Y)
 		}
 		col := int((p.X - minX) / (maxX - minX) * float64(w-1))
 		row := h - 1 - int((p.Y-minY)/(maxY-minY)*float64(h-1))
-		b.grid[row*w+col] = mk
+		grid[row][col] = mk
 	}
-	b.Str(yLabel)
-	b.Str(" (y: ")
-	b.FloatG(minY, 3)
-	b.Str("..")
-	b.FloatG(maxY, 3)
-	b.Str(")\n")
-	for r := 0; r < h; r++ {
-		b.Byte('|')
-		b.out = append(b.out, b.grid[r*w:(r+1)*w]...)
-		b.Byte('\n')
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s (y: %.3g..%.3g)\n", yLabel, minY, maxY)
+	for _, row := range grid {
+		b.WriteString("|")
+		b.Write(row)
+		b.WriteByte('\n')
 	}
-	b.Byte('+')
-	b.rule('-', w)
-	b.Str("\n ")
-	b.Str(xLabel)
-	b.Str(" (x: ")
-	b.FloatG(minX, 3)
-	b.Str("..")
-	b.FloatG(maxX, 3)
-	b.Str(")\n")
-	for i, p := range points {
-		if i >= len(scatterMarkers) {
-			break
-		}
-		b.Str("  ")
-		b.Byte(scatterMarkers[i])
-		b.Str(" = ")
-		b.Str(p.Label)
-		b.Str(" (")
-		b.FloatG(p.X, 3)
-		b.Str(", ")
-		b.FloatG(p.Y, 3)
-		b.Str(")\n")
-	}
-}
-
-// Table renders rows of cells with aligned columns. The first row is the
-// header, separated by a rule.
-func Table(rows [][]string) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	b := GetBuffer()
-	defer PutBuffer(b)
-	b.TableRows(rows)
-	return b.String()
-}
-
-// HBar renders horizontal bars scaled to the maximum value, annotated with
-// the numeric value.
-func HBar(bars []Bar, width int) string {
-	b := GetBuffer()
-	defer PutBuffer(b)
-	b.HBar(bars, width)
-	return b.String()
-}
-
-// Scatter renders labelled points on a w x h character grid, with a legend
-// mapping single-character markers to labels. X grows rightward, Y upward.
-func Scatter(points []Point, w, h int, xLabel, yLabel string) string {
-	b := GetBuffer()
-	defer PutBuffer(b)
-	b.Scatter(points, w, h, xLabel, yLabel)
+	b.WriteString("+" + strings.Repeat("-", w) + "\n")
+	fmt.Fprintf(&b, " %s (x: %.3g..%.3g)\n", xLabel, minX, maxX)
+	b.WriteString(legend.String())
 	return b.String()
 }
