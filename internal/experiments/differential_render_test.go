@@ -1,682 +1,24 @@
 package experiments
 
-// The render arena (textplot.RenderBuffer and the strconv-based cells)
-// replaced the original fmt/strings.Builder pipeline wholesale. This file
-// retains that original pipeline — the textplot primitives and every
-// result's Render/Table body as they were before the rewrite — and pins
-// the new paths byte-identical against them across every registered
-// experiment and every export format. A formatting drift (%.2f vs
-// AppendFloat, rune vs byte padding, a lost suffix line) fails here with
-// the first diverging byte, not as an opaque golden diff.
+// The result cache serves a whole workbench-backed artifact from disk —
+// its render text, CSV table and JSON envelope — instead of rerunning the
+// driver, and the CLI exports those rehydrated artifacts under -cache.
+// This file pins, for every registered experiment and every export
+// format, that an artifact served from the cache is byte-identical to the
+// live result that populated it. A drift (a table not stored, a JSON
+// envelope re-encoded and compacted, a render stored before a suffix
+// line) fails here with the first diverging byte.
 
 import (
-	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"math"
+	"os"
 	"reflect"
-	"runtime"
-	"sort"
-	"strings"
-	"sync"
 	"testing"
 
-	"repro/internal/area"
-	"repro/internal/machine"
+	"repro/internal/resultcache"
 	"repro/internal/sweep"
-	"repro/internal/textplot"
 )
-
-// ------------------------------------------------- old textplot pipeline
-
-// oldTable is the fmt-based textplot.Table as it was before the arena.
-func oldTable(rows [][]string) string {
-	if len(rows) == 0 {
-		return ""
-	}
-	cols := 0
-	for _, r := range rows {
-		if len(r) > cols {
-			cols = len(r)
-		}
-	}
-	width := make([]int, cols)
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > width[i] {
-				width[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(r []string) {
-		for i := 0; i < cols; i++ {
-			c := ""
-			if i < len(r) {
-				c = r[i]
-			}
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", width[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(rows[0])
-	total := 0
-	for _, w := range width {
-		total += w
-	}
-	b.WriteString(strings.Repeat("-", total+2*(cols-1)))
-	b.WriteByte('\n')
-	for _, r := range rows[1:] {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// oldHBar is the fmt-based textplot.HBar as it was before the arena.
-func oldHBar(bars []textplot.Bar, width int) string {
-	if width < 8 {
-		width = 8
-	}
-	max := 0.0
-	labelW := 0
-	for _, b := range bars {
-		if b.Value > max {
-			max = b.Value
-		}
-		if len(b.Label) > labelW {
-			labelW = len(b.Label)
-		}
-	}
-	var sb strings.Builder
-	for _, b := range bars {
-		n := 0
-		if max > 0 {
-			n = int(math.Round(b.Value / max * float64(width)))
-		}
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(&sb, "%-*s |%s%s %.2f\n",
-			labelW, b.Label, strings.Repeat("#", n), strings.Repeat(" ", width-n), b.Value)
-	}
-	return sb.String()
-}
-
-// oldScatter is the fmt-based textplot.Scatter as it was before the arena.
-func oldScatter(points []textplot.Point, w, h int, xLabel, yLabel string) string {
-	if len(points) == 0 {
-		return "(no points)\n"
-	}
-	if w < 16 {
-		w = 16
-	}
-	if h < 8 {
-		h = 8
-	}
-	minX, maxX := points[0].X, points[0].X
-	minY, maxY := points[0].Y, points[0].Y
-	for _, p := range points {
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	grid := make([][]byte, h)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", w))
-	}
-	markers := "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-	var legend strings.Builder
-	for i, p := range points {
-		mk := byte('*')
-		if i < len(markers) {
-			mk = markers[i]
-			fmt.Fprintf(&legend, "  %c = %s (%.3g, %.3g)\n", mk, p.Label, p.X, p.Y)
-		}
-		col := int((p.X - minX) / (maxX - minX) * float64(w-1))
-		row := h - 1 - int((p.Y-minY)/(maxY-minY)*float64(h-1))
-		grid[row][col] = mk
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (y: %.3g..%.3g)\n", yLabel, minY, maxY)
-	for _, row := range grid {
-		b.WriteString("|")
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	b.WriteString("+" + strings.Repeat("-", w) + "\n")
-	fmt.Fprintf(&b, " %s (x: %.3g..%.3g)\n", xLabel, minX, maxX)
-	b.WriteString(legend.String())
-	return b.String()
-}
-
-// ------------------------------------------- old per-result Table bodies
-
-func oldTable1(r *Table1Result) [][]string {
-	rows := [][]string{{"year", "lambda (um)", "die (mm2)", "lambda^2/chip (x1e6)"}}
-	for _, t := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprint(t.Year),
-			fmt.Sprintf("%.2f", t.Lambda),
-			fmt.Sprint(t.DieMM2),
-			fmt.Sprintf("%.0f", t.ChipLambda2/1e6),
-		})
-	}
-	return rows
-}
-
-func oldTable2(r *Table2Result) [][]string {
-	rows := [][]string{{"ports", "model WxH", "paper WxH", "rel area", "paper rel", "area dev"}}
-	for _, c := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprintf("%dR,%dW", c.Reads, c.Writes),
-			fmt.Sprintf("%dx%d", c.Width, c.Height),
-			fmt.Sprintf("%dx%d", c.PaperW, c.PaperH),
-			fmt.Sprintf("%.2f", c.RelArea),
-			fmt.Sprintf("%.2f", c.PaperRelArea),
-			fmt.Sprintf("%+.1f%%", c.DeviationPercent),
-		})
-	}
-	return rows
-}
-
-func oldTable3(r *Table3Result) [][]string {
-	rows := [][]string{{"config", "ports", "cell (λ²)", "bits/reg", "RF area (1e6 λ²)", "paper"}}
-	for _, c := range r.Rows {
-		rows = append(rows, []string{
-			c.Config.String(),
-			fmt.Sprintf("%dR+%dW", c.Reads, c.Writes),
-			fmt.Sprint(c.CellArea),
-			fmt.Sprint(c.BitsPerReg),
-			fmt.Sprintf("%.0f", c.TotalRF/1e6),
-			fmt.Sprintf("%.0f", c.PaperTotalE6),
-		})
-	}
-	return rows
-}
-
-func oldTable4(r *Table4Result) [][]string {
-	rows := [][]string{{"config", "RF", "model", "paper", "err"}}
-	for i, e := range r.Entries {
-		rows = append(rows, []string{
-			e.Config.String(),
-			fmt.Sprint(e.Regs),
-			fmt.Sprintf("%.2f", r.ModelRel[i]),
-			fmt.Sprintf("%.2f", e.Rel),
-			fmt.Sprintf("%+.1f%%", 100*(r.ModelRel[i]-e.Rel)/e.Rel),
-		})
-	}
-	return rows
-}
-
-func oldTable5(r *Table5Result) [][]string {
-	rows := [][]string{{"config", "RF", "partitions", "earliest tech"}}
-	for _, c := range r.Cells {
-		tech := "never"
-		if c.Lambda > 0 {
-			tech = fmt.Sprintf("%.2fum", c.Lambda)
-		}
-		rows = append(rows, []string{
-			c.Config.String(),
-			fmt.Sprint(c.Regs),
-			fmt.Sprint(c.Partitions),
-			tech,
-		})
-	}
-	return rows
-}
-
-func oldTable6(r *Table6Result) [][]string {
-	rows := [][]string{{"model", "store", "+,*,load", "div", "sqrt"}}
-	for _, m := range r.Models {
-		rows = append(rows, []string{
-			m.String(),
-			fmt.Sprint(m.StoreLat),
-			fmt.Sprint(m.ArithLat),
-			fmt.Sprint(m.DivLat),
-			fmt.Sprint(m.SqrtLat),
-		})
-	}
-	return rows
-}
-
-func oldFig2Table(r *Fig2Result) [][]string {
-	rows := [][]string{{"config", "factor", "speedup"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Config.String(),
-			fmt.Sprint(row.Config.Factor()),
-			fmt.Sprintf("%.4f", row.Speedup),
-		})
-	}
-	return rows
-}
-
-func oldFig3Table(r *Fig3Result) [][]string {
-	rows := [][]string{{"config", "32-RF", "64-RF", "128-RF", "256-RF"}}
-	for _, row := range r.Rows {
-		cells := []string{row.Config.String()}
-		for _, regs := range machine.RegFileSizes {
-			if s, ok := row.Speedup[regs]; ok {
-				cells = append(cells, fmt.Sprintf("%.2f", s))
-			} else {
-				cells = append(cells, "-")
-			}
-		}
-		rows = append(rows, cells)
-	}
-	return rows
-}
-
-func oldFig4Table(r *Fig4Result) [][]string {
-	rows := [][]string{{"config", "32-RF", "64-RF", "128-RF", "256-RF (1e6 λ²)"}}
-	byCfg := map[string]map[int]float64{}
-	var order []string
-	for _, row := range r.Rows {
-		k := row.Config.String()
-		if byCfg[k] == nil {
-			byCfg[k] = map[int]float64{}
-			order = append(order, k)
-		}
-		byCfg[k][row.Regs] = row.Area
-	}
-	for _, k := range order {
-		rows = append(rows, []string{
-			k,
-			fmt.Sprintf("%.0f", byCfg[k][32]/1e6),
-			fmt.Sprintf("%.0f", byCfg[k][64]/1e6),
-			fmt.Sprintf("%.0f", byCfg[k][128]/1e6),
-			fmt.Sprintf("%.0f", byCfg[k][256]/1e6),
-		})
-	}
-	return rows
-}
-
-func oldFig6Table(r *Fig6Result) [][]string {
-	rows := [][]string{{"blocks", "relative area", "relative access time"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			fmt.Sprint(row.Partitions),
-			fmt.Sprintf("%.2f", row.RelativeArea),
-			fmt.Sprintf("%.2f", row.RelativeTime),
-		})
-	}
-	return rows
-}
-
-func oldFig7Table(r *Fig7Result) [][]string {
-	rows := [][]string{{"config", "bits_per_iteration", "relative_size"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Config.String(),
-			fmt.Sprintf("%.1f", row.Bits),
-			fmt.Sprintf("%.4f", row.Rel),
-		})
-	}
-	return rows
-}
-
-func oldFig8Table(r *Fig8Result) [][]string {
-	rows := [][]string{{"panel", "point", "Tc", "z", "speedup", "area_1e6_lambda2", "scheduled"}}
-	for _, panel := range r.Panels {
-		for _, p := range panel.Points {
-			status := "ok"
-			if !p.Point.OK {
-				status = fmt.Sprintf("%d loops failed", p.Point.Failures)
-			}
-			rows = append(rows, []string{
-				panel.Name,
-				p.Point.Label(),
-				fmt.Sprintf("%.2f", p.Point.Tc),
-				fmt.Sprint(p.Point.Z),
-				fmt.Sprintf("%.2f", p.Speedup),
-				fmt.Sprintf("%.0f", p.Point.Area/1e6),
-				status,
-			})
-		}
-	}
-	return rows
-}
-
-func oldFig9Table(r *Fig9Result) [][]string {
-	rows := [][]string{{"tech", "year", "rank", "point", "Tc", "z", "speedup", "pct_die"}}
-	for _, t := range r.Techs {
-		for i, p := range t.Top {
-			rows = append(rows, []string{
-				t.Tech.String(),
-				fmt.Sprint(t.Tech.Year),
-				fmt.Sprint(i + 1),
-				p.Point.Label(),
-				fmt.Sprintf("%.2f", p.Point.Tc),
-				fmt.Sprint(p.Point.Z),
-				fmt.Sprintf("%.2f", p.Speedup),
-				fmt.Sprintf("%.1f", 100*p.DieFraction),
-			})
-		}
-	}
-	return rows
-}
-
-func oldWorkloadCell(c WorkloadCell) string {
-	if !c.OK {
-		return fmt.Sprintf("%.2f!", c.Speedup)
-	}
-	return fmt.Sprintf("%.2f", c.Speedup)
-}
-
-func oldWorkloadsTable(r *WorkloadsResult) [][]string {
-	head := []string{"workload", "loops", "ops", "compactable", "recurrent", "baseline_ok"}
-	head = append(head, HeadlineLabels()...)
-	head = append(head, "best")
-	rows := [][]string{head}
-	for _, row := range r.Rows {
-		cols := []string{
-			row.Name,
-			fmt.Sprint(row.Loops),
-			fmt.Sprint(row.Ops),
-			fmt.Sprintf("%.2f", row.CompactableFrac),
-			fmt.Sprintf("%.2f", row.RecurrentFrac),
-			fmt.Sprint(row.BaselineOK),
-		}
-		for _, c := range row.Cells {
-			cols = append(cols, oldWorkloadCell(c))
-		}
-		cols = append(cols, row.Best)
-		rows = append(rows, cols)
-	}
-	return rows
-}
-
-// ------------------------------------------ old per-result Render bodies
-
-func oldRenderFig2(r *Fig2Result) string {
-	var b strings.Builder
-	byFactor := map[int][]Fig2Row{}
-	var factors []int
-	for _, row := range r.Rows {
-		f := row.Config.Factor()
-		if byFactor[f] == nil {
-			factors = append(factors, f)
-		}
-		byFactor[f] = append(byFactor[f], row)
-	}
-	sort.Ints(factors)
-	rows := [][]string{{"factor", "configs (speed-up)"}}
-	for _, f := range factors {
-		var cells []string
-		for _, row := range byFactor[f] {
-			cells = append(cells, fmt.Sprintf("%s=%.2f", row.Config, row.Speedup))
-		}
-		rows = append(rows, []string{fmt.Sprintf("x%d", f), strings.Join(cells, "  ")})
-	}
-	b.WriteString(oldTable(rows))
-	b.WriteString("\nreplication-only curve (Xw1):\n")
-	var bars []textplot.Bar
-	for _, row := range r.Rows {
-		if row.Config.Width == 1 {
-			bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Speedup})
-		}
-	}
-	b.WriteString(oldHBar(bars, 40))
-	b.WriteString("\nwidening-only curve (1wY):\n")
-	bars = bars[:0]
-	for _, row := range r.Rows {
-		if row.Config.Buses == 1 {
-			bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Speedup})
-		}
-	}
-	b.WriteString(oldHBar(bars, 40))
-	return b.String()
-}
-
-func oldRenderFig4(r *Fig4Result) string {
-	var b strings.Builder
-	b.WriteString(oldTable(oldFig4Table(r)))
-	b.WriteString("technology bands (10%..20% of die, 1e6 λ²):\n")
-	for _, t := range area.SIA() {
-		band := r.Bands[t.String()]
-		fmt.Fprintf(&b, "  %s: %.0f .. %.0f\n", t, band[0]/1e6, band[1]/1e6)
-	}
-	return b.String()
-}
-
-func oldRenderFig7(r *Fig7Result) string {
-	bars := make([]textplot.Bar, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		bars = append(bars, textplot.Bar{Label: row.Config.String(), Value: row.Rel})
-	}
-	return oldHBar(bars, 40)
-}
-
-func oldRenderFig8(r *Fig8Result) string {
-	var b strings.Builder
-	for _, panel := range r.Panels {
-		fmt.Fprintf(&b, "panel %s\n", panel.Name)
-		rows := [][]string{{"point", "Tc", "z", "speed-up", "area (1e6 λ²)", "scheduled"}}
-		var pts []textplot.Point
-		for _, p := range panel.Points {
-			status := "ok"
-			if !p.Point.OK {
-				status = fmt.Sprintf("%d loops failed", p.Point.Failures)
-			}
-			rows = append(rows, []string{
-				p.Point.Label(),
-				fmt.Sprintf("%.2f", p.Point.Tc),
-				fmt.Sprint(p.Point.Z),
-				fmt.Sprintf("%.2f", p.Speedup),
-				fmt.Sprintf("%.0f", p.Point.Area/1e6),
-				status,
-			})
-			if p.Point.OK {
-				pts = append(pts, textplot.Point{
-					Label: p.Point.Label(),
-					X:     p.Speedup,
-					Y:     p.Point.Area / 1e6,
-				})
-			}
-		}
-		b.WriteString(oldTable(rows))
-		b.WriteString(oldScatter(pts, 48, 10, "speed-up", "area (1e6 λ²)"))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func oldRenderFig9(r *Fig9Result) string {
-	var b strings.Builder
-	for _, t := range r.Techs {
-		fmt.Fprintf(&b, "technology %s (%d)\n", t.Tech, t.Tech.Year)
-		rows := [][]string{{"rank", "point", "Tc", "z", "speed-up", "% die"}}
-		var pts []textplot.Point
-		for i, p := range t.Top {
-			rows = append(rows, []string{
-				fmt.Sprint(i + 1),
-				p.Point.Label(),
-				fmt.Sprintf("%.2f", p.Point.Tc),
-				fmt.Sprint(p.Point.Z),
-				fmt.Sprintf("%.2f", p.Speedup),
-				fmt.Sprintf("%.1f", 100*p.DieFraction),
-			})
-			pts = append(pts, textplot.Point{
-				Label: p.Point.Label(),
-				X:     p.Speedup,
-				Y:     100 * p.DieFraction,
-			})
-		}
-		b.WriteString(oldTable(rows))
-		b.WriteString(oldScatter(pts, 48, 8, "speed-up", "% die"))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func oldRenderWorkloads(r *WorkloadsResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "speed-up over each scenario's own 1w1(32:1) baseline; generated scenarios at %d loops\n", r.SuiteLoops)
-	b.WriteString("(! marks points whose suite did not fully pipeline; speed-ups then lean on the flat-schedule fallback)\n\n")
-	head := []string{"workload", "loops", "compact", "recur", "base"}
-	head = append(head, HeadlineLabels()...)
-	head = append(head, "best")
-	rows := [][]string{head}
-	for _, row := range r.Rows {
-		base := "ok"
-		if !row.BaselineOK {
-			base = "spills!"
-		}
-		cols := []string{
-			row.Name,
-			fmt.Sprint(row.Loops),
-			fmt.Sprintf("%.2f", row.CompactableFrac),
-			fmt.Sprintf("%.2f", row.RecurrentFrac),
-			base,
-		}
-		for _, c := range row.Cells {
-			cols = append(cols, oldWorkloadCell(c))
-		}
-		cols = append(cols, row.Best)
-		rows = append(rows, cols)
-	}
-	b.WriteString(oldTable(rows))
-	b.WriteByte('\n')
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %s\n", row.Name, row.Description)
-	}
-	return b.String()
-}
-
-func oldOptgapTable(r *OptgapResult) [][]string {
-	rows := [][]string{{"loop", "ops", "searched", "heur_ii", "exact_ii", "lower_ii",
-		"ii_proved", "heur_regs", "exact_regs", "regs_lower", "regs_proved", "nodes"}}
-	for _, g := range r.Loops {
-		rows = append(rows, []string{
-			g.Name,
-			fmt.Sprint(g.Ops),
-			fmt.Sprint(g.Searched),
-			fmt.Sprint(g.HeurII),
-			fmt.Sprint(g.ExactII),
-			fmt.Sprint(g.LowerII),
-			fmt.Sprint(g.IIProved),
-			fmt.Sprint(g.HeurRegs),
-			fmt.Sprint(g.ExactRegs),
-			fmt.Sprint(g.RegsLower),
-			fmt.Sprint(g.RegsProved),
-			fmt.Sprint(g.Nodes),
-		})
-	}
-	return rows
-}
-
-func oldRenderOptgap(r *OptgapResult) string {
-	searched, iiProved, regsProved, interesting := r.searchedStats()
-	var b strings.Builder
-	fmt.Fprintf(&b, "exact branch-and-bound vs heuristic pipeline on 2w1, unconstrained registers; search on loops <= %d ops, %d nodes/loop (larger loops: bounds only)\n",
-		r.MaxOps, r.NodeBudget)
-	fmt.Fprintf(&b, "workbench %s: %d loops (%d searched exactly); II optimal proved %d/%d, register count proved %d/%d\n\n",
-		r.Workload, len(r.Loops), searched, iiProved, len(r.Loops), regsProved, len(r.Loops))
-	rows := [][]string{{"workload", "loops", "small", "ii_proved", "ii_gaps",
-		"max_ii_gap", "regs_proved", "regs_gaps", "max_regs_gap", "nodes"}}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Name,
-			fmt.Sprint(row.Loops),
-			fmt.Sprint(row.Small),
-			fmt.Sprint(row.IIProved),
-			fmt.Sprint(row.IIGapLoops),
-			fmt.Sprint(row.IIGapMax),
-			fmt.Sprint(row.RegsProved),
-			fmt.Sprint(row.RegsGapLoops),
-			fmt.Sprint(row.RegsGapMax),
-			fmt.Sprint(row.Nodes),
-		})
-	}
-	b.WriteString(oldTable(rows))
-	b.WriteByte('\n')
-	if interesting == 0 {
-		b.WriteString("every searched workbench loop: heuristic II and register count proved optimal\n")
-		return b.String()
-	}
-	shown := interesting
-	if shown > optgapDetail {
-		shown = optgapDetail
-	}
-	fmt.Fprintf(&b, "workbench loops with a gap or unproved optimum (%d of %d):\n", shown, interesting)
-	det := [][]string{{"loop", "ops", "heur_ii", "exact_ii", "lower_ii",
-		"ii_proved", "heur_regs", "exact_regs"}}
-	n := 0
-	for _, g := range r.Loops {
-		if !g.interesting() || n == optgapDetail {
-			continue
-		}
-		n++
-		det = append(det, []string{
-			g.Name,
-			fmt.Sprint(g.Ops),
-			fmt.Sprint(g.HeurII),
-			fmt.Sprint(g.ExactII),
-			fmt.Sprint(g.LowerII),
-			fmt.Sprint(g.IIProved),
-			fmt.Sprint(g.HeurRegs),
-			fmt.Sprint(g.ExactRegs),
-		})
-	}
-	b.WriteString(oldTable(det))
-	return b.String()
-}
-
-// oldArtifact dispatches a result to its retained pre-arena Table and
-// Render bodies.
-func oldArtifact(res Result) (table [][]string, render string, ok bool) {
-	switch r := res.(type) {
-	case *Table1Result:
-		t := oldTable1(r)
-		return t, oldTable(t), true
-	case *Table2Result:
-		t := oldTable2(r)
-		return t, oldTable(t), true
-	case *Table3Result:
-		t := oldTable3(r)
-		return t, oldTable(t), true
-	case *Table4Result:
-		t := oldTable4(r)
-		return t, oldTable(t) +
-			fmt.Sprintf("fit: mean abs err %.1f%%, max %.1f%%\n", 100*r.MeanErr, 100*r.MaxErr), true
-	case *Table5Result:
-		t := oldTable5(r)
-		return t, oldTable(t), true
-	case *Table6Result:
-		t := oldTable6(r)
-		return t, oldTable(t) + "div and sqrt are not pipelined; the rest are fully pipelined\n", true
-	case *Fig2Result:
-		return oldFig2Table(r), oldRenderFig2(r), true
-	case *Fig3Result:
-		t := oldFig3Table(r)
-		return t, oldTable(t) + "(- = unschedulable within the register file)\n", true
-	case *Fig4Result:
-		return oldFig4Table(r), oldRenderFig4(r), true
-	case *Fig6Result:
-		t := oldFig6Table(r)
-		return t, oldTable(t), true
-	case *Fig7Result:
-		return oldFig7Table(r), oldRenderFig7(r), true
-	case *Fig8Result:
-		return oldFig8Table(r), oldRenderFig8(r), true
-	case *Fig9Result:
-		return oldFig9Table(r), oldRenderFig9(r), true
-	case *WorkloadsResult:
-		return oldWorkloadsTable(r), oldRenderWorkloads(r), true
-	case *OptgapResult:
-		return oldOptgapTable(r), oldRenderOptgap(r), true
-	}
-	return nil, "", false
-}
 
 // firstDiff reports the first byte where two strings diverge, with a
 // little context on each side.
@@ -703,110 +45,83 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("first divergence at byte %d:\n  got  ...%s\n  want ...%s", i, snip(got), snip(want))
 }
 
-// TestDifferentialRender pins every registered experiment's arena render,
-// table materialisation, CSV bytes and JSON export against the retained
-// pre-arena pipeline.
+// TestDifferentialRender regenerates every registered experiment live
+// into an artifact store, then again from a second context over the same
+// store, and pins the served artifact against the live one: identity,
+// Render, Table, and the bytes of every format sweep.Export writes.
+// Workbench-backed artifacts must come back whole from the store; static
+// ones are never cached and must recompute identically.
 func TestDifferentialRender(t *testing.T) {
-	ctx := testContext(t)
-	results, err := ctx.RunAll()
+	base := testContext(t)
+	store, err := resultcache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(IDs()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(IDs()))
+	runAll := func() []Result {
+		c := NewContextOver(base.Engine, base.Workload, base.loops, base.seed)
+		c.Cache = store
+		results, err := c.RunAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != len(IDs()) {
+			t.Fatalf("RunAll returned %d results, want %d", len(results), len(IDs()))
+		}
+		return results
 	}
-	for _, res := range results {
-		res := res
-		t.Run(res.ID(), func(t *testing.T) {
-			wantTable, wantRender, ok := oldArtifact(res)
-			if !ok {
-				t.Fatalf("no retained pre-arena implementation for %T — extend the differential test", res)
+	live := runAll()
+	served := runAll()
+
+	formats := []string{"json", "csv", "txt"}
+	for i, want := range live {
+		got := served[i]
+		t.Run(want.ID(), func(t *testing.T) {
+			_, fromCache := got.(*cachedArtifact)
+			if fromCache == Static(want.ID()) {
+				t.Errorf("served from the store = %v, want %v", fromCache, !Static(want.ID()))
+			}
+			if got.ID() != want.ID() || got.Title() != want.Title() {
+				t.Errorf("served identity %q/%q, want %q/%q", got.ID(), got.Title(), want.ID(), want.Title())
+			}
+			if g, w := got.Render(), want.Render(); g != w {
+				t.Errorf("Render diverged from the live result\n%s", firstDiff(g, w))
+			}
+			if g, w := got.Table(), want.Table(); !reflect.DeepEqual(g, w) {
+				t.Errorf("Table diverged from the live result:\ngot  %q\nwant %q", g, w)
 			}
 
-			// TXT: Render() and the pooled-buffer export path.
-			if got := res.Render(); got != wantRender {
-				t.Errorf("Render diverged from the pre-arena pipeline\n%s", firstDiff(got, wantRender))
-			}
-			br, ok := res.(interface{ RenderTo(*textplot.RenderBuffer) })
-			if !ok {
-				t.Fatalf("%T does not implement RenderTo", res)
-			}
-			b := textplot.NewRenderBuffer()
-			br.RenderTo(b)
-			if got := b.String(); got != wantRender {
-				t.Errorf("RenderTo diverged from Render\n%s", firstDiff(got, wantRender))
-			}
-
-			// Table cells feed the CSV exporter.
-			gotTable := res.(sweep.Tabular).Table()
-			if !reflect.DeepEqual(gotTable, wantTable) {
-				t.Errorf("Table diverged from the pre-arena cells:\ngot  %q\nwant %q", gotTable, wantTable)
-			}
-
-			// CSV bytes through the real exporter.
-			var gotCSV, wantCSV bytes.Buffer
-			if err := sweep.WriteCSV(&gotCSV, res); err != nil {
-				t.Fatal(err)
-			}
-			ww := csv.NewWriter(&wantCSV)
-			if err := ww.WriteAll(wantTable); err != nil {
-				t.Fatal(err)
-			}
-			if gotCSV.String() != wantCSV.String() {
-				t.Errorf("CSV diverged\n%s", firstDiff(gotCSV.String(), wantCSV.String()))
-			}
-
-			// JSON: the envelope is marshalled from the result struct itself;
-			// assert the export is intact (valid, correctly addressed).
-			buf, err := sweep.MarshalArtifact(res)
+			gotPaths, err := sweep.Export(t.TempDir(), formats, []sweep.Artifact{got})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var env struct {
-				ID string `json:"id"`
+			wantPaths, err := sweep.Export(t.TempDir(), formats, []sweep.Artifact{want})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := json.Unmarshal(buf, &env); err != nil || env.ID != res.ID() {
-				t.Errorf("JSON export broken: id=%q err=%v", env.ID, err)
+			if len(gotPaths) != len(formats) || len(wantPaths) != len(formats) {
+				t.Fatalf("exported %d and %d files, want %d each", len(gotPaths), len(wantPaths), len(formats))
 			}
-		})
-	}
-}
-
-// TestRenderConcurrentPooled hammers the pooled render workspace from
-// many goroutines sharing the same results — under -race this pins that
-// the sync.Pool handoff keeps concurrent renders from sharing a live
-// buffer (the sweep orchestrator and serve's artifact endpoint both
-// render concurrently).
-func TestRenderConcurrentPooled(t *testing.T) {
-	ctx := testContext(t)
-	results, err := ctx.RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]string, len(results))
-	for i, res := range results {
-		want[i] = res.Render()
-	}
-	workers := runtime.GOMAXPROCS(0) * 2
-	const iters = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				i := (w + it) % len(results)
-				if got := results[i].Render(); got != want[i] {
-					errs <- fmt.Sprintf("worker %d: %s render corrupted under concurrency", w, results[i].ID())
-					return
+			for j, format := range formats {
+				g, err := os.ReadFile(gotPaths[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := os.ReadFile(wantPaths[j])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(g) != string(w) {
+					t.Errorf("%s export diverged from the live result\n%s", format, firstDiff(string(g), string(w)))
+				}
+				if format == "json" {
+					var env struct {
+						ID string `json:"id"`
+					}
+					if err := json.Unmarshal(g, &env); err != nil || env.ID != want.ID() {
+						t.Errorf("JSON envelope broken: id=%q err=%v", env.ID, err)
+					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+		})
 	}
 }
