@@ -128,30 +128,32 @@ func run(args []string) error {
 		}
 	}
 
-	ctx, err := resolveContext(*wl, *loops, *seed)
+	w, err := resolveWorkload(*wl, *loops, *seed)
 	if err != nil {
 		return err
 	}
+	if !isScenario(*wl) {
+		// A file-backed workload carries its own suite; the -loops and
+		// -seed overrides had no effect and must not be recorded as
+		// provenance.
+		*loops, *seed = 0, 0
+	}
+	var opts perfcost.Options
 	switch *backend {
 	case "heuristic":
 	case "exact":
-		// Like AttachCache below, the backend must be set before the
-		// engine serves its first request.
-		ctx.Engine.SetBackend(perfcost.BackendExact, *exactBudget, 0)
+		opts.Backend, opts.ExactBudget = perfcost.BackendExact, *exactBudget
 	default:
 		return fmt.Errorf("unknown backend %q (want heuristic or exact)", *backend)
 	}
-	var store *resultcache.Store
 	if *cacheDir != "" {
-		if store, err = resultcache.Open(*cacheDir); err != nil {
+		if opts.Cache, err = resultcache.Open(*cacheDir); err != nil {
 			return err
 		}
-		// Attach before the first run: the engine's disk layer must not
-		// appear mid-traffic, and the artifact memo needs the store in
-		// place for both the lookup and the write-back.
-		ctx.Engine.AttachCache(store)
-		ctx.Cache = store
 	}
+	ctx := experiments.NewContextOver(perfcost.NewFromWorkload(w, &opts), w, *loops, *seed)
+	// The artifact memo shares the engine's store.
+	ctx.Cache = opts.Cache
 	if targets[0] == "all" {
 		targets = experiments.IDs()
 	}
@@ -168,7 +170,7 @@ func run(args []string) error {
 		fmt.Printf("== %s: %s\n\n%s\n", res.ID(), res.Title(), res.Render())
 	}
 	fmt.Printf("regenerated %d artifact(s) in %.1fs\n", len(results), time.Since(start).Seconds())
-	if store != nil {
+	if store := opts.Cache; store != nil {
 		// One greppable line proving (or disproving) the warm-cache
 		// contract: a second identical run must show zero computes.
 		cs, es := store.Stats(), ctx.Engine.Stats()
@@ -192,12 +194,6 @@ func run(args []string) error {
 			Seed:      *seed,
 			Formats:   formats,
 			Artifacts: ids,
-		}
-		if !isScenario(*wl) {
-			// A file-backed workload carries its own suite; the -loops and
-			// -seed overrides had no effect and must not be recorded as
-			// provenance.
-			manifest.Loops, manifest.Seed = 0, 0
 		}
 		if _, err := sweep.WriteManifest(*out, manifest); err != nil {
 			return err

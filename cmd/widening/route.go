@@ -1,14 +1,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/fleet"
@@ -85,30 +82,10 @@ func runRoute(args []string) error {
 	if err != nil {
 		return err
 	}
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		rt.Close()
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "widening route: listening on http://%s over %d backend(s): %s\n",
-		l.Addr(), len(targets), strings.Join(targets, ", "))
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	done := make(chan error, 1)
-	go func() { done <- rt.Serve(l) }()
-	select {
-	case err := <-done:
-		return err
-	case sig := <-sigs:
-		fmt.Fprintf(os.Stderr, "widening route: %v, draining (up to %s)\n", sig, *shutdownTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "widening route: drain exceeded %s, forcing close: %v\n", *shutdownTimeout, err)
-			rt.Close()
-		}
-		return <-done
-	}
+	defer rt.Close()
+	return serveUntilSignal("route", *addr, rt, *shutdownTimeout, func(a net.Addr) error {
+		fmt.Fprintf(os.Stderr, "widening route: listening on http://%s over %d backend(s): %s\n",
+			a, len(targets), strings.Join(targets, ", "))
+		return nil
+	})
 }

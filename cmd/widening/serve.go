@@ -66,47 +66,69 @@ func runServe(args []string) error {
 		// member down cold.
 		fmt.Fprintf(os.Stderr, "widening serve: warning: %v (continuing with the engines that warmed)\n", err)
 	}
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "widening serve: listening on http://%s (%d preload target(s), budget %d)\n",
-		l.Addr(), len(pre), *budget)
-	if *joinRouter != "" {
+	var joined string
+	err = serveUntilSignal("serve", *addr, srv, *shutdownTimeout, func(a net.Addr) error {
+		fmt.Fprintf(os.Stderr, "widening serve: listening on http://%s (%d preload target(s), budget %d)\n",
+			a, len(pre), *budget)
+		if *joinRouter == "" {
+			return nil
+		}
 		// Announce after the listener is up so the router's first probe
 		// can succeed. Failures are fatal: an operator who asked to join a
 		// fleet wants to know the fleet never heard about this member.
-		if err := fleetMemberPost(*joinRouter, "join", l.Addr().String()); err != nil {
-			l.Close()
+		if err := fleetMemberPost(*joinRouter, "join", a.String()); err != nil {
 			return fmt.Errorf("serve: -join %s: %w", *joinRouter, err)
 		}
+		joined = a.String()
 		fmt.Fprintf(os.Stderr, "widening serve: joined fleet at %s\n", *joinRouter)
-		defer func() {
-			// Best-effort retirement on the way out; the router's health
-			// probes drain us anyway if this never arrives.
-			if err := fleetMemberPost(*joinRouter, "leave", l.Addr().String()); err != nil {
-				fmt.Fprintf(os.Stderr, "widening serve: leave %s: %v\n", *joinRouter, err)
-			}
-		}()
+		return nil
+	})
+	if joined != "" {
+		// Best-effort retirement on the way out; the router's health
+		// probes drain us anyway if this never arrives.
+		if err := fleetMemberPost(*joinRouter, "leave", joined); err != nil {
+			fmt.Fprintf(os.Stderr, "widening serve: leave %s: %v\n", *joinRouter, err)
+		}
 	}
+	return err
+}
 
+// server is what serveUntilSignal runs: a serve.Server or a fleet.Router.
+type server interface {
+	Serve(net.Listener) error
+	Shutdown(context.Context) error
+	Close() error
+}
+
+// serveUntilSignal listens on addr, hands the bound address to ready and
+// answers requests with srv until SIGINT or SIGTERM. Then it drains
+// in-flight requests for at most drain and force-closes whatever is
+// still running, so a stuck stream cannot hold the exit hostage. cmd
+// names the command in its log lines. An error from ready closes the
+// listener and is returned before anything is served.
+func serveUntilSignal(cmd, addr string, srv server, drain time.Duration, ready func(net.Addr) error) error {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	if err := ready(l.Addr()); err != nil {
+		l.Close()
+		return err
+	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 	select {
 	case err := <-done:
 		return err
 	case sig := <-sigs:
-		fmt.Fprintf(os.Stderr, "widening serve: %v, draining (up to %s)\n", sig, *shutdownTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
+		fmt.Fprintf(os.Stderr, "widening %s: %v, draining (up to %s)\n", cmd, sig, drain)
+		ctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			// The drain deadline passed with requests (a stuck stream?)
-			// still in flight: force the close so the process exits
-			// bounded, as -shutdown-timeout promises.
-			fmt.Fprintf(os.Stderr, "widening serve: drain exceeded %s, forcing close: %v\n", *shutdownTimeout, err)
+			fmt.Fprintf(os.Stderr, "widening %s: drain exceeded %s, forcing close: %v\n", cmd, drain, err)
 			srv.Close()
 		}
 		return <-done

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -21,6 +26,52 @@ func TestRunServeErrors(t *testing.T) {
 	}
 	if err := run([]string{"serve", "-loops", "5", "-addr", "127.0.0.1:999999"}); err == nil {
 		t.Error("unlistenable address must error")
+	}
+}
+
+// httpServer adapts an http.Server to serveUntilSignal: like serve.Server
+// and fleet.Router, its Serve reports a stop as a clean return.
+type httpServer struct{ *http.Server }
+
+func (s httpServer) Serve(l net.Listener) error {
+	if err := s.Server.Serve(l); !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// TestServeUntilSignalForcesClose: SIGINT with a request stuck in flight
+// drains for the bounded time, then force-closes the stuck connection,
+// and the serve loop returns cleanly.
+func TestServeUntilSignalForcesClose(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	srv := httpServer{&http.Server{Handler: http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+	})}}
+	got := make(chan error, 1)
+	err := serveUntilSignal("test", "127.0.0.1:0", srv, 50*time.Millisecond, func(a net.Addr) error {
+		go func() {
+			_, err := http.Get("http://" + a.String() + "/")
+			got <- err
+		}()
+		go func() {
+			<-entered
+			syscall.Kill(syscall.Getpid(), syscall.SIGINT)
+		}()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("serve loop: %v", err)
+	}
+	select {
+	case err := <-got:
+		if err == nil {
+			t.Error("the stuck request completed; want its connection closed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the stuck request is still open after the drain bound: no forced close")
 	}
 }
 

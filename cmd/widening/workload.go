@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/experiments"
 	"repro/internal/workload"
 )
 
@@ -140,12 +139,12 @@ func printWorkloadSummary(w *workload.Workload) {
 // "default" in the working directory must not shadow the scenario.
 func isScenario(v string) bool { return workload.Registered(v) }
 
-// resolveContext builds the experiment context for a -workload flag
-// value: a registered scenario name, or otherwise a path to a workload
-// file exported by `widening workload export`.
-func resolveContext(workloadFlag string, loops int, seed int64) (*experiments.Context, error) {
+// resolveWorkload resolves a -workload flag value: a registered scenario
+// name, built at loops and seed, or otherwise a path to a workload file
+// exported by `widening workload export`.
+func resolveWorkload(workloadFlag string, loops int, seed int64) (*workload.Workload, error) {
 	if isScenario(workloadFlag) {
-		return experiments.NewContextFor(workloadFlag, loops, seed)
+		return workload.Build(workloadFlag, loops, seed)
 	}
 	w, err := workload.Load(workloadFlag)
 	if err != nil {
@@ -158,7 +157,7 @@ func resolveContext(workloadFlag string, loops int, seed int64) (*experiments.Co
 	if loops != 0 || seed != 0 {
 		fmt.Fprintln(os.Stderr, "widening: -loops/-seed have no effect on a workload loaded from a file")
 	}
-	return experiments.NewWorkloadContext(w), nil
+	return w, nil
 }
 
 func looksLikeFile(v string) bool {

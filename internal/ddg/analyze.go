@@ -176,9 +176,10 @@ func (l *Loop) ComputeStats() Stats {
 	return s
 }
 
-// compactableOp is the widening eligibility rule shared with the widen
-// package: unit-stride memory accesses and non-recurrent, non-scalar
-// arithmetic compact; everything else does not.
+// compactableOp is the widening eligibility rule of the paper's Section 2,
+// which widen.Transform applies through Loop.Compactable: unit-stride
+// memory accesses and non-recurrent, non-scalar arithmetic compact;
+// everything else does not.
 func compactableOp(op Op, rec map[int]bool) bool {
 	if op.Scalar || rec[op.ID] {
 		return false

@@ -24,9 +24,6 @@ type Options struct {
 	// /v1/fleet/join and /v1/fleet/leave add and remove members without a
 	// router restart; health decides which members receive traffic.
 	Backends []string
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (default 64): higher evens the key split at slightly larger ring.
-	Replicas int
 	// Replication is the ownership factor R (default 2): every workload's
 	// engines are kept warm on its first R healthy ring candidates by a
 	// background prewarm fan-out, so the primary's failure fails over to
@@ -154,9 +151,6 @@ func New(opts Options) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("fleet: no backends configured")
 	}
-	if opts.Replicas <= 0 {
-		opts.Replicas = 64
-	}
 	if opts.Replication <= 0 {
 		opts.Replication = 2
 	}
@@ -179,7 +173,7 @@ func New(opts Options) (*Router, error) {
 
 	rt := &Router{
 		opts: opts,
-		ring: newRing(addrs, opts.Replicas),
+		ring: newRing(addrs, vnodes),
 		mux:  http.NewServeMux(),
 		hc: &http.Client{Transport: &http.Transport{
 			DialContext:         (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
@@ -205,7 +199,7 @@ func New(opts Options) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/fleet/join", rt.handleFleetJoin)
 	rt.mux.HandleFunc("POST /v1/fleet/leave", rt.handleFleetLeave)
 	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound,
+		serve.WriteError(w, http.StatusNotFound,
 			"no such endpoint %s (have /healthz, /v1/workloads, /v1/eval, /v1/sweep, /v1/experiments/{id}, /v1/stats, /v1/fleet)",
 			r.URL.Path)
 	})
@@ -235,15 +229,6 @@ func (rt *Router) Serve(l net.Listener) error {
 		return err
 	}
 	return nil
-}
-
-// ListenAndServe answers requests on addr until Shutdown.
-func (rt *Router) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return rt.Serve(l)
 }
 
 // Shutdown stops probing, drains in-flight requests and stops the

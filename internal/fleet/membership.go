@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -24,7 +25,7 @@ func (rt *Router) Join(addr string) error {
 		return fmt.Errorf("fleet: %s is already a member", a)
 	}
 	rt.backends[a] = &backendState{addr: a, health: health{state: stateOpen}}
-	rt.ring = newRing(append(append([]string(nil), rt.ring.backends...), a), rt.opts.Replicas)
+	rt.ring = newRing(append(append([]string(nil), rt.ring.backends...), a), vnodes)
 	rt.mu.Unlock()
 	rt.logf("fleet: backend %s joined (unhealthy until probed)", a)
 	// Probe immediately so adoption starts now, not at the next tick.
@@ -57,7 +58,7 @@ func (rt *Router) Leave(addr string) error {
 			remaining = append(remaining, b)
 		}
 	}
-	rt.ring = newRing(remaining, rt.opts.Replicas)
+	rt.ring = newRing(remaining, vnodes)
 	rt.mu.Unlock()
 	rt.logf("fleet: backend %s left the fleet", a)
 	rt.scheduleFanout(true)
@@ -83,7 +84,7 @@ func (rt *Router) fleetResponse() FleetMembership {
 }
 
 func (rt *Router) handleFleetStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, rt.fleetResponse())
+	serve.WriteJSON(w, http.StatusOK, rt.fleetResponse())
 }
 
 // decodeMemberRequest reads the {"addr": ...} body shared by join and
@@ -93,11 +94,11 @@ func decodeMemberRequest(w http.ResponseWriter, r *http.Request) (string, bool) 
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode member request: %v (want {\"addr\": \"host:port\"})", err)
+		serve.WriteError(w, http.StatusBadRequest, "decode member request: %v (want {\"addr\": \"host:port\"})", err)
 		return "", false
 	}
 	if req.Addr == "" {
-		writeError(w, http.StatusBadRequest, "member request has no addr")
+		serve.WriteError(w, http.StatusBadRequest, "member request has no addr")
 		return "", false
 	}
 	return req.Addr, true
@@ -109,10 +110,10 @@ func (rt *Router) handleFleetJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rt.Join(addr); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		serve.WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.fleetResponse())
+	serve.WriteJSON(w, http.StatusOK, rt.fleetResponse())
 }
 
 func (rt *Router) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
@@ -121,8 +122,8 @@ func (rt *Router) handleFleetLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := rt.Leave(addr); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		serve.WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rt.fleetResponse())
+	serve.WriteJSON(w, http.StatusOK, rt.fleetResponse())
 }

@@ -21,6 +21,9 @@ type ring struct {
 	backends []string
 }
 
+// vnodes is the number of virtual points each backend puts on the ring.
+const vnodes = 64
+
 type ringPoint struct {
 	hash    uint64
 	backend int // index into backends

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -23,13 +22,6 @@ import (
 // over the full workbench are single-digit MBs; this is slack, not a
 // target).
 const maxProxyBody = 256 << 20
-
-// maxStreamLine mirrors serve.Client's NDJSON line bound.
-const maxStreamLine = 1 << 20
-
-// trailerPrefix mirrors serve.Client's trailer probe: every SweepTrailer
-// line opens with it, no Point line does.
-var trailerPrefix = []byte(`{"done":`)
 
 // reqMeta is the per-request end-to-end metadata the router threads
 // through every attempt: the tenant (X-Tenant) and the client's absolute
@@ -76,7 +68,7 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request) (reqMeta, bool) 
 	m.tenant = r.Header.Get(serve.TenantHeader)
 	deadline, ok, err := serve.ParseDeadlineHeader(r.Header.Get(serve.DeadlineHeader), time.Now())
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return m, false
 	}
 	m.deadline, m.hasDeadline = deadline, ok
@@ -167,7 +159,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key, method, p
 	case m.expired():
 		rt.writeDeadlineExceeded(w, key, m)
 	default:
-		writeError(w, http.StatusBadGateway, "fleet: %s %s failed after retries: %v", method, path, err)
+		serve.WriteError(w, http.StatusBadGateway, "fleet: %s %s failed after retries: %v", method, path, err)
 	}
 }
 
@@ -179,12 +171,8 @@ func (rt *Router) writeUnavailable(w http.ResponseWriter, key string) {
 	if retryAfter < 1 {
 		retryAfter = 1
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfter))
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(Unavailable{
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
+	serve.WriteJSON(w, http.StatusServiceUnavailable, Unavailable{
 		Error: fmt.Sprintf(
 			"fleet: no healthy backend for workload %q (%d/%d backends healthy); retry after the probe horizon",
 			key, healthy, total),
@@ -208,12 +196,8 @@ func (rt *Router) writeQuotaExceeded(w http.ResponseWriter, tenant string, retry
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.WriteHeader(http.StatusTooManyRequests)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(QuotaExceeded{
+	serve.WriteJSON(w, http.StatusTooManyRequests, QuotaExceeded{
 		Error:             fmt.Sprintf("fleet: tenant %s %s; retry after %ds", tenantName(tenant), what, secs),
 		Tenant:            tenant,
 		RetryAfterSeconds: secs,
@@ -224,7 +208,7 @@ func (rt *Router) writeQuotaExceeded(w http.ResponseWriter, tenant string, retry
 // expired before any backend completed it.
 func (rt *Router) writeDeadlineExceeded(w http.ResponseWriter, key string, m reqMeta) {
 	rt.deadlineExceeded.Add(1)
-	writeJSON(w, http.StatusGatewayTimeout, DeadlineExceeded{
+	serve.WriteJSON(w, http.StatusGatewayTimeout, DeadlineExceeded{
 		Error:          fmt.Sprintf("fleet: deadline expired before the request for %q completed", key),
 		DeadlineUnixMS: m.deadline.UnixMilli(),
 	})
@@ -232,7 +216,7 @@ func (rt *Router) writeDeadlineExceeded(w http.ResponseWriter, key string, m req
 
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	rows, healthy := rt.healthSnapshot()
-	writeJSON(w, http.StatusOK, HealthResponse{
+	serve.WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:          fleetStatus(healthy, len(rows)),
 		UptimeSeconds:   time.Since(rt.started).Seconds(),
 		BackendsTotal:   len(rows),
@@ -286,11 +270,11 @@ func (rt *Router) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !ok {
-		writeError(w, http.StatusBadGateway, "fleet: no backend answered /v1/workloads: %v", lastErr)
+		serve.WriteError(w, http.StatusBadGateway, "fleet: no backend answered /v1/workloads: %v", lastErr)
 		return
 	}
 	sort.Slice(merged.Imported, func(i, j int) bool { return merged.Imported[i].Name < merged.Imported[j].Name })
-	writeJSON(w, http.StatusOK, merged)
+	serve.WriteJSON(w, http.StatusOK, merged)
 }
 
 func (rt *Router) healthyBackends() []string {
@@ -307,8 +291,10 @@ func (rt *Router) healthyBackends() []string {
 
 // handleImport routes an upload to the backend owning the workload's
 // name — the same backend every eval and sweep for that name will hash
-// to. The fan-out replicates the engine to the rest of the replica set
-// on the next membership change; until then replicas build it lazily.
+// to — over the same retry walk as every buffered request, so a failed
+// primary hands the upload to the next replica. Only the backend that
+// answers holds the import: /v1/prewarm names workloads without carrying
+// them, so every other replica answers that the workload is unknown.
 func (rt *Router) handleImport(w http.ResponseWriter, r *http.Request) {
 	m, ok := rt.admit(w, r)
 	if !ok {
@@ -316,12 +302,12 @@ func (rt *Router) handleImport(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	wl, err := workload.Decode(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rt.forward(w, r, wl.Name, http.MethodPost, "/v1/workloads", body, m)
@@ -362,12 +348,12 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	var req serve.SweepRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode sweep request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, "decode sweep request: %v", err)
 		return
 	}
 	key := req.Workload
@@ -381,7 +367,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer rt.admission.endSweep(m.tenant)
-	if !streaming(r) {
+	if !serve.Streaming(r) {
 		rt.forward(w, r, key, http.MethodPost, "/v1/sweep", body, m)
 		return
 	}
@@ -422,13 +408,17 @@ func (rt *Router) streamSweep(w http.ResponseWriter, r *http.Request, key string
 	case m.expired():
 		rt.writeDeadlineExceeded(w, key, m)
 	default:
-		writeError(w, http.StatusBadGateway, "fleet: sweep stream failed after retries: %v", err)
+		serve.WriteError(w, http.StatusBadGateway, "fleet: sweep stream failed after retries: %v", err)
 	}
 }
 
-func writeStreamHeader(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
+// startStream writes the NDJSON response header, once per request.
+func startStream(w http.ResponseWriter, headerWritten *bool) {
+	if !*headerWritten {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		*headerWritten = true
+	}
 }
 
 // streamAttempt runs one backend sweep stream, skipping the first *sent
@@ -466,63 +456,40 @@ func (rt *Router) streamAttempt(ctx context.Context, addr string, body []byte, m
 		return fmt.Errorf("fleet: backend %s answered HTTP %d mid-resume", addr, resp.StatusCode)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	n := 0
-	// One splice buffer per stream: sc.Bytes() aliases the scanner's
-	// internal buffer, so the forwarded line + '\n' is assembled in a
-	// buffer we own (and reuse across points) rather than a fresh
-	// append-copy per point.
+	// seen counts the backend's point lines; the first *sent of them are
+	// the deterministic prefix already delivered. One splice buffer per
+	// stream: the line aliases the reader's buffer, so the forwarded line
+	// + '\n' is assembled in a buffer we own (and reuse across points)
+	// rather than a fresh append-copy per point.
+	seen := 0
 	var out []byte
-	for sc.Scan() {
-		line := sc.Bytes()
-		if !json.Valid(line) {
-			// A connection cut mid-line reaches us as a complete-looking
-			// final token (bufio.Scanner flushes its partial buffer before
-			// reporting the read error). Forwarding it would corrupt the
-			// client's stream unrecoverably — the resume skips whole lines,
-			// so the fragment would never be completed. Drop it and retry.
-			return fmt.Errorf("fleet: %w: backend %s sent a partial line after %d point(s)", serve.ErrTruncatedStream, addr, n)
+	n, err := serve.ReadSweepStream(resp.Body, func(line []byte) error {
+		if seen++; seen <= *sent {
+			return nil
 		}
-		// Trailer lines (and only they) open with {"done": — Point lines
-		// lead with "label" — so the per-point cost of the trailer probe
-		// is one byte comparison, not a speculative decode.
-		if bytes.HasPrefix(line, trailerPrefix) {
-			var t serve.SweepTrailer
-			if json.Unmarshal(line, &t) == nil && t.Done {
-				if t.Points != n || n < *sent {
-					return fmt.Errorf("fleet: %w: backend %s trailer reports %d point(s), saw %d (already delivered %d)",
-						serve.ErrTruncatedStream, addr, t.Points, n, *sent)
-				}
-				if !*headerWritten {
-					writeStreamHeader(w)
-					*headerWritten = true
-				}
-				json.NewEncoder(w).Encode(serve.SweepTrailer{Done: true, Points: *sent})
-				return nil
-			}
-		}
-		n++
-		if n <= *sent {
-			continue // deterministic prefix, already delivered
-		}
-		if !*headerWritten {
-			writeStreamHeader(w)
-			*headerWritten = true
-		}
+		startStream(w, headerWritten)
 		out = append(append(out[:0], line...), '\n')
 		if _, err := w.Write(out); err != nil {
 			return fmt.Errorf("%w: %v", errClientGone, err)
 		}
-		*sent = n
+		*sent = seen
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("fleet: backend %s: %w", addr, err)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("fleet: %w: backend %s read failed after %d point(s): %v", serve.ErrTruncatedStream, addr, n, err)
+	if n < *sent {
+		// A complete replay shorter than the prefix already delivered:
+		// this replica disagrees with the one that sent it.
+		return fmt.Errorf("fleet: %w: backend %s replayed %d point(s), %d already delivered",
+			serve.ErrTruncatedStream, addr, n, *sent)
 	}
-	return fmt.Errorf("fleet: %w: backend %s closed after %d point(s) with no trailer", serve.ErrTruncatedStream, addr, n)
+	startStream(w, headerWritten)
+	json.NewEncoder(w).Encode(serve.SweepTrailer{Done: true, Points: *sent})
+	return nil
 }
 
 // handleStats aggregates: the router's own counters, the replica map,
@@ -635,25 +602,5 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.Fleet.Tenants[name] = TenantStats{EngineUnits: int64(math.Round(u))}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func streaming(r *http.Request) bool {
-	switch r.URL.Query().Get("stream") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, serve.Error{Error: fmt.Sprintf(format, args...)})
+	serve.WriteJSON(w, http.StatusOK, resp)
 }

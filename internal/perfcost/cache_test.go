@@ -174,8 +174,7 @@ func TestFingerprintPinned(t *testing.T) {
 		"03b72a07c2c3d6f70b87e08305a79aea0d20803fd8e3f983896e7c9537a8c42e"; got != want {
 		t.Errorf("heuristic fingerprint = %s, want %s", got, want)
 	}
-	x := New(loops, nil)
-	x.SetBackend(BackendExact, 0, 0)
+	x := New(loops, &Options{Backend: BackendExact})
 	if got, want := x.Fingerprint(),
 		"1a002cae4f5b2a4345d6d09dfaff1dfa29962af43f19903c672749e722940c8c"; got != want {
 		t.Errorf("exact fingerprint = %s, want %s", got, want)

@@ -89,10 +89,10 @@ type Engine struct {
 	fp     string
 
 	// backend selects the scheduling backend: the default heuristic
-	// pipeline, or exact refinement of small loops (see SetBackend).
+	// pipeline, or exact refinement of small loops with exactBudget nodes
+	// per loop (see Options.Backend).
 	backend     Backend
 	exactBudget int
-	exactMaxOps int
 
 	widenComputes atomic.Int64
 	suiteComputes atomic.Int64
@@ -150,6 +150,14 @@ type Options struct {
 	// engines; keys derive from the engine's Fingerprint, so engines over
 	// different workloads never mix cells.
 	Cache *resultcache.Store
+	// Backend selects the scheduling backend (default BackendHeuristic).
+	// It participates in every suite cell and in the persistent-cache
+	// fingerprint.
+	Backend Backend
+	// ExactBudget is the exact backend's node budget per loop (<= 0 =
+	// exact.DefaultNodeBudget); the heuristic backend ignores it. The
+	// exact backend refines loops of at most exact.DefaultMaxOps ops.
+	ExactBudget int
 }
 
 // New builds an engine over the given workbench.
@@ -167,6 +175,11 @@ func New(loops []*ddg.Loop, opts *Options) *Engine {
 			e.budget = opts.Budget
 		}
 		e.cache = opts.Cache
+		e.backend = opts.Backend
+		e.exactBudget = opts.ExactBudget
+	}
+	if e.exactBudget <= 0 {
+		e.exactBudget = exact.DefaultNodeBudget
 	}
 	e.sem = make(chan struct{}, e.workers)
 	return e
@@ -202,30 +215,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// AttachCache attaches a persistent result store after construction (the
-// CLI path, where the engine is built behind the experiments context).
-// It must be called before the engine serves any request: the disk layer
-// is consulted under the singleflight, and attaching mid-traffic would
-// race those reads.
-func (e *Engine) AttachCache(store *resultcache.Store) { e.cache = store }
-
-// SetBackend selects the scheduling backend after construction (the CLI
-// path). Like AttachCache it must be called before the engine serves any
-// request: the backend participates in every suite cell and in the
-// persistent-cache fingerprint. nodeBudget and maxOps <= 0 pick the exact
-// package defaults; both are ignored on the heuristic backend.
-func (e *Engine) SetBackend(b Backend, nodeBudget, maxOps int) {
-	e.backend = b
-	if nodeBudget <= 0 {
-		nodeBudget = exact.DefaultNodeBudget
-	}
-	if maxOps <= 0 {
-		maxOps = exact.DefaultMaxOps
-	}
-	e.exactBudget = nodeBudget
-	e.exactMaxOps = maxOps
-}
-
 // Backend returns the engine's scheduling backend.
 func (e *Engine) Backend() Backend { return e.backend }
 
@@ -251,7 +240,7 @@ func (e *Engine) Fingerprint() string {
 		// Backend line only when non-default, so every previously
 		// persisted heuristic cell keeps its key.
 		if e.backend != BackendHeuristic {
-			fmt.Fprintf(h, "backend:%d:%d:%d\n", e.backend, e.exactBudget, e.exactMaxOps)
+			fmt.Fprintf(h, "backend:%d:%d:%d\n", e.backend, e.exactBudget, exact.DefaultMaxOps)
 		}
 		var n [8]byte
 		for _, l := range e.loops {
@@ -328,15 +317,6 @@ func NewFromWorkload(w *workload.Workload, opts *Options) *Engine {
 	e := New(w.Loops, opts)
 	e.workload = w.Name
 	return e
-}
-
-// NewDefault builds an engine over the calibrated default workbench.
-func NewDefault() (*Engine, error) {
-	w, err := workload.Get(workload.Default)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromWorkload(w, nil), nil
 }
 
 // Loops returns the engine's workbench.
@@ -586,11 +566,11 @@ func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []Suit
 			p.cycles = trips * float64(res.II()) / float64(width)
 			p.spilled = res.SpillStores+res.SpillLoads > 0
 			p.spillOps = res.SpillStores + res.SpillLoads
-			if e.backend == BackendExact && l.NumOps() <= e.exactMaxOps {
+			if e.backend == BackendExact && l.NumOps() <= exact.DefaultMaxOps {
 				// Exact refinement is accepted only when it is a strictly
 				// better feasible schedule whose register packing fits the
 				// file without spilling — it can never make a cell worse.
-				eo := exact.Options{NodeBudget: e.exactBudget, MaxOps: e.exactMaxOps}
+				eo := exact.Options{NodeBudget: e.exactBudget}
 				if er, xerr := exact.Solve(l, m, &eo); xerr == nil &&
 					er.II < res.II() && er.MinRegs <= m.RF.Regs {
 					p.cycles = trips * float64(er.II) / float64(width)

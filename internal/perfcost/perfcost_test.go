@@ -211,9 +211,8 @@ func TestSpillStudyMatchesSuiteCycles(t *testing.T) {
 		{"exact", 10, BackendExact},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			batch, single := testEngine(t, tc.loops), testEngine(t, tc.loops)
-			batch.SetBackend(tc.backend, 0, 0)
-			single.SetBackend(tc.backend, 0, 0)
+			opts := &Options{Backend: tc.backend}
+			batch, single := New(testLoops(t, tc.loops), opts), New(testLoops(t, tc.loops), opts)
 			batch.SpillStudy(configs)
 			computes := batch.Stats().SuiteComputes
 			var failures, spillOps, refined int
@@ -279,8 +278,7 @@ func TestExactBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	heur := New(suite, nil)
-	ex := New(suite, nil)
-	ex.SetBackend(BackendExact, 20_000, 0)
+	ex := New(suite, &Options{Backend: BackendExact, ExactBudget: 20_000})
 	if heur.Fingerprint() == ex.Fingerprint() {
 		t.Fatal("exact backend shares the heuristic fingerprint")
 	}

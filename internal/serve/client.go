@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,21 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// ErrTruncatedStream marks an NDJSON sweep stream that did not complete:
-// the connection closed without the SweepTrailer, the trailer counted
-// more points than arrived, or the read itself failed mid-stream. Every
-// such failure wraps this sentinel, so callers (the fleet router above
-// all) can classify it with errors.Is and retry against another replica —
-// a truncated sweep is idempotent to re-run, the points already consumed
-// are a deterministic prefix of the retry.
-var ErrTruncatedStream = errors.New("sweep stream truncated")
-
 // ClientOptions tunes a Client's transport. The zero value gives the
 // defaults documented per field; use NewClientHTTP to take over the
 // http.Client entirely.
 type ClientOptions struct {
-	// DialTimeout bounds establishing the TCP connection (default 10s).
-	DialTimeout time.Duration
 	// RequestTimeout bounds one whole request — dial, headers and body,
 	// streaming sweeps included (default 10m, enough for a cold full-
 	// workbench experiment; negative disables the bound). A tighter
@@ -45,13 +32,14 @@ type ClientOptions struct {
 }
 
 const (
-	defaultDialTimeout    = 10 * time.Second
+	// dialTimeout bounds establishing the TCP connection (and a TLS
+	// handshake).
+	dialTimeout           = 10 * time.Second
 	defaultRequestTimeout = 10 * time.Minute
 )
 
-// Client is a typed Go client for the serve API, used by the tests, the
-// CI smoke and examples/servequery. The zero value is not usable; call
-// NewClient.
+// Client is a typed Go client for the serve API, used by the tests and
+// examples/servequery. The zero value is not usable; call NewClient.
 type Client struct {
 	base    string
 	hc      *http.Client
@@ -68,10 +56,6 @@ func NewClient(base string) *Client {
 
 // NewClientOptions is NewClient with explicit timeout options.
 func NewClientOptions(base string, opts ClientOptions) *Client {
-	dial := opts.DialTimeout
-	if dial == 0 {
-		dial = defaultDialTimeout
-	}
 	timeout := opts.RequestTimeout
 	if timeout == 0 {
 		timeout = defaultRequestTimeout
@@ -80,8 +64,8 @@ func NewClientOptions(base string, opts ClientOptions) *Client {
 		timeout = 0
 	}
 	hc := &http.Client{Transport: &http.Transport{
-		DialContext:         (&net.Dialer{Timeout: dial}).DialContext,
-		TLSHandshakeTimeout: dial,
+		DialContext:         (&net.Dialer{Timeout: dialTimeout}).DialContext,
+		TLSHandshakeTimeout: dialTimeout,
 	}}
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc, timeout: timeout, tenant: opts.Tenant}
 }
@@ -178,22 +162,10 @@ func (c *Client) Sweep(ctx context.Context, req SweepRequest) (SweepResponse, er
 	return out, c.post(ctx, "/v1/sweep", body, &out)
 }
 
-// maxStreamLine bounds one NDJSON line of a sweep stream.
-const maxStreamLine = 1 << 20
-
-// trailerPrefix starts every SweepTrailer line ({"done":true,...}) and no
-// Point line (those lead with "label"), so stream consumers can probe for
-// the trailer with a byte comparison instead of a speculative JSON decode
-// of every point line.
-var trailerPrefix = []byte(`{"done":`)
-
 // SweepStream calls POST /v1/sweep?stream=1 and invokes fn for each
-// point as it arrives, in submission order. The server terminates the
-// stream with a SweepTrailer line; a stream that ends without one — or
-// whose trailer counts more points than arrived — is reported as
-// truncated rather than returned as a short success (the regression this
-// guards: a connection dropped mid-sweep used to look exactly like a
-// completed sweep).
+// point as it arrives, in submission order. A stream that ends without
+// its trailer — or whose trailer counts more points than arrived — is an
+// ErrTruncatedStream, never a short success (see ReadSweepStream).
 func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Point) error) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -206,45 +178,16 @@ func (c *Client) SweepStream(ctx context.Context, req SweepRequest, fn func(Poin
 		return err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), maxStreamLine)
-	received := 0
-	for sc.Scan() {
-		// The trailer probe runs first: only lines opening with the
-		// trailer's leading key are decoded as SweepTrailer (Point lines
-		// lead with "label"), so the common point line costs one byte
-		// comparison instead of a speculative decode.
-		if bytes.HasPrefix(sc.Bytes(), trailerPrefix) {
-			var t SweepTrailer
-			if json.Unmarshal(sc.Bytes(), &t) == nil && t.Done {
-				if t.Points != received {
-					return fmt.Errorf("serve: %w: trailer reports %d point(s), received %d (lost points in transit)", ErrTruncatedStream, t.Points, received)
-				}
-				return nil
-			}
-		}
+	_, err = ReadSweepStream(resp.Body, func(line []byte) error {
 		var p Point
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			// A connection cut mid-line surfaces here, not as a read error:
-			// bufio.Scanner emits whatever partial line it holds as a final
-			// complete-looking token before reporting the failure. An
-			// undecodable line is therefore truncation (or corruption in
-			// flight), never a deterministic server answer — classify it as
-			// the retryable stream failure it is.
-			return fmt.Errorf("serve: %w: undecodable line after %d point(s): %v", ErrTruncatedStream, received, err)
+		if err := json.Unmarshal(line, &p); err != nil {
+			// Valid JSON that is not a Point: corruption in flight, like
+			// the undecodable lines ReadSweepStream rejects.
+			return fmt.Errorf("serve: %w: undecodable point: %v", ErrTruncatedStream, err)
 		}
-		if err := fn(p); err != nil {
-			return err
-		}
-		received++
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return fmt.Errorf("serve: sweep stream line exceeds %d bytes (server and client disagree on the protocol?): %w", maxStreamLine, err)
-		}
-		return fmt.Errorf("serve: %w: read failed after %d point(s): %v", ErrTruncatedStream, received, err)
-	}
-	return fmt.Errorf("serve: %w: connection closed after %d point(s) with no terminator", ErrTruncatedStream, received)
+		return fn(p)
+	})
+	return err
 }
 
 // ExperimentResponse is the experiment envelope (the artifact's canonical

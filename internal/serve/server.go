@@ -40,7 +40,7 @@ type Options struct {
 
 // Server is the long-lived design-space query service: an http.Handler
 // over a Manager of warm engines. Build one with New, mount Handler (or
-// call Serve/ListenAndServe), and stop it with Shutdown.
+// call Serve), and stop it with Shutdown.
 type Server struct {
 	opts    Options
 	mgr     *Manager
@@ -84,7 +84,7 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/prewarm", s.handlePrewarm)
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			"no such endpoint %s (have /healthz, /v1/workloads, /v1/eval, /v1/sweep, /v1/experiments/{id}, /v1/stats, /v1/prewarm)",
 			r.URL.Path)
 	})
@@ -125,15 +125,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return nil
 }
 
-// ListenAndServe answers requests on addr until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown drains in-flight requests and stops the server.
 func (s *Server) Shutdown(ctx context.Context) error {
 	return s.hs.Shutdown(ctx)
@@ -169,7 +160,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		resp.Status = "degraded"
 		resp.Reasons = reasons
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
@@ -177,11 +168,11 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode prewarm request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decode prewarm request: %v", err)
 		return
 	}
 	if len(req.Workloads) == 0 {
-		writeError(w, http.StatusBadRequest, "prewarm request has no workloads")
+		WriteError(w, http.StatusBadRequest, "prewarm request has no workloads")
 		return
 	}
 	warmed, built, err := s.mgr.Preload(req.Workloads)
@@ -191,7 +182,7 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 			resp.Errors = append(resp.Errors, e.Error())
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -212,26 +203,26 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 			Ops:         totalOps(wl),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	wl, err := workload.Decode(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	replaced, err := s.mgr.Import(wl)
 	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ImportResponse{
+	WriteJSON(w, http.StatusOK, ImportResponse{
 		Name:     wl.Name,
 		Loops:    len(wl.Loops),
 		Ops:      totalOps(wl),
@@ -256,40 +247,40 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 // (or while) the evaluation could run: a structured 504 instead of
 // burning scheduler time on an answer nobody is waiting for.
 func writeDeadlineExceeded(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusGatewayTimeout,
+	WriteError(w, http.StatusGatewayTimeout,
 		"deadline %s exceeded before evaluation completed", r.Header.Get(DeadlineHeader))
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cancel()
 	q := r.URL.Query()
 	cfg, err := machine.ParseConfig(q.Get("config"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "config: %v (want the paper's XwY notation, e.g. 4w2)", err)
+		WriteError(w, http.StatusBadRequest, "config: %v (want the paper's XwY notation, e.g. 4w2)", err)
 		return
 	}
 	regs, err := queryInt(q.Get("regs"), 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "regs: %v", err)
+		WriteError(w, http.StatusBadRequest, "regs: %v", err)
 		return
 	}
 	parts, err := queryInt(q.Get("partitions"), 1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "partitions: %v", err)
+		WriteError(w, http.StatusBadRequest, "partitions: %v", err)
 		return
 	}
 	z, err := queryInt(q.Get("z"), 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "z: %v", err)
+		WriteError(w, http.StatusBadRequest, "z: %v", err)
 		return
 	}
 	if regs < 1 || parts < 1 {
-		writeError(w, http.StatusBadRequest, "regs and partitions must be >= 1")
+		WriteError(w, http.StatusBadRequest, "regs and partitions must be >= 1")
 		return
 	}
 	h, err := s.acquire(w, r, q.Get("workload"))
@@ -303,10 +294,10 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	p, err := evalCell(h.Engine(), cfg, regs, parts, z)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, EvalResponse{
+	WriteJSON(w, http.StatusOK, EvalResponse{
 		Workload:    h.Workload().Name,
 		Point:       p,
 		PeakSpeedup: h.Engine().PeakSpeedup(cfg),
@@ -316,7 +307,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := requestContext(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cancel()
@@ -324,11 +315,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode sweep request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decode sweep request: %v", err)
 		return
 	}
 	if len(req.Cells) == 0 {
-		writeError(w, http.StatusBadRequest, "sweep request has no cells")
+		WriteError(w, http.StatusBadRequest, "sweep request has no cells")
 		return
 	}
 	// Validate every cell before evaluating any: a typo in cell 40 must
@@ -337,20 +328,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for i, c := range req.Cells {
 		cfg, err := machine.ParseConfig(c.Config)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "cell %d: config: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "cell %d: config: %v", i, err)
 			return
 		}
 		if c.Regs < 1 {
-			writeError(w, http.StatusBadRequest, "cell %d: regs must be >= 1", i)
+			WriteError(w, http.StatusBadRequest, "cell %d: regs must be >= 1", i)
 			return
 		}
 		if c.Partitions < 0 {
-			writeError(w, http.StatusBadRequest, "cell %d: partitions must be >= 1 (or omitted for 1)", i)
+			WriteError(w, http.StatusBadRequest, "cell %d: partitions must be >= 1 (or omitted for 1)", i)
 			return
 		}
 		if c.Z != 0 {
 			if _, ok := modelForZ(c.Z); !ok {
-				writeError(w, http.StatusBadRequest, "cell %d: %v", i, errBadModel(c.Z))
+				WriteError(w, http.StatusBadRequest, "cell %d: %v", i, errBadModel(c.Z))
 				return
 			}
 		}
@@ -367,7 +358,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if streaming(r) {
+	if Streaming(r) {
 		// NDJSON: one point per line, in submission order, flushed as each
 		// cell completes so slow sweeps render incrementally. The stream
 		// ends with a SweepTrailer line — without it (encode failure,
@@ -415,13 +406,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	for bi, p := range eng.EvaluateMany(batch) {
 		points[batchIdx[bi]] = toPoint(eng, p)
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Workload: h.Workload().Name, Points: points})
+	WriteJSON(w, http.StatusOK, SweepResponse{Workload: h.Workload().Name, Points: points})
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	rctx, cancel, err := requestContext(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	defer cancel()
@@ -434,7 +425,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !known {
-		writeError(w, http.StatusNotFound, "unknown experiment %q (have %v)", id, experiments.IDs())
+		WriteError(w, http.StatusNotFound, "unknown experiment %q (have %v)", id, experiments.IDs())
 		return
 	}
 	var ctx *experiments.Context
@@ -445,7 +436,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		// table2 without synthesizing the 1180-loop default workbench.
 		name := r.URL.Query().Get("workload")
 		if name != "" && !s.mgr.Known(name) {
-			writeError(w, http.StatusNotFound, "%v", errUnknown(name))
+			WriteError(w, http.StatusNotFound, "%v", errUnknown(name))
 			return
 		}
 		ctx = experiments.NewContextOver(nil, nil, 0, 0)
@@ -467,14 +458,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := ctx.Run(id)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	// The response is the artifact's canonical export envelope, so a
 	// served experiment and a `widening -out` file are byte-compatible.
 	buf, err := sweep.MarshalArtifact(res)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -510,7 +501,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			PutErrors:    cs.PutErrors,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // acquire resolves the workload query parameter ("" = the default
@@ -527,7 +518,7 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request, name string) (*
 		if errors.Is(err, ErrUnknownWorkload) {
 			code = http.StatusNotFound
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return nil, err
 	}
 	return h, nil
@@ -590,14 +581,6 @@ func totalOps(w *workload.Workload) int {
 	return ops
 }
 
-func streaming(r *http.Request) bool {
-	switch r.URL.Query().Get("stream") {
-	case "1", "true", "yes":
-		return true
-	}
-	return false
-}
-
 func queryInt(s string, def int) (int, error) {
 	if s == "" {
 		return def, nil
@@ -605,7 +588,20 @@ func queryInt(s string, def int) (int, error) {
 	return strconv.Atoi(s)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// Streaming reports whether a sweep request asks for the NDJSON stream
+// (?stream=1, true or yes).
+func Streaming(r *http.Request) bool {
+	switch r.URL.Query().Get("stream") {
+	case "1", "true", "yes":
+		return true
+	}
+	return false
+}
+
+// WriteJSON writes v as the indented JSON body of a response with status
+// code. The fleet router writes its own answers through it too, so a
+// routed error reads like a direct one.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -613,6 +609,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, Error{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the structured Error body of a failed request.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, Error{Error: fmt.Sprintf(format, args...)})
 }

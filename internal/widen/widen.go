@@ -5,12 +5,13 @@
 // in one cycle.
 //
 // Compactable operations (Section 2 of the paper, and the companion ICS'97/
-// ICS'98 papers) are unit-stride memory accesses and arithmetic operations
-// that are not part of a recurrence; everything else — strided or indirect
-// accesses, scalar computations, recurrent operations — cannot be packed
-// and occupies a full wide slot per instance. This is exactly why widening
-// is less versatile than replication: in a 1w8 configuration either 8
-// compactable operations or 1 non-compactable operation issues per cycle.
+// ICS'98 papers; the rule is ddg.Loop.Compactable) are unit-stride memory
+// accesses and arithmetic operations that are not part of a recurrence;
+// everything else — strided or indirect accesses, scalar computations,
+// recurrent operations — cannot be packed and occupies a full wide slot
+// per instance. This is exactly why widening is less versatile than
+// replication: in a 1w8 configuration either 8 compactable operations or
+// 1 non-compactable operation issues per cycle.
 package widen
 
 import (
@@ -57,7 +58,6 @@ func Transform(l *ddg.Loop, width int) (*ddg.Loop, Info) {
 		return l.Clone(), info
 	}
 
-	rec := l.RecurrenceOps()
 	out := &ddg.Loop{
 		Name:  fmt.Sprintf("%s/w%d", l.Name, width),
 		Trips: l.Trips,
@@ -90,7 +90,7 @@ func Transform(l *ddg.Loop, width int) (*ddg.Loop, Info) {
 
 	for _, op := range l.Ops {
 		instanceID[op.ID] = make([]int, width)
-		if compactable(op, rec) {
+		if l.Compactable(op.ID) {
 			id := newOp(op, true, 0)
 			for lane := 0; lane < width; lane++ {
 				instanceID[op.ID][lane] = id
@@ -141,16 +141,6 @@ func Transform(l *ddg.Loop, width int) (*ddg.Loop, Info) {
 		panic(fmt.Sprintf("widen: transformed loop invalid: %v", err))
 	}
 	return out, info
-}
-
-func compactable(op ddg.Op, rec map[int]bool) bool {
-	if op.Scalar || rec[op.ID] {
-		return false
-	}
-	if op.Kind.IsMem() {
-		return op.Stride == 1
-	}
-	return true
 }
 
 func wideName(op ddg.Op, width int) string {
