@@ -9,8 +9,10 @@ package sched_test
 // + heap-driven placement) produces identical schedules loop for loop.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -891,6 +893,86 @@ func TestDifferentialSchedulerMinII(t *testing.T) {
 						t.Fatalf("%s %s MinII %d: op %d starts at %d, reference %d",
 							src.Name, c.cfg, minII, v, got.Time[v], want.time[v])
 					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScheduleMatchesReference pins the scheduler against the reference
+// path on generated loops, spilled or not: the same II and the same start
+// cycles, or a failure on both sides. The input draws a loopgen seed and
+// a body of at most 24 operations, a width in {1, 2, 4, 8, 16}, 1-4
+// buses, a cycle model, up to six Loop.Spill calls on operations the seed
+// picks, and an offset of up to 127 cycles that raises the II floor above
+// the MII. Every run schedules through one Workspace shared across the
+// runs, so the per-operation tables and the memoized HRMS order meet
+// loops of every shape in turn.
+func FuzzScheduleMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(18), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0))
+	f.Add(int64(20), uint8(18), uint8(4), uint8(0), uint8(2), uint8(6), uint8(0))
+	f.Add(int64(1998), uint8(12), uint8(3), uint8(1), uint8(0), uint8(3), uint8(70))
+	ws := sched.NewWorkspace()
+	f.Fuzz(func(t *testing.T, seed int64, maxOps, widthExp, busCount, model, spills, minII uint8) {
+		p := loopgen.Defaults()
+		p.Loops, p.Seed = 1, seed
+		p.MaxOps = p.MinOps + int(maxOps)%(24-p.MinOps+1)
+		loops, err := loopgen.Workbench(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := machine.Config{Buses: 1 + int(busCount)%4, Width: 1 << (widthExp % 5)}
+		l, _ := widen.Transform(loops[0], cfg.Width)
+		rng := rand.New(rand.NewSource(seed))
+		for i := int(spills) % 7; i > 0; i-- {
+			l.Spill(rng.Intn(len(l.Ops)))
+		}
+		m := machine.New(cfg, 256, machine.CycleModels()[model%4])
+		buses, fpus := m.Slots()
+		floor := l.MII(m.Model, buses, fpus) + int(minII)%128
+		what := fmt.Sprintf("%s (%d ops) %s %s MinII %d", l.Name, len(l.Ops), cfg, m.Model, floor)
+
+		want, ok := refModuloSchedule(l, m, floor)
+		got, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: floor, Workspace: ws})
+		if !ok || err != nil {
+			if ok || !errors.Is(err, sched.ErrNoSchedule) {
+				t.Fatalf("%s: reference ok=%v, scheduler err=%v", what, ok, err)
+			}
+			return
+		}
+		if got.II != want.ii || !slices.Equal(got.Time, want.time) {
+			t.Fatalf("%s: II %d times %v, reference II %d times %v", what, got.II, got.Time, want.ii, want.time)
+		}
+	})
+}
+
+// TestSafeMaxIIMatchesDefinition pins the II search cap, which the placer
+// reads off its ASAP times and per-operation tables, to its definition:
+// MII + the loop's critical path + totalOcc·(maxOcc+1) + 8, for every loop
+// of the 40-loop default workbench widened to each width from 1 to 16 and
+// scheduled for 1wY under every cycle model.
+func TestSafeMaxIIMatchesDefinition(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 40
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for width := 1; width <= 16; width++ {
+		for _, src := range loops {
+			l, _ := widen.Transform(src, width)
+			for _, model := range machine.CycleModels() {
+				buses, fpus := machine.New(machine.Config{Buses: 1, Width: width}, 256, model).Slots()
+				mii := l.MII(model, buses, fpus)
+				totalOcc, maxOcc := 0, 1
+				for _, op := range l.Ops {
+					occ := model.Occupancy(op.Kind)
+					totalOcc += occ
+					maxOcc = max(maxOcc, occ)
+				}
+				want := mii + l.CriticalPath(model) + totalOcc*(maxOcc+1) + 8
+				if got := sched.SafeMaxII(l, model, mii); got != want {
+					t.Fatalf("%s %s: cap %d, definition %d", l.Name, model, got, want)
 				}
 			}
 		}

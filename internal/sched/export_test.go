@@ -1,5 +1,18 @@
 package sched
 
+import (
+	"repro/internal/ddg"
+	"repro/internal/machine"
+)
+
 // RandomLoop exposes the property tests' random loop generator to the
 // external differential tests.
 var RandomLoop = randomLoop
+
+// SafeMaxII returns the II search cap ModuloSchedule derives for l under
+// the model when its search starts at mii.
+func SafeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
+	a := l.Analysis()
+	p := newPlacer(l, model, HRMSOrder(l, model), a.Preds(), a.Succs(), a.ASAP(model), NewWorkspace(), &Schedule{})
+	return p.safeMaxII(mii)
+}

@@ -26,6 +26,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -153,6 +154,9 @@ func (s *Schedule) Validate() error {
 }
 
 func mod(a, m int) int {
+	if uint(a) < uint(m) {
+		return a // nearly every placement cycle: no division
+	}
 	r := a % m
 	if r < 0 {
 		r += m
@@ -218,21 +222,24 @@ type Options struct {
 
 // Workspace is a reusable scheduling scratch arena: the ordering and
 // placement state that does not escape into the returned Schedule
-// (ranks, victim stamps, the lazy-deletion heap, the modulo reservation
-// table and its row-owner index). It also remembers the last HRMS order
-// with the loop analysis snapshot and cycle model it was computed for, so
-// a call that reschedules the same loop at another II (every candidate
-// of the spill pass's II growth) reuses the order. A zero Workspace is
-// ready to use; it grows to the largest loop it has scheduled and is NOT
-// safe for concurrent use. ModuloSchedule pools workspaces for callers
-// that bring none (see wsPool). The remembered snapshot keeps its loop
-// reachable, so each pooled workspace pins at most one loop.
+// (ranks, victim stamps, the per-operation latency, occupancy and class
+// tables, the unplaced set, the modulo reservation table and its
+// row-owner index). It also remembers the last HRMS order with the loop
+// analysis snapshot and cycle model it was computed for, so a call that
+// reschedules the same loop at another II (every candidate of the spill
+// pass's II growth) reuses the order. A zero Workspace is ready to use;
+// it grows to the largest loop it has scheduled and is NOT safe for
+// concurrent use. ModuloSchedule pools workspaces for callers that bring
+// none (see wsPool). The remembered snapshot keeps its loop reachable, so
+// each pooled workspace pins at most one loop.
 type Workspace struct {
-	ints      []int  // rank + lastForced + heap + stamp, one 4n slab
-	placed    []bool // placement marks
-	hrmsInts  []int  // HRMS slack + occupancy + rank + sorted order + frontier heap, one 5n slab
-	hrmsBools []bool // HRMS ordered + joined-frontier marks, one 2n slab
-	order     []int  // HRMS output, reused across calls
+	ints      []int       // rank + lastForced + stamp + latency + occupancy, one 5n slab
+	classes   []mrt.Class // per-operation resource class
+	unplaced  []uint64    // unplaced-set words, one bit per rank
+	placed    []bool      // placement marks
+	hrmsInts  []int       // HRMS slack + occupancy + rank + sorted order + frontier heap, one 5n slab
+	hrmsBools []bool      // HRMS ordered + joined-frontier marks, one 2n slab
+	order     []int       // HRMS output, reused across calls
 	// orderFor and orderModel identify the loop snapshot and cycle model
 	// order belongs to; a nil orderFor memoizes nothing.
 	orderFor   *ddg.Analysis
@@ -293,19 +300,19 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if o.MinII > mii {
 		mii = o.MinII
 	}
-	maxII := o.MaxII
-	if maxII == 0 {
-		maxII = safeMaxII(l, model, mii)
-	}
 
 	// One scratch arena serves the whole II search: the placement state
-	// (times, reservations, heap, reservation table, owner index) is reset
-	// in place at each candidate II instead of being reallocated.
+	// (times, reservations, unplaced set, reservation table, owner index)
+	// is reset in place at each candidate II instead of being reallocated.
 	dst := o.Into
 	if dst == nil {
 		dst = &Schedule{}
 	}
 	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), ws, dst)
+	maxII := o.MaxII
+	if maxII == 0 {
+		maxII = sc.safeMaxII(mii)
+	}
 	for ii := mii; ii <= maxII; ii++ {
 		if sc.tryPlace(buses, fpus, ii) {
 			dst.Loop, dst.II, dst.Model = l, ii, model
@@ -316,26 +323,6 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
 }
 
-// safeMaxII returns the II search budget: MII plus the critical path plus
-// room for every reservation to fragment the table ((maxOcc+1) rows per
-// reserved row). It bounds the search; it does not prove that placement
-// succeeds below it. The greedy placement gives up at an II when its
-// eviction budget runs out, and on some loops it does so at every II up
-// to the cap (loop scalar0020 of the 30-loop default workbench, widened
-// for 1w16 with 32 registers under the 3-cycle model, fails its spill
-// reschedule this way at MII=378, cap=1263).
-func safeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
-	totalOcc, maxOcc := 0, 1
-	for _, op := range l.Ops {
-		occ := model.Occupancy(op.Kind)
-		totalOcc += occ
-		if occ > maxOcc {
-			maxOcc = occ
-		}
-	}
-	return mii + l.CriticalPath(model) + totalOcc*(maxOcc+1) + 8
-}
-
 const inf = int(^uint(0) >> 2)
 
 // placer is the per-search scratch arena of the placement phase. One
@@ -343,10 +330,14 @@ const inf = int(^uint(0) >> 2)
 // resets the state in place instead of reallocating it, and it places
 // straight into the destination schedule's time/reservation arrays.
 type placer struct {
-	l            *ddg.Loop
-	model        machine.CycleModel
 	preds, succs [][]ddg.Edge
 	asap         []int
+
+	// lat, occ and class are the per-operation tables of the call's cycle
+	// model: each operation's latency, reserved rows and resource class,
+	// filled once per call so a placement step reads no ddg.Op.
+	lat, occ []int
+	class    []mrt.Class
 
 	// rank[v] is v's position in the scheduling order; the next operation
 	// to (re)place is always the unplaced one with the smallest rank.
@@ -358,11 +349,14 @@ type placer struct {
 	placed     []bool
 	lastForced []int
 
-	// heap is a min-heap of the ranks of operations to place, with lazy
-	// deletion: popping skips entries whose operation was placed since
-	// being pushed. Ranks are unique, so the pop order matches the
-	// linear smallest-rank scan it replaces exactly.
-	heap minHeap
+	// unplaced is the set of operations waiting to be (re)placed, as a
+	// bitset over ranks: bit r stands for order[r]. No word below low has
+	// a bit set, so a pop scans up from low for the lowest set bit, and an
+	// eviction sets its bit and lowers low. Ranks are unique, so the pop
+	// is the smallest-rank unplaced operation. remaining counts the set.
+	unplaced  []uint64
+	low       int
+	remaining int
 
 	table *mrt.Table
 
@@ -388,20 +382,34 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	// Reuse the workspace's placer header (it carries the reservation
 	// table and owner index across calls) and its scratch slabs.
 	p := &ws.p
-	if cap(ws.ints) < 4*n {
-		ws.ints = make([]int, 4*n)
+	if cap(ws.ints) < 5*n {
+		ws.ints = make([]int, 5*n)
 	}
 	ints := ws.ints
 	if cap(ws.placed) < n {
 		ws.placed = make([]bool, n)
 	}
+	if cap(ws.classes) < n {
+		ws.classes = make([]mrt.Class, n)
+	}
+	if words := (n + 63) >> 6; cap(ws.unplaced) < words {
+		ws.unplaced = make([]uint64, words)
+	}
 	p.placed = ws.placed[:n]
-	p.l, p.model, p.order = l, model, order
+	p.unplaced = ws.unplaced[:(n+63)>>6]
+	p.order = order
 	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
-	p.heap = minHeap(ints[2*n : 2*n : 3*n])
-	p.stamp = ints[3*n : 4*n : 4*n]
+	p.stamp = ints[2*n : 3*n : 3*n]
+	p.lat = ints[3*n : 4*n : 4*n]
+	p.occ = ints[4*n : 5*n : 5*n]
+	p.class = ws.classes[:n]
+	for v, op := range l.Ops {
+		p.lat[v] = model.Latency(op.Kind)
+		p.occ[v] = model.Occupancy(op.Kind)
+		p.class[v] = classOf(op.Kind)
+	}
 	for v := range p.stamp {
 		p.stamp[v] = 0
 	}
@@ -433,17 +441,40 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	return p
 }
 
+// safeMaxII returns the II search budget: MII plus the critical path plus
+// room for every reservation to fragment the table ((maxOcc+1) rows per
+// reserved row). The critical path, the longest distance-0 dependence
+// chain, is the latest ASAP finish, read off the placer's ASAP times and
+// latency table. The budget bounds the search; it does not prove that
+// placement succeeds below it. The greedy placement gives up at an II
+// when its eviction budget runs out, and on some loops it does so at
+// every II up to the cap (loop scalar0020 of the 30-loop default
+// workbench, widened for 1w16 with 32 registers under the 3-cycle model,
+// fails its spill reschedule this way at MII=378, cap=1263).
+func (p *placer) safeMaxII(mii int) int {
+	crit, totalOcc, maxOcc := 0, 0, 1
+	for v, occ := range p.occ {
+		crit = max(crit, p.asap[v]+p.lat[v])
+		totalOcc += occ
+		maxOcc = max(maxOcc, occ)
+	}
+	return mii + crit + totalOcc*(maxOcc+1) + 8
+}
+
 // reset prepares the arena for a fresh placement attempt at the given II.
 func (p *placer) reset(buses, fpus, ii int) {
 	for v := range p.placed {
 		p.placed[v] = false
 		p.lastForced[v] = -inf
 	}
-	// Ascending ranks are already a valid min-heap.
-	p.heap = p.heap[:0]
-	for r := range p.order {
-		p.heap = append(p.heap, r)
+	// Every rank is unplaced.
+	for w := range p.unplaced {
+		p.unplaced[w] = ^uint64(0)
 	}
+	if r := len(p.order) & 63; r != 0 {
+		p.unplaced[len(p.unplaced)-1] = 1<<r - 1
+	}
+	p.low, p.remaining = 0, len(p.order)
 	if p.table == nil {
 		p.table = mrt.New(ii, buses, fpus)
 	} else {
@@ -463,8 +494,8 @@ func (p *placer) reset(buses, fpus, ii int) {
 	}
 }
 
-// minHeap is a binary min-heap of ints. The ordering phase and the placer
-// both keep operation ranks in one, so a pop yields the best-ranked
+// minHeap is a binary min-heap of ints. The ordering phase keeps the
+// ranks of its frontier in one, so a pop yields the best-ranked
 // operation.
 type minHeap []int
 
@@ -506,15 +537,38 @@ func (h *minHeap) pop() int {
 	return top
 }
 
-// popUnplaced returns the unplaced operation with the smallest rank,
-// discarding stale heap entries, or -1 when none remains.
+// popUnplaced takes the unplaced operation with the smallest rank out of
+// the unplaced set, which must not be empty.
 func (p *placer) popUnplaced() int {
-	for len(p.heap) > 0 {
-		if v := p.order[p.heap.pop()]; !p.placed[v] {
-			return v
-		}
+	for p.unplaced[p.low] == 0 {
+		p.low++
 	}
-	return -1
+	x := p.unplaced[p.low]
+	p.unplaced[p.low] = x & (x - 1)
+	return p.order[p.low<<6|bits.TrailingZeros64(x)]
+}
+
+// place records v, whose reservation res[v] is made, as starting at
+// cycle t, in row t mod II.
+func (p *placer) place(v, t, row int) {
+	p.time[v], p.placed[v] = t, true
+	p.own(v, row, int32(v))
+	p.remaining--
+}
+
+// evict takes u, when placed, out of the schedule and back into the
+// unplaced set.
+func (p *placer) evict(u int) {
+	if !p.placed[u] {
+		return
+	}
+	p.table.Release(p.res[u])
+	p.own(u, mod(p.time[u], p.ii), -1)
+	p.placed[u] = false
+	r := p.rank[u]
+	p.unplaced[r>>6] |= 1 << (r & 63)
+	p.low = min(p.low, r>>6)
+	p.remaining++
 }
 
 // unitOwners returns the row owners of unit u of class c.
@@ -524,13 +578,13 @@ func (p *placer) unitOwners(c mrt.Class, u int) []int32 {
 }
 
 // own writes owner (v when placing v, -1 when evicting it) into every row
-// v's reservation holds.
-func (p *placer) own(v int, owner int32) {
+// v's reservation holds. Every span of the reservation starts at v's
+// issue cycle, in row.
+func (p *placer) own(v, row int, owner int32) {
 	r := &p.res[v]
 	for _, sp := range r.Spans {
 		rows := p.unitOwners(r.Class, sp.Unit)
-		row := mod(sp.Cycle, p.ii)
-		for i := 0; i < sp.Occ; i++ {
+		for i, row := 0, row; i < sp.Occ; i++ {
 			rows[row] = owner
 			if row++; row == p.ii {
 				row = 0
@@ -564,27 +618,20 @@ func (p *placer) rowOwners(c mrt.Class, u, row, occ int, collect bool) int {
 // tryPlace attempts a schedule at a fixed II following the placer's order,
 // leaving it in the destination's time and reservation arrays.
 func (p *placer) tryPlace(buses, fpus, ii int) bool {
-	l, model := p.l, p.model
-	n := l.NumOps()
 	p.reset(buses, fpus, ii)
 	time, res, placed, lastForced := p.time, p.res, p.placed, p.lastForced
+	lat := p.lat
 	table := p.table
 
-	budget := 8*n + 64
-	remaining := n
+	budget := 8*len(p.order) + 64
 	frontier := 0 // latest placed start time: seeds new components nearby
-	for remaining > 0 {
+	for p.remaining > 0 {
 		if budget--; budget < 0 {
 			return false
 		}
 		// Pick the unplaced op with the best (smallest) rank.
 		v := p.popUnplaced()
-		if v < 0 {
-			return false // unreachable: remaining > 0 implies an entry
-		}
-		op := l.Ops[v]
-		occ := model.Occupancy(op.Kind)
-		class := classOf(op.Kind)
+		occ, class := p.occ[v], p.class[v]
 
 		estart, lstart := -inf, inf
 		hasPred, hasSucc := false, false
@@ -593,7 +640,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 				continue
 			}
 			hasPred = true
-			if t := time[e.From] + model.Latency(l.Ops[e.From].Kind) - ii*e.Dist; t > estart {
+			if t := time[e.From] + lat[e.From] - ii*e.Dist; t > estart {
 				estart = t
 			}
 		}
@@ -602,7 +649,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 				continue
 			}
 			hasSucc = true
-			if t := time[e.To] - model.Latency(op.Kind) + ii*e.Dist; t < lstart {
+			if t := time[e.To] - lat[v] + ii*e.Dist; t < lstart {
 				lstart = t
 			}
 		}
@@ -611,7 +658,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 
 		// The candidate window — at most II cycles, forward or backward
 		// depending on which neighbours are placed — goes to the table's
-		// first-fit search, and PlaceInto runs once, at the cycle found.
+		// first-fit search, which reserves the first cycle that fits.
 		var from, to, step int
 		switch {
 		case hasPred && !hasSucc:
@@ -647,13 +694,11 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			from, to, step = base, base+ii-1, 1
 		}
 
-		if t, ok := table.FirstFit(class, from, to, step, occ); ok && table.PlaceInto(&res[v], class, t, occ) {
-			time[v], placed[v] = t, true
-			p.own(v, int32(v))
+		if t, ok := table.FirstFitInto(&res[v], class, from, to, step, occ); ok {
+			p.place(v, t, mod(t, ii))
 			if t > frontier {
 				frontier = t
 			}
-			remaining--
 			continue
 		}
 
@@ -676,39 +721,25 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		}
 		lastForced[v] = tf
 
-		evict := func(u int) {
-			if placed[u] {
-				table.Release(res[u])
-				p.own(u, -1)
-				placed[u] = false
-				p.heap.push(p.rank[u])
-				remaining++
-			}
-		}
-		// Dependence victims: placed neighbours whose constraint against
-		// time[v] = tf no longer holds.
-		for _, e := range p.preds[v] {
-			if e.From != v && placed[e.From] &&
-				tf < time[e.From]+model.Latency(l.Ops[e.From].Kind)-ii*e.Dist {
-				evict(e.From)
-			}
-		}
+		// Dependence victims: placed successors whose constraint against
+		// time[v] = tf no longer holds. No placed predecessor can be one:
+		// tf >= estart, the latest start they allow.
 		for _, e := range p.succs[v] {
-			if e.To != v && placed[e.To] &&
-				time[e.To] < tf+model.Latency(op.Kind)-ii*e.Dist {
-				evict(e.To)
+			if e.To != v && placed[e.To] && time[e.To] < tf+lat[v]-ii*e.Dist {
+				p.evict(e.To)
 			}
 		}
 
 		// Resource victims, read off the row-owner index. v itself is
 		// unplaced, so it owns no row.
 		p.victims = p.victims[:0]
+		row := mod(tf, ii)
 		if occ <= ii {
 			// Free one unit's conflicting rows: pick the unit of the class
-			// with the fewest conflicting reservations.
-			row := mod(tf, ii)
+			// with the fewest conflicting reservations (the first unit with
+			// none ends the search).
 			bestUnit, bestCount := -1, inf
-			for u := 0; u < table.Units(class); u++ {
+			for u := 0; u < table.Units(class) && bestCount > 0; u++ {
 				if cnt := p.rowOwners(class, u, row, occ, false); cnt < bestCount {
 					bestUnit, bestCount = u, cnt
 				}
@@ -724,17 +755,15 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			}
 		}
 		for _, w := range p.victims {
-			evict(w)
+			p.evict(w)
 		}
 		if !table.PlaceInto(&res[v], class, tf, occ) {
 			return false // class too small for the reservation at this II
 		}
-		time[v], placed[v] = tf, true
-		p.own(v, int32(v))
+		p.place(v, tf, row)
 		if tf > frontier {
 			frontier = tf
 		}
-		remaining--
 	}
 
 	// Normalize to non-negative times, shifting by a multiple of II so the
