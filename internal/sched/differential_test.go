@@ -6,7 +6,8 @@ package sched_test
 // scratch, and the linear-scan placement loop. The differential test
 // schedules the workbench with both paths across all widths and cycle
 // models and asserts the optimized scheduler (analysis cache + bitset MRT
-// + heap-driven placement) produces identical schedules loop for loop.
+// + rank-bitset placement on per-operation tables) produces identical
+// schedules loop for loop.
 
 import (
 	"errors"

@@ -13,6 +13,8 @@ var RandomLoop = randomLoop
 // the model when its search starts at mii.
 func SafeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
 	a := l.Analysis()
-	p := newPlacer(l, model, HRMSOrder(l, model), a.Preds(), a.Succs(), a.ASAP(model), NewWorkspace(), &Schedule{})
+	ws := NewWorkspace()
+	ws.fillTables(l, model)
+	p := newPlacer(l, HRMSOrder(l, model), a.Preds(), a.Succs(), a.ASAP(model), ws, &Schedule{})
 	return p.safeMaxII(mii)
 }

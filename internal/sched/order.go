@@ -17,13 +17,18 @@ import (
 // — the register-pressure-sensitivity that HRMS (and its successor Swing
 // Modulo Scheduling) brings over plain top-down list ordering.
 func HRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
-	return hrmsOrder(l, model, nil)
+	occ := make([]int, l.NumOps())
+	for v, op := range l.Ops {
+		occ[v] = model.Occupancy(op.Kind)
+	}
+	return hrmsOrder(l, model, occ, nil)
 }
 
-// hrmsOrder is HRMSOrder with an optional scratch workspace: with one,
-// the key, rank and heap arrays, the marks and the returned order (which
-// the caller consumes before the next scheduling call) come from reusable
-// slabs instead of per-call allocations.
+// hrmsOrder is HRMSOrder given each operation's occupancy under the model,
+// with an optional scratch workspace: with one, the key, rank and heap
+// arrays, the marks and the returned order (which the caller consumes
+// before the next scheduling call) come from reusable slabs instead of
+// per-call allocations.
 //
 // The preference between two operations is a fixed strict total order, so
 // hrmsOrder sorts the operations by it once and works on ranks: the next
@@ -31,7 +36,7 @@ func HRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
 // only moves forward), and the frontier is a min-heap of ranks that each
 // operation enters once, when it first neighbours the ordered set. Every
 // pick is the operation a scan for the best candidate would choose.
-func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
+func hrmsOrder(l *ddg.Loop, model machine.CycleModel, occ []int, ws *Workspace) []int {
 	n := l.NumOps()
 	if n == 0 {
 		return nil
@@ -48,8 +53,8 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	var bools []bool
 	var order []int
 	if ws != nil {
-		if cap(ws.hrmsInts) < 5*n {
-			ws.hrmsInts = make([]int, 5*n)
+		if cap(ws.hrmsInts) < 4*n {
+			ws.hrmsInts = make([]int, 4*n)
 		}
 		ints = ws.hrmsInts
 		if cap(ws.hrmsBools) < 2*n {
@@ -62,13 +67,12 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 		}
 		order = ws.order[:0]
 	} else {
-		ints = make([]int, 5*n)
+		ints = make([]int, 4*n)
 		bools = make([]bool, 2*n)
 		order = make([]int, 0, n)
 	}
-	slack, occ := ints[0:n:n], ints[n:2*n:2*n]
-	rank, sorted := ints[2*n:3*n:3*n], ints[3*n:4*n:4*n]
-	frontier := minHeap(ints[4*n : 4*n : 5*n])
+	slack, rank, sorted := ints[0:n:n], ints[n:2*n:2*n], ints[2*n:3*n:3*n]
+	frontier := minHeap(ints[3*n : 3*n : 4*n])
 	// ordered marks the ordered set; joined marks the operations that have
 	// entered the frontier heap.
 	ordered, joined := bools[0:n:n], bools[n:2*n:2*n]
@@ -84,15 +88,10 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	// Frontier expansion walks both edge directions.
 	preds, succs := a.Preds(), a.Succs()
 
-	// Occupancy priority: non-pipelined operations reserve many rows and
-	// fragment badly if placed late, so they go as early as the frontier
-	// allows.
-	for v := 0; v < n; v++ {
-		occ[v] = model.Occupancy(l.Ops[v].Kind)
-	}
-
-	// Higher recurrence criticality first, then heavier reservations, then
-	// less slack, then earlier ASAP, then ID: 0 only when a == b.
+	// Higher recurrence criticality first, then heavier reservations (a
+	// non-pipelined operation reserves many rows and fragments badly if
+	// placed late, so it goes as early as the frontier allows), then less
+	// slack, then earlier ASAP, then ID: 0 only when a == b.
 	for v := range sorted {
 		sorted[v] = v
 	}

@@ -222,26 +222,29 @@ type Options struct {
 
 // Workspace is a reusable scheduling scratch arena: the ordering and
 // placement state that does not escape into the returned Schedule
-// (ranks, victim stamps, the per-operation latency, occupancy and class
-// tables, the unplaced set, the modulo reservation table and its
-// row-owner index). It also remembers the last HRMS order with the loop
-// analysis snapshot and cycle model it was computed for, so a call that
-// reschedules the same loop at another II (every candidate of the spill
-// pass's II growth) reuses the order. A zero Workspace is ready to use;
-// it grows to the largest loop it has scheduled and is NOT safe for
+// (ranks, victim stamps, the unplaced set, the modulo reservation table
+// and its row-owner index). It also remembers the last HRMS order, and
+// the per-operation latency and occupancy tables it was computed from,
+// with the loop analysis snapshot and cycle model they belong to, so a
+// call that reschedules the same loop at another II (every candidate of
+// the spill pass's II growth) reuses them. A zero Workspace is ready to
+// use; it grows to the largest loop it has scheduled and is NOT safe for
 // concurrent use. ModuloSchedule pools workspaces for callers that bring
 // none (see wsPool). The remembered snapshot keeps its loop reachable, so
 // each pooled workspace pins at most one loop.
 type Workspace struct {
-	ints      []int       // rank + lastForced + stamp + latency + occupancy, one 5n slab
-	classes   []mrt.Class // per-operation resource class
-	unplaced  []uint64    // unplaced-set words, one bit per rank
-	placed    []bool      // placement marks
-	hrmsInts  []int       // HRMS slack + occupancy + rank + sorted order + frontier heap, one 5n slab
-	hrmsBools []bool      // HRMS ordered + joined-frontier marks, one 2n slab
-	order     []int       // HRMS output, reused across calls
+	ints      []int    // rank + lastForced + stamp, one 3n slab
+	unplaced  []uint64 // unplaced-set words, one bit per rank
+	placed    []bool   // placement marks
+	hrmsInts  []int    // HRMS slack + rank + sorted order + frontier heap, one 4n slab
+	hrmsBools []bool   // HRMS ordered + joined-frontier marks, one 2n slab
+	order     []int    // HRMS output, reused across calls
+	// lat and occ are each operation's latency and occupancy under
+	// orderModel, carved from the 2n slab tables.
+	tables   []int
+	lat, occ []int
 	// orderFor and orderModel identify the loop snapshot and cycle model
-	// order belongs to; a nil orderFor memoizes nothing.
+	// order, lat and occ belong to; a nil orderFor memoizes nothing.
 	orderFor   *ddg.Analysis
 	orderModel machine.CycleModel
 	p          placer // placer header (holds the reservation table and owner index across calls)
@@ -255,6 +258,20 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // baseline, tests) get the warm-arena allocation profile for free. Safe
 // to recycle because the returned Schedule never aliases the workspace.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+
+// fillTables fills the latency and occupancy tables with those of l's
+// operations under the model.
+func (ws *Workspace) fillTables(l *ddg.Loop, model machine.CycleModel) {
+	n := l.NumOps()
+	if cap(ws.tables) < 2*n {
+		ws.tables = make([]int, 2*n)
+	}
+	ws.lat, ws.occ = ws.tables[0:n:n], ws.tables[n:2*n:2*n]
+	for v, op := range l.Ops {
+		ws.lat[v] = model.Latency(op.Kind)
+		ws.occ[v] = model.Occupancy(op.Kind)
+	}
+}
 
 // ErrNoSchedule is returned when no II up to the cap admits a schedule.
 var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
@@ -288,10 +305,11 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	buses, fpus := m.Slots()
 	model := m.Model
 
-	// The order depends on the loop and model, not the II: a reschedule of
-	// the same loop reuses it.
+	// The tables and the order depend on the loop and model, not the II:
+	// a reschedule of the same loop reuses them.
 	if ws.orderFor != a || ws.orderModel != model {
-		ws.order = hrmsOrder(l, model, ws)
+		ws.fillTables(l, model)
+		ws.order = hrmsOrder(l, model, ws.occ, ws)
 		ws.orderFor, ws.orderModel = a, model
 	}
 	order := ws.order
@@ -308,7 +326,7 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if dst == nil {
 		dst = &Schedule{}
 	}
-	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), ws, dst)
+	sc := newPlacer(l, order, a.Preds(), a.Succs(), a.ASAP(model), ws, dst)
 	maxII := o.MaxII
 	if maxII == 0 {
 		maxII = sc.safeMaxII(mii)
@@ -333,11 +351,11 @@ type placer struct {
 	preds, succs [][]ddg.Edge
 	asap         []int
 
-	// lat, occ and class are the per-operation tables of the call's cycle
-	// model: each operation's latency, reserved rows and resource class,
-	// filled once per call so a placement step reads no ddg.Op.
+	// lat and occ are the workspace's per-operation latency and
+	// occupancy tables, so a placement step reads no ddg.Op. An
+	// operation's resource class is the Class of its reservation slot,
+	// set by newPlacer; placing the operation rewrites the same class.
 	lat, occ []int
-	class    []mrt.Class
 
 	// rank[v] is v's position in the scheduling order; the next operation
 	// to (re)place is always the unplaced one with the smallest rank.
@@ -375,41 +393,34 @@ type placer struct {
 	victims []int
 }
 
-func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
+// newPlacer prepares the workspace's placer for l, whose order and
+// per-operation tables the workspace holds, to place into dst.
+func newPlacer(l *ddg.Loop, order []int,
 	preds, succs [][]ddg.Edge, asap []int, ws *Workspace, dst *Schedule) *placer {
 
 	n := l.NumOps()
 	// Reuse the workspace's placer header (it carries the reservation
 	// table and owner index across calls) and its scratch slabs.
 	p := &ws.p
-	if cap(ws.ints) < 5*n {
-		ws.ints = make([]int, 5*n)
+	if cap(ws.ints) < 3*n {
+		ws.ints = make([]int, 3*n)
 	}
 	ints := ws.ints
 	if cap(ws.placed) < n {
 		ws.placed = make([]bool, n)
 	}
-	if cap(ws.classes) < n {
-		ws.classes = make([]mrt.Class, n)
-	}
-	if words := (n + 63) >> 6; cap(ws.unplaced) < words {
+	words := (n + 63) >> 6
+	if cap(ws.unplaced) < words {
 		ws.unplaced = make([]uint64, words)
 	}
 	p.placed = ws.placed[:n]
-	p.unplaced = ws.unplaced[:(n+63)>>6]
+	p.unplaced = ws.unplaced[:words]
 	p.order = order
 	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
 	p.stamp = ints[2*n : 3*n : 3*n]
-	p.lat = ints[3*n : 4*n : 4*n]
-	p.occ = ints[4*n : 5*n : 5*n]
-	p.class = ws.classes[:n]
-	for v, op := range l.Ops {
-		p.lat[v] = model.Latency(op.Kind)
-		p.occ[v] = model.Occupancy(op.Kind)
-		p.class[v] = classOf(op.Kind)
-	}
+	p.lat, p.occ = ws.lat, ws.occ
 	for v := range p.stamp {
 		p.stamp[v] = 0
 	}
@@ -418,9 +429,9 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 
 	// time and res belong to the destination schedule, never to the
 	// workspace, so the returned Schedule does not alias pooled scratch.
-	// Every reservation starts with a one-span slot carved from the
-	// schedule's slab: the common case (occupancy <= II) fills it in
-	// place, so placement allocates no spans at all.
+	// Every reservation starts with its operation's class and a one-span
+	// slot carved from the schedule's slab: the common case (occupancy <=
+	// II) fills it in place, so placement allocates no spans at all.
 	if cap(dst.Time) < n {
 		dst.Time = make([]int, n)
 	}
@@ -432,8 +443,8 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	}
 	dst.Time, dst.Res, dst.spans = dst.Time[:n], dst.Res[:n], dst.spans[:n]
 	p.time, p.res = dst.Time, dst.Res
-	for v := range p.res {
-		p.res[v].Spans = dst.spans[v : v : v+1]
+	for v, op := range l.Ops {
+		p.res[v] = mrt.Reservation{Class: classOf(op.Kind), Spans: dst.spans[v : v : v+1]}
 	}
 	for i, v := range order {
 		p.rank[v] = i
@@ -631,7 +642,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		}
 		// Pick the unplaced op with the best (smallest) rank.
 		v := p.popUnplaced()
-		occ, class := p.occ[v], p.class[v]
+		occ, class := p.occ[v], res[v].Class
 
 		estart, lstart := -inf, inf
 		hasPred, hasSucc := false, false
