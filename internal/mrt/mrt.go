@@ -190,11 +190,8 @@ func clearBusy(bits []uint64, from, to int) {
 // fits reports whether unit u of class c is free at all occ rows starting
 // at cycle mod ii. occ must be in [1, ii].
 func (t *Table) fits(c Class, u, cycle, occ int) bool {
-	return t.fitsAt(&t.units[c][u], mod(cycle, t.ii), occ)
-}
-
-// fitsAt is fits on one unit's rows, from row start in [0, ii).
-func (t *Table) fitsAt(ur *unitRows, start, occ int) bool {
+	ur := &t.units[c][u]
+	start := mod(cycle, t.ii)
 	if occ == 1 {
 		return ur.bits[start>>6]&(1<<uint(start&63)) == 0
 	}
@@ -208,11 +205,8 @@ func (t *Table) fitsAt(ur *unitRows, start, occ int) bool {
 }
 
 func (t *Table) reserve(c Class, u, cycle, occ int) {
-	t.reserveAt(&t.units[c][u], mod(cycle, t.ii), occ)
-}
-
-// reserveAt is reserve on one unit's rows, from row start in [0, ii).
-func (t *Table) reserveAt(ur *unitRows, start, occ int) {
+	ur := &t.units[c][u]
+	start := mod(cycle, t.ii)
 	if end := start + occ; end <= t.ii {
 		setBusy(ur.bits, start, end)
 	} else {
@@ -258,10 +252,9 @@ func (t *Table) PlaceInto(r *Reservation, c Class, cycle, occ int) bool {
 	r.Class = c
 	r.Spans = r.Spans[:0]
 	if occ <= t.ii {
-		start := mod(cycle, t.ii)
 		for u := range t.units[c] {
-			if ur := &t.units[c][u]; t.fitsAt(ur, start, occ) {
-				t.reserveAt(ur, start, occ)
+			if t.fits(c, u, cycle, occ) {
+				t.reserve(c, u, cycle, occ)
 				r.Spans = append(r.Spans, Span{Unit: u, Cycle: cycle, Occ: occ})
 				return true
 			}
@@ -344,7 +337,10 @@ func sign(x int) int {
 // in at most two runs around the wrap. Other occupancies probe cycle by
 // cycle.
 func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
-	n := t.scanLen(from, to, step)
+	if step != 1 && step != -1 {
+		panic(fmt.Sprintf("mrt: FirstFit step %d is not 1 or -1", step))
+	}
+	n := min((to-from)*step+1, t.ii)
 	if n <= 0 {
 		return 0, false
 	}
@@ -356,8 +352,30 @@ func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
 		}
 		return 0, false
 	}
-	cycle, _, ok := t.firstFreeRow(c, from, n, step)
-	return cycle, ok
+	s := mod(from, t.ii)
+	if step > 0 {
+		// Rows s, s+1, ..., wrapping from II-1 to 0.
+		if r := t.lowestFree(c, s, min(s+n, t.ii)); r >= 0 {
+			return from + r - s, true
+		}
+		if end := s + n - t.ii; end > 0 {
+			if r := t.lowestFree(c, 0, end); r >= 0 {
+				return from + t.ii - s + r, true
+			}
+		}
+		return 0, false
+	}
+	// Rows s, s-1, ..., wrapping from 0 to II-1.
+	lo := s - n + 1
+	if r := t.highestFree(c, max(lo, 0), s+1); r >= 0 {
+		return from - (s - r), true
+	}
+	if lo < 0 {
+		if r := t.highestFree(c, lo+t.ii, t.ii); r >= 0 {
+			return from - (s + t.ii - r), true
+		}
+	}
+	return 0, false
 }
 
 // FirstFitInto is FirstFit followed by PlaceInto at the cycle found: it
@@ -365,26 +383,19 @@ func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
 // writes the reservation into *r and returns the cycle. When no cycle
 // fits it returns false, reserves nothing and leaves r as it was.
 //
-// For occ == 1 it is one scan: the row the word-level search finds is
-// reserved on the first unit that has it free, the unit PlaceInto would
-// choose, with one bit set. Other occupancies run FirstFit, then
-// PlaceInto.
+// For occ == 1 the row FirstFit's word scan found is reserved on the
+// first unit that has it free, the unit PlaceInto would choose, by
+// setting one bit, without PlaceInto's second scan of the units.
 func (t *Table) FirstFitInto(r *Reservation, c Class, from, to, step, occ int) (int, bool) {
-	if occ != 1 {
-		cycle, ok := t.FirstFit(c, from, to, step, occ)
-		if !ok || !t.PlaceInto(r, c, cycle, occ) {
-			return 0, false
-		}
-		return cycle, true
-	}
-	n := t.scanLen(from, to, step)
-	if n <= 0 {
-		return 0, false
-	}
-	cycle, row, ok := t.firstFreeRow(c, from, n, step)
+	cycle, ok := t.FirstFit(c, from, to, step, occ)
 	if !ok {
 		return 0, false
 	}
+	if occ != 1 {
+		t.PlaceInto(r, c, cycle, occ) // succeeds: FirstFit found room
+		return cycle, true
+	}
+	row := mod(cycle, t.ii)
 	w, bit := row>>6, uint64(1)<<(row&63)
 	for u := range t.units[c] {
 		if ur := &t.units[c][u]; ur.bits[w]&bit == 0 {
@@ -396,45 +407,6 @@ func (t *Table) FirstFitInto(r *Reservation, c Class, from, to, step, occ int) (
 		}
 	}
 	panic(fmt.Sprintf("mrt: row %d found free on no unit", row))
-}
-
-// scanLen returns the number of cycles a first-fit scan from, from+step,
-// ..., to visits: at most II, and <= 0 for a window that runs against its
-// step. It panics unless step is 1 or -1.
-func (t *Table) scanLen(from, to, step int) int {
-	if step != 1 && step != -1 {
-		panic(fmt.Sprintf("mrt: FirstFit step %d is not 1 or -1", step))
-	}
-	return min((to-from)*step+1, t.ii)
-}
-
-// firstFreeRow is FirstFit for occ == 1 over the first n cycles of the
-// scan (0 < n <= II); it also returns the row of the cycle found.
-func (t *Table) firstFreeRow(c Class, from, n, step int) (cycle, row int, ok bool) {
-	s := mod(from, t.ii)
-	if step > 0 {
-		// Rows s, s+1, ..., wrapping from II-1 to 0.
-		if r := t.lowestFree(c, s, min(s+n, t.ii)); r >= 0 {
-			return from + r - s, r, true
-		}
-		if end := s + n - t.ii; end > 0 {
-			if r := t.lowestFree(c, 0, end); r >= 0 {
-				return from + t.ii - s + r, r, true
-			}
-		}
-		return 0, 0, false
-	}
-	// Rows s, s-1, ..., wrapping from 0 to II-1.
-	lo := s - n + 1
-	if r := t.highestFree(c, max(lo, 0), s+1); r >= 0 {
-		return from - (s - r), r, true
-	}
-	if lo < 0 {
-		if r := t.highestFree(c, lo+t.ii, t.ii); r >= 0 {
-			return from - (s + t.ii - r), r, true
-		}
-	}
-	return 0, 0, false
 }
 
 // freeRows returns the rows of word w that some unit of class c has free.

@@ -559,11 +559,10 @@ func (p *placer) popUnplaced() int {
 	return p.order[p.low<<6|bits.TrailingZeros64(x)]
 }
 
-// place records v, whose reservation res[v] is made, as starting at
-// cycle t, in row t mod II.
-func (p *placer) place(v, t, row int) {
+// place records v, whose reservation res[v] is made, as starting at t.
+func (p *placer) place(v, t int) {
 	p.time[v], p.placed[v] = t, true
-	p.own(v, row, int32(v))
+	p.own(v, int32(v))
 	p.remaining--
 }
 
@@ -574,7 +573,7 @@ func (p *placer) evict(u int) {
 		return
 	}
 	p.table.Release(p.res[u])
-	p.own(u, mod(p.time[u], p.ii), -1)
+	p.own(u, -1)
 	p.placed[u] = false
 	r := p.rank[u]
 	p.unplaced[r>>6] |= 1 << (r & 63)
@@ -589,13 +588,13 @@ func (p *placer) unitOwners(c mrt.Class, u int) []int32 {
 }
 
 // own writes owner (v when placing v, -1 when evicting it) into every row
-// v's reservation holds. Every span of the reservation starts at v's
-// issue cycle, in row.
-func (p *placer) own(v, row int, owner int32) {
+// v's reservation holds.
+func (p *placer) own(v int, owner int32) {
 	r := &p.res[v]
 	for _, sp := range r.Spans {
 		rows := p.unitOwners(r.Class, sp.Unit)
-		for i, row := 0, row; i < sp.Occ; i++ {
+		row := mod(sp.Cycle, p.ii)
+		for i := 0; i < sp.Occ; i++ {
 			rows[row] = owner
 			if row++; row == p.ii {
 				row = 0
@@ -706,7 +705,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		}
 
 		if t, ok := table.FirstFitInto(&res[v], class, from, to, step, occ); ok {
-			p.place(v, t, mod(t, ii))
+			p.place(v, t)
 			if t > frontier {
 				frontier = t
 			}
@@ -744,11 +743,11 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		// Resource victims, read off the row-owner index. v itself is
 		// unplaced, so it owns no row.
 		p.victims = p.victims[:0]
-		row := mod(tf, ii)
 		if occ <= ii {
 			// Free one unit's conflicting rows: pick the unit of the class
 			// with the fewest conflicting reservations (the first unit with
 			// none ends the search).
+			row := mod(tf, ii)
 			bestUnit, bestCount := -1, inf
 			for u := 0; u < table.Units(class) && bestCount > 0; u++ {
 				if cnt := p.rowOwners(class, u, row, occ, false); cnt < bestCount {
@@ -771,7 +770,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		if !table.PlaceInto(&res[v], class, tf, occ) {
 			return false // class too small for the reservation at this II
 		}
-		p.place(v, tf, row)
+		p.place(v, tf)
 		if tf > frontier {
 			frontier = tf
 		}
