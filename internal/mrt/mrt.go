@@ -392,8 +392,7 @@ func (t *Table) FirstFitInto(r *Reservation, c Class, from, to, step, occ int) (
 		return 0, false
 	}
 	if occ != 1 {
-		t.PlaceInto(r, c, cycle, occ) // succeeds: FirstFit found room
-		return cycle, true
+		return cycle, t.PlaceInto(r, c, cycle, occ) // true: FirstFit found room
 	}
 	row := mod(cycle, t.ii)
 	w, bit := row>>6, uint64(1)<<(row&63)
