@@ -1,8 +1,7 @@
 package mrt
 
 // FirstFit is pinned against the scan it replaces: PlaceInto tried at
-// each cycle of the window in order, on a copy of the table. FirstFitInto
-// is pinned against FirstFit followed by PlaceInto.
+// each cycle of the window in order, on a copy of the table.
 
 import (
 	"math/rand"
@@ -53,10 +52,7 @@ func randomTable(ii, units int, seed int64) *Table {
 
 // checkFirstFit compares FirstFit with the scan on the window of n cycles
 // starting at from in direction step, and checks FirstFit left the table
-// untouched. It then runs FirstFitInto on a copy of the table: it must
-// return the same cycle and make the reservation PlaceInto makes there,
-// the same unit and the same busy rows, and when nothing fits it must
-// reserve nothing and leave the reservation it was given as it was.
+// untouched.
 func checkFirstFit(t *testing.T, tb *Table, c Class, from, n, step, occ int) {
 	t.Helper()
 	to := from + step*(n-1)
@@ -69,23 +65,6 @@ func checkFirstFit(t *testing.T, tb *Table, c Class, from, n, step, occ int) {
 	}
 	if !reflect.DeepEqual(tb, before) {
 		t.Fatalf("II=%d FirstFit(%s, %d, %d, %+d, occ %d) modified the table", tb.ii, c, from, to, step, occ)
-	}
-
-	// Both reservations start out holding a stale span of the other class.
-	stale := func() Reservation { return Reservation{Class: 1 - c, Spans: []Span{{Unit: 7, Cycle: -7, Occ: 7}}} }
-	fused, r := cloneTable(tb), stale()
-	fcycle, fok := fused.FirstFitInto(&r, c, from, to, step, occ)
-	if fcycle != want || fok != wok {
-		t.Fatalf("II=%d FirstFitInto(%s, %d, %d, %+d, occ %d) = %d %v, scan %d %v",
-			tb.ii, c, from, to, step, occ, fcycle, fok, want, wok)
-	}
-	placed, wr := cloneTable(tb), stale()
-	if wok && !placed.PlaceInto(&wr, c, want, occ) {
-		t.Fatalf("II=%d PlaceInto(%s, %d, occ %d) failed at the cycle the scan found", tb.ii, c, want, occ)
-	}
-	if !reflect.DeepEqual(r, wr) || !reflect.DeepEqual(fused, placed) {
-		t.Fatalf("II=%d FirstFitInto(%s, %d, %d, %+d, occ %d) reserved %+v, FirstFit then PlaceInto %+v",
-			tb.ii, c, from, to, step, occ, r, wr)
 	}
 }
 

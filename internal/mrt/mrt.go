@@ -378,36 +378,6 @@ func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
 	return 0, false
 }
 
-// FirstFitInto is FirstFit followed by PlaceInto at the cycle found: it
-// reserves the first cycle of the scan at which PlaceInto would succeed,
-// writes the reservation into *r and returns the cycle. When no cycle
-// fits it returns false, reserves nothing and leaves r as it was.
-//
-// For occ == 1 the row FirstFit's word scan found is reserved on the
-// first unit that has it free, the unit PlaceInto would choose, by
-// setting one bit, without PlaceInto's second scan of the units.
-func (t *Table) FirstFitInto(r *Reservation, c Class, from, to, step, occ int) (int, bool) {
-	cycle, ok := t.FirstFit(c, from, to, step, occ)
-	if !ok {
-		return 0, false
-	}
-	if occ != 1 {
-		return cycle, t.PlaceInto(r, c, cycle, occ) // true: FirstFit found room
-	}
-	row := mod(cycle, t.ii)
-	w, bit := row>>6, uint64(1)<<(row&63)
-	for u := range t.units[c] {
-		if ur := &t.units[c][u]; ur.bits[w]&bit == 0 {
-			ur.bits[w] |= bit
-			ur.used++
-			r.Class = c
-			r.Spans = append(r.Spans[:0], Span{Unit: u, Cycle: cycle, Occ: 1})
-			return cycle, true
-		}
-	}
-	panic(fmt.Sprintf("mrt: row %d found free on no unit", row))
-}
-
 // freeRows returns the rows of word w that some unit of class c has free.
 func (t *Table) freeRows(c Class, w int) uint64 {
 	busy := ^uint64(0)

@@ -947,11 +947,12 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 	})
 }
 
-// TestSafeMaxIIMatchesDefinition pins the II search cap, which the placer
-// reads off its ASAP times and per-operation tables, to its definition:
-// MII + the loop's critical path + totalOcc·(maxOcc+1) + 8, for every loop
-// of the 40-loop default workbench widened to each width from 1 to 16 and
-// scheduled for 1wY under every cycle model.
+// TestSafeMaxIIMatchesDefinition pins the II search cap, which
+// ModuloSchedule derives from each operation's ASAP time, latency and
+// occupancy, to its definition: MII + the loop's critical path +
+// totalOcc·(maxOcc+1) + 8, for every loop of the 40-loop default workbench
+// widened to each width from 1 to 16 and scheduled for 1wY under every
+// cycle model.
 func TestSafeMaxIIMatchesDefinition(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 40
@@ -965,14 +966,15 @@ func TestSafeMaxIIMatchesDefinition(t *testing.T) {
 			for _, model := range machine.CycleModels() {
 				buses, fpus := machine.New(machine.Config{Buses: 1, Width: width}, 256, model).Slots()
 				mii := l.MII(model, buses, fpus)
+				lat, occ := make([]int, l.NumOps()), make([]int, l.NumOps())
 				totalOcc, maxOcc := 0, 1
-				for _, op := range l.Ops {
-					occ := model.Occupancy(op.Kind)
-					totalOcc += occ
-					maxOcc = max(maxOcc, occ)
+				for v, op := range l.Ops {
+					lat[v], occ[v] = model.Latency(op.Kind), model.Occupancy(op.Kind)
+					totalOcc += occ[v]
+					maxOcc = max(maxOcc, occ[v])
 				}
 				want := mii + l.CriticalPath(model) + totalOcc*(maxOcc+1) + 8
-				if got := sched.SafeMaxII(l, model, mii); got != want {
+				if got := sched.SafeMaxII(mii, l.Analysis().ASAP(model), lat, occ); got != want {
 					t.Fatalf("%s %s: cap %d, definition %d", l.Name, model, got, want)
 				}
 			}

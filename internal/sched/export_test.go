@@ -1,20 +1,9 @@
 package sched
 
-import (
-	"repro/internal/ddg"
-	"repro/internal/machine"
-)
-
 // RandomLoop exposes the property tests' random loop generator to the
 // external differential tests.
 var RandomLoop = randomLoop
 
-// SafeMaxII returns the II search cap ModuloSchedule derives for l under
-// the model when its search starts at mii.
-func SafeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
-	a := l.Analysis()
-	ws := NewWorkspace()
-	ws.fillTables(l, model)
-	p := newPlacer(l, HRMSOrder(l, model), a.Preds(), a.Succs(), a.ASAP(model), ws, &Schedule{})
-	return p.safeMaxII(mii)
-}
+// SafeMaxII exposes the II search cap ModuloSchedule derives from each
+// operation's ASAP time, latency and occupancy.
+var SafeMaxII = safeMaxII

@@ -322,15 +322,16 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	// One scratch arena serves the whole II search: the placement state
 	// (times, reservations, unplaced set, reservation table, owner index)
 	// is reset in place at each candidate II instead of being reallocated.
+	asap := a.ASAP(model)
+	maxII := o.MaxII
+	if maxII == 0 {
+		maxII = safeMaxII(mii, asap, ws.lat, ws.occ)
+	}
 	dst := o.Into
 	if dst == nil {
 		dst = &Schedule{}
 	}
-	sc := newPlacer(l, order, a.Preds(), a.Succs(), a.ASAP(model), ws, dst)
-	maxII := o.MaxII
-	if maxII == 0 {
-		maxII = sc.safeMaxII(mii)
-	}
+	sc := newPlacer(l, order, a.Preds(), a.Succs(), asap, ws, dst)
 	for ii := mii; ii <= maxII; ii++ {
 		if sc.tryPlace(buses, fpus, ii) {
 			dst.Loop, dst.II, dst.Model = l, ii, model
@@ -454,20 +455,20 @@ func newPlacer(l *ddg.Loop, order []int,
 
 // safeMaxII returns the II search budget: MII plus the critical path plus
 // room for every reservation to fragment the table ((maxOcc+1) rows per
-// reserved row). The critical path, the longest distance-0 dependence
-// chain, is the latest ASAP finish, read off the placer's ASAP times and
-// latency table. The budget bounds the search; it does not prove that
+// reserved row), from each operation's ASAP time, latency and occupancy.
+// The critical path, the longest distance-0 dependence chain, is the
+// latest ASAP finish. The budget bounds the search; it does not prove that
 // placement succeeds below it. The greedy placement gives up at an II
 // when its eviction budget runs out, and on some loops it does so at
 // every II up to the cap (loop scalar0020 of the 30-loop default
 // workbench, widened for 1w16 with 32 registers under the 3-cycle model,
 // fails its spill reschedule this way at MII=378, cap=1263).
-func (p *placer) safeMaxII(mii int) int {
+func safeMaxII(mii int, asap, lat, occ []int) int {
 	crit, totalOcc, maxOcc := 0, 0, 1
-	for v, occ := range p.occ {
-		crit = max(crit, p.asap[v]+p.lat[v])
-		totalOcc += occ
-		maxOcc = max(maxOcc, occ)
+	for v, o := range occ {
+		crit = max(crit, asap[v]+lat[v])
+		totalOcc += o
+		maxOcc = max(maxOcc, o)
 	}
 	return mii + crit + totalOcc*(maxOcc+1) + 8
 }
@@ -668,7 +669,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 
 		// The candidate window — at most II cycles, forward or backward
 		// depending on which neighbours are placed — goes to the table's
-		// first-fit search, which reserves the first cycle that fits.
+		// first-fit search, and PlaceInto reserves the cycle it finds.
 		var from, to, step int
 		switch {
 		case hasPred && !hasSucc:
@@ -704,7 +705,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			from, to, step = base, base+ii-1, 1
 		}
 
-		if t, ok := table.FirstFitInto(&res[v], class, from, to, step, occ); ok {
+		if t, ok := table.FirstFit(class, from, to, step, occ); ok && table.PlaceInto(&res[v], class, t, occ) {
 			p.place(v, t)
 			if t > frontier {
 				frontier = t
