@@ -318,15 +318,15 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if o.MinII > mii {
 		mii = o.MinII
 	}
-
-	// One scratch arena serves the whole II search: the placement state
-	// (times, reservations, unplaced set, reservation table, owner index)
-	// is reset in place at each candidate II instead of being reallocated.
 	asap := a.ASAP(model)
 	maxII := o.MaxII
 	if maxII == 0 {
 		maxII = safeMaxII(mii, asap, ws.lat, ws.occ)
 	}
+
+	// One scratch arena serves the whole II search: the placement state
+	// (times, reservations, unplaced set, reservation table, owner index)
+	// is reset in place at each candidate II instead of being reallocated.
 	dst := o.Into
 	if dst == nil {
 		dst = &Schedule{}
@@ -340,6 +340,26 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 		}
 	}
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
+}
+
+// safeMaxII returns the II search budget: MII plus the critical path plus
+// room for every reservation to fragment the table ((maxOcc+1) rows per
+// reserved row), from each operation's ASAP time, latency and occupancy.
+// The critical path, the longest distance-0 dependence chain, is the
+// latest ASAP finish. The budget bounds the search; it does not prove that
+// placement succeeds below it. The greedy placement gives up at an II
+// when its eviction budget runs out, and on some loops it does so at
+// every II up to the cap (loop scalar0020 of the 30-loop default
+// workbench, widened for 1w16 with 32 registers under the 3-cycle model,
+// fails its spill reschedule this way at MII=378, cap=1263).
+func safeMaxII(mii int, asap, lat, occ []int) int {
+	crit, totalOcc, maxOcc := 0, 0, 1
+	for v, o := range occ {
+		crit = max(crit, asap[v]+lat[v])
+		totalOcc += o
+		maxOcc = max(maxOcc, o)
+	}
+	return mii + crit + totalOcc*(maxOcc+1) + 8
 }
 
 const inf = int(^uint(0) >> 2)
@@ -451,26 +471,6 @@ func newPlacer(l *ddg.Loop, order []int,
 		p.rank[v] = i
 	}
 	return p
-}
-
-// safeMaxII returns the II search budget: MII plus the critical path plus
-// room for every reservation to fragment the table ((maxOcc+1) rows per
-// reserved row), from each operation's ASAP time, latency and occupancy.
-// The critical path, the longest distance-0 dependence chain, is the
-// latest ASAP finish. The budget bounds the search; it does not prove that
-// placement succeeds below it. The greedy placement gives up at an II
-// when its eviction budget runs out, and on some loops it does so at
-// every II up to the cap (loop scalar0020 of the 30-loop default
-// workbench, widened for 1w16 with 32 registers under the 3-cycle model,
-// fails its spill reschedule this way at MII=378, cap=1263).
-func safeMaxII(mii int, asap, lat, occ []int) int {
-	crit, totalOcc, maxOcc := 0, 0, 1
-	for v, o := range occ {
-		crit = max(crit, asap[v]+lat[v])
-		totalOcc += o
-		maxOcc = max(maxOcc, o)
-	}
-	return mii + crit + totalOcc*(maxOcc+1) + 8
 }
 
 // reset prepares the arena for a fresh placement attempt at the given II.
