@@ -1,9 +1,12 @@
 package perfcost
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
+	"repro/internal/ddg"
 	"repro/internal/loopgen"
 	"repro/internal/machine"
 	"repro/internal/sweep"
@@ -132,9 +135,9 @@ func TestEngineSingleflight(t *testing.T) {
 // point evaluator: same cells, same order, identical points as a fresh
 // engine that evaluates the cells one at a time (so the batch's shared
 // base schedules cannot drift from the single-cell path) — and the
-// duplicate cell in the panel costs no extra schedule.
+// duplicate cell in the panel costs no extra schedule. The batch runs at
+// GOMAXPROCS 1, 2 and 8.
 func TestEvaluateManyMatchesSequential(t *testing.T) {
-	e := testEngine(t, 15)
 	cells := []sweep.Cell{
 		{Config: cfg("1w1"), Regs: 32, Partitions: 1},
 		{Config: cfg("2w1"), Regs: 64, Partitions: 2},
@@ -143,26 +146,77 @@ func TestEvaluateManyMatchesSequential(t *testing.T) {
 		{Config: cfg("2w1"), Regs: 32, Partitions: 1}, // same machine, another file
 		{Config: cfg("1w1"), Regs: 32, Partitions: 1}, // exact duplicate
 	}
-	batch := e.EvaluateMany(cells)
-	if len(batch) != len(cells) {
-		t.Fatalf("%d points for %d cells", len(batch), len(cells))
-	}
 	seq := testEngine(t, 15)
-	for i, c := range cells {
-		want := seq.Evaluate(c.Config, c.Regs, c.Partitions)
-		if batch[i] != want {
-			t.Errorf("cell %d (%s): batch %+v != sequential %+v", i, c.Label(), batch[i], want)
+	for _, procs := range []int{1, 2, 8} {
+		var e *Engine
+		var batch []Point
+		atProcs(procs, func() {
+			e = testEngine(t, 15)
+			batch = e.EvaluateMany(cells)
+		})
+		if len(batch) != len(cells) {
+			t.Fatalf("GOMAXPROCS %d: %d points for %d cells", procs, len(batch), len(cells))
+		}
+		for i, c := range cells {
+			want := seq.Evaluate(c.Config, c.Regs, c.Partitions)
+			if batch[i] != want {
+				t.Errorf("GOMAXPROCS %d: cell %d (%s): batch %+v != sequential %+v", procs, i, c.Label(), batch[i], want)
+			}
+		}
+		// 1w1/32, 2w1/64, 1w2/64 and 2w1/32 under their selected cycle
+		// models; the duplicate and the re-partitioned cell reuse cached
+		// suites unless the partitioning changed the cycle model.
+		// Exact-once is the invariant: computes never exceeds unique suite
+		// keys.
+		unique := map[suiteKey]bool{}
+		for _, p := range batch {
+			unique[suiteKey{p.Config.Buses, p.Config.Width, p.Regs, p.Z}] = true
+		}
+		if got := e.Stats().SuiteComputes; got != int64(len(unique)) {
+			t.Errorf("GOMAXPROCS %d: SuiteComputes = %d, want %d unique suites", procs, got, len(unique))
 		}
 	}
-	// 1w1/32, 2w1/64, 1w2/64 and 2w1/32 under their selected cycle models;
-	// the duplicate and the re-partitioned cell reuse cached suites unless
-	// the partitioning changed the cycle model. Exact-once is the
-	// invariant: computes never exceeds unique suite keys.
-	unique := map[suiteKey]bool{}
-	for _, p := range batch {
-		unique[suiteKey{p.Config.Buses, p.Config.Width, p.Regs, p.Z}] = true
+}
+
+// TestWorkersKeepNoLoop: the pooled workers keep no loop of an engine
+// reachable once the engine is gone. A Figure 3 SpillStudy leaves workers
+// whose last tasks spilled; one cell that does not spill (2w1, 256
+// registers, 3-cycle model) then makes each worker's last schedule a base
+// schedule, whose memoized order would pin the loop it ordered if that
+// were not the worker's own copy. One collection after the engine is
+// dropped, the pool's victim cache still holds the workers, and every
+// workbench and widened loop must be gone.
+func TestWorkersKeepNoLoop(t *testing.T) {
+	loops := func() []weak.Pointer[ddg.Loop] {
+		e := testEngine(t, 24)
+		var configs []machine.Config
+		for _, s := range []string{"2w1", "1w2", "4w1", "2w2", "1w4", "8w1", "4w2", "2w4", "1w8"} {
+			configs = append(configs, cfg(s))
+		}
+		e.SpillStudy(configs)
+		e.SuiteCycles(cfg("2w1"), 256, machine.ThreeCycle)
+		var ptrs []weak.Pointer[ddg.Loop]
+		for _, l := range e.Loops() {
+			ptrs = append(ptrs, weak.Make(l))
+		}
+		for _, width := range []int{1, 2, 4, 8} {
+			for _, l := range e.widenedLoops(width) {
+				ptrs = append(ptrs, weak.Make(l))
+			}
+		}
+		if got := e.Stats().WidenComputes; got != 4 {
+			t.Fatalf("premise broken: %d widths transformed, want 4", got)
+		}
+		return ptrs
+	}()
+	runtime.GC()
+	kept := 0
+	for _, p := range loops {
+		if p.Value() != nil {
+			kept++
+		}
 	}
-	if got := e.Stats().SuiteComputes; got != int64(len(unique)) {
-		t.Errorf("SuiteComputes = %d, want %d unique suites", got, len(unique))
+	if kept != 0 {
+		t.Errorf("%d of %d workbench and widened loops stay reachable after their engine is gone", kept, len(loops))
 	}
 }

@@ -54,7 +54,7 @@ func TestMemEstimate(t *testing.T) {
 // serving layer's eval path pays nothing in the engine.
 func TestSteadyStateAllocsWarmEval(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
+		t.Skip("allocation bounds are pinned without the race detector")
 	}
 	e := testEngine(t, 6)
 	c := cfg("2w1")
@@ -70,16 +70,17 @@ func TestSteadyStateAllocsWarmEval(t *testing.T) {
 
 // TestSteadyStateAllocsSpillStudy bounds what a cold SpillStudy of
 // Figure 3's nine configurations allocates on the 40-loop test workbench.
-// The batch clones and analyses each loop once per width, and the spill
-// pass copies each base loop into its pooled working loop and copies no
-// schedule out. Grouping by machine, with a fresh clone and analysis per
-// spilling call and a copied-out schedule, allocated 34 MB; the pooled
-// path measures 12 to 17. Each worker, and each P's pool, warms its own
-// scratch, so the bound holds for two Ps and two workers whatever the
-// host's CPU count (at eight it reads up to 20).
+// Each loop task copies its widened loop into its worker's loop and
+// analyses the copy, and the spill pass copies each base loop into the
+// worker's working loop and copies no schedule out. Grouping by machine,
+// with a fresh clone and analysis per spilling call and a copied-out
+// schedule, allocated 34 MB; the workers measure 11 to 15. Each worker
+// warms its own scratch, and each P's share of the pool keeps its own
+// workers, so the bound holds for two Ps and two workers whatever the
+// host's CPU count (at one it reads 9.6, at eight up to 17).
 func TestSteadyStateAllocsSpillStudy(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
+		t.Skip("allocation bounds are pinned without the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var configs []machine.Config

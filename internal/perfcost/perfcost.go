@@ -23,11 +23,11 @@
 // depends only on the configuration and cycle model, and its widened form
 // and graph analysis only on the width and cycle model. So a batch
 // (SpillStudy, EvaluateMany) groups its cells by (width, cycle model): one
-// task per loop clones the widened loop once, computes the base schedule
-// of every machine of the group on that clone, and runs the spill pass
-// from each base for every register file of its machine; the clone and the
-// bases die with the task. A loop that cannot be pipelined is charged its
-// base schedule's flat length.
+// task per loop copies the widened loop into its worker's own loop,
+// computes the base schedule of every machine of the group on that copy,
+// and runs the spill pass from each base for every register file of its
+// machine; the bases die with the task. A loop that cannot be pipelined is
+// charged its base schedule's flat length.
 package perfcost
 
 import (
@@ -58,10 +58,10 @@ import (
 // Engine evaluates configurations over a fixed workbench. All entry points
 // are safe for concurrent use: the sweep orchestrator hammers one engine
 // from many goroutines, and the singleflight caches guarantee each unique
-// (config, registers, cycle model) cell is scheduled exactly once.
-// Scheduling scratch belongs to the layers that use it: sched and spill
-// pool their own, so even a freshly built engine (or one rebuilt after
-// cache eviction) reuses the arenas warmed by its predecessors.
+// (config, registers, cycle model) cell is scheduled exactly once. Every
+// loop task of a batch takes its scheduling scratch from one process-wide
+// pool of workers (see worker), so even a freshly built engine (or one
+// rebuilt after cache eviction) reuses the scratch its predecessors warmed.
 type Engine struct {
 	loops []*ddg.Loop
 	// workload names the scenario the loops came from ("" for engines
@@ -337,19 +337,6 @@ func (e *Engine) Timing() timing.Model { return timing.Default }
 // and widen transforms together never exceed e.workers loop-level tasks.
 // fn must not acquire the semaphore itself.
 func (e *Engine) eachLoop(n int, fn func(i int)) {
-	if e.workers == 1 {
-		// Sequential fast path: a single-worker engine can never overlap
-		// loop tasks, so the goroutine spawn + WaitGroup round-trip per
-		// loop is pure overhead (every suite on a one-core host pays it
-		// thousands of times). Each call still holds a semaphore slot so
-		// concurrent suites keep the engine-wide bound.
-		for i := 0; i < n; i++ {
-			e.sem <- struct{}{}
-			fn(i)
-			<-e.sem
-		}
-		return
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -499,14 +486,31 @@ func (e *Engine) loadOrComputeSuites(model machine.CycleModel, keys []suiteKey) 
 	return out
 }
 
+// worker is the scratch of one loop task of computeSuites: the loop the
+// task copies its widened loop into, and the spill scratch, whose
+// scheduling workspace serves the base schedules too. A worker schedules
+// only its own loop and the spill scratch's working loop, so whatever it
+// keeps between tasks (the workspace's memoized order, the spill buffer's
+// loop) is its own storage, never a caller's loop.
+type worker struct {
+	loop  ddg.Loop
+	spill *spill.Scratch
+}
+
+// workerPool holds the idle workers. Tasks of every engine in the process
+// draw from it, so at most about one worker per concurrent task is warm,
+// however many engines a server keeps, and the scratch a task grows
+// serves the next task.
+var workerPool = sync.Pool{New: func() any { return &worker{spill: spill.NewScratch()} }}
+
 // computeSuites schedules the workbench for each cell of keys, cells of
-// one width under model. One task per loop clones the widened loop, then
-// computes the base schedule of each machine (bus count) of the cells on
-// that clone, back to back: the machines share the clone's analysis, and
-// the pooled scheduling workspace's HRMS order, which depends on the loop
-// and cycle model only, can serve the next bus count. It then runs the
-// spill pass from each base for every register file of its machine. The
-// clone and the bases die with the task.
+// one width under model. One task per loop takes a worker and copies the
+// widened loop into the worker's loop, then computes the base schedule of
+// each machine (bus count) of the cells on that copy, back to back: the
+// machines share the copy's analysis, and the workspace's HRMS order,
+// which depends on the loop and cycle model only, can serve the next bus
+// count. It then runs the spill pass from each base for every register
+// file of its machine. The bases die with the task.
 func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []SuiteResult {
 	e.suiteComputes.Add(int64(len(keys)))
 	width := keys[0].width
@@ -534,13 +538,17 @@ func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []Suit
 	// parts[k*len(loops)+i] is loop i in cell keys[k].
 	parts := make([]partial, len(keys)*len(loops))
 	e.eachLoop(len(loops), func(i int) {
-		l := loops[i].Clone()
+		w := workerPool.Get().(*worker)
+		defer workerPool.Put(w)
+		w.loop.CopyFrom(loops[i])
+		l := &w.loop
 		// The base schedule ignores the register file; any valid size
 		// will do. A machine without one fails every cell at no cost.
 		bases := make([]*sched.Schedule, len(buses))
+		opts := sched.Options{Workspace: w.spill.Workspace()}
 		for j, b := range buses {
 			unbounded := machine.New(machine.Config{Buses: b, Width: width}, 1<<20, model)
-			bases[j], _ = sched.ModuloSchedule(l, unbounded, nil)
+			bases[j], _ = sched.ModuloSchedule(l, unbounded, &opts)
 		}
 		trips := float64(e.loops[i].Trips)
 		for k, key := range keys {
@@ -552,7 +560,7 @@ func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []Suit
 			}
 			c := machine.Config{Buses: key.buses, Width: width}
 			m := machine.New(c, key.regs, model)
-			res, err := spill.ScheduleFrom(b, m, nil)
+			res, err := w.spill.ScheduleFrom(b, m)
 			if err != nil || !res.OK {
 				// Charge the loop its non-pipelined cost: one flat
 				// schedule span per (unrolled) iteration, the base

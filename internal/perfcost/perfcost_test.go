@@ -2,6 +2,7 @@ package perfcost
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/area"
@@ -198,8 +199,10 @@ func TestSpillStudyShape(t *testing.T) {
 // registers takes the flat fallback (10 and 1 loops), and 8w1 spills
 // heavily at every size. With the 1w1 baseline, 4w1 and 8w1 make one width
 // group span three bus counts, whose base schedules share each loop's
-// clone. The exact backend repeats the check on a small workbench, where
-// refinement replaces a heuristic schedule.
+// copy. The batch runs at GOMAXPROCS 1, 2 and 8, so one task at a time and
+// several at once hand the pooled workers from task to task. The exact
+// backend repeats the check on a small workbench, where refinement
+// replaces a heuristic schedule.
 func TestSpillStudyMatchesSuiteCycles(t *testing.T) {
 	configs := []machine.Config{cfg("1w8"), cfg("4w1"), cfg("8w1")}
 	for _, tc := range []struct {
@@ -212,33 +215,46 @@ func TestSpillStudyMatchesSuiteCycles(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := &Options{Backend: tc.backend}
-			batch, single := New(testLoops(t, tc.loops), opts), New(testLoops(t, tc.loops), opts)
-			batch.SpillStudy(configs)
-			computes := batch.Stats().SuiteComputes
-			var failures, spillOps, refined int
-			for _, c := range configs {
-				for _, regs := range machine.RegFileSizes {
-					got := batch.SuiteCycles(c, regs, machine.FourCycle)
-					want := single.SuiteCycles(c, regs, machine.FourCycle)
-					if got != want {
-						t.Errorf("%s/%d: batch %+v, single cell %+v", c, regs, got, want)
+			single := New(testLoops(t, tc.loops), opts)
+			for _, procs := range []int{1, 2, 8} {
+				var batch *Engine
+				atProcs(procs, func() {
+					batch = New(testLoops(t, tc.loops), opts)
+					batch.SpillStudy(configs)
+				})
+				computes := batch.Stats().SuiteComputes
+				var failures, spillOps, refined int
+				for _, c := range configs {
+					for _, regs := range machine.RegFileSizes {
+						got := batch.SuiteCycles(c, regs, machine.FourCycle)
+						want := single.SuiteCycles(c, regs, machine.FourCycle)
+						if got != want {
+							t.Errorf("GOMAXPROCS %d: %s/%d: batch %+v, single cell %+v", procs, c, regs, got, want)
+						}
+						failures += got.Failures
+						spillOps += got.SpillOps
+						refined += got.ExactRefined
 					}
-					failures += got.Failures
-					spillOps += got.SpillOps
-					refined += got.ExactRefined
 				}
-			}
-			if batch.Stats().SuiteComputes != computes {
-				t.Error("SpillStudy left a cell unscheduled")
-			}
-			if failures == 0 || spillOps == 0 {
-				t.Errorf("premise broken: %d fallback loops and %d spill ops, want both > 0", failures, spillOps)
-			}
-			if tc.backend == BackendExact && refined == 0 {
-				t.Error("premise broken: the exact backend refined no loop")
+				if batch.Stats().SuiteComputes != computes {
+					t.Errorf("GOMAXPROCS %d: SpillStudy left a cell unscheduled", procs)
+				}
+				if failures == 0 || spillOps == 0 {
+					t.Errorf("premise broken: %d fallback loops and %d spill ops, want both > 0", failures, spillOps)
+				}
+				if tc.backend == BackendExact && refined == 0 {
+					t.Error("premise broken: the exact backend refined no loop")
+				}
 			}
 		})
 	}
+}
+
+// atProcs runs fn at GOMAXPROCS procs, restoring the setting afterwards. An
+// engine built inside fn takes procs as its worker count.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 // TestBudgetOption: a tighter budget admits fewer points.

@@ -2,6 +2,7 @@
 
 package perfcost
 
-// raceEnabled reports a -race build, whose detector makes sync.Pool drop
-// items and so inflates the steady-state allocation counts.
+// raceEnabled reports a -race build. Allocation bounds are pinned without
+// the race detector, whose instrumentation changes allocation counts (and
+// which makes the worker pool drop workers).
 const raceEnabled = true

@@ -29,7 +29,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
@@ -56,25 +55,6 @@ type Schedule struct {
 	// for operation v), kept so that rescheduling into this schedule
 	// (Options.Into) places without allocating when occupancy <= II.
 	spans []mrt.Span
-}
-
-// Clone returns a deep copy of the schedule that shares only the loop.
-func (s *Schedule) Clone() *Schedule {
-	c := *s
-	c.Time = append([]int(nil), s.Time...)
-	c.Res = make([]mrt.Reservation, len(s.Res))
-	n := 0
-	for _, r := range s.Res {
-		n += len(r.Spans)
-	}
-	c.spans = make([]mrt.Span, n)
-	n = 0
-	for v, r := range s.Res {
-		k := copy(c.spans[n:], r.Spans)
-		c.Res[v] = mrt.Reservation{Class: r.Class, Spans: c.spans[n : n+k : n+k]}
-		n += k
-	}
-	return &c
 }
 
 // Row returns the cycle of operation v within the repeating kernel.
@@ -202,14 +182,9 @@ type Options struct {
 	// spill pass uses it to trade cycles for register pressure when no
 	// spill candidate remains.
 	MinII int
-	// MaxII caps the II search; 0 derives the cap from the loop (see
-	// safeMaxII). The cap is a search budget, not a guarantee: when no II
-	// up to it admits a schedule, ModuloSchedule returns ErrNoSchedule.
-	MaxII int
 	// Workspace, when set, serves the call's ordering and placement
-	// scratch from the caller's arena; when nil, one is drawn from the
-	// package pool for the duration of the call. The returned Schedule
-	// never aliases the workspace.
+	// scratch from the caller's arena; when nil, the call works in a fresh
+	// one. The returned Schedule never aliases the workspace.
 	Workspace *Workspace
 	// Into, when set, is the schedule ModuloSchedule writes into and
 	// returns: its Time, Res and span storage are reused when large
@@ -229,9 +204,10 @@ type Options struct {
 // call that reschedules the same loop at another II (every candidate of
 // the spill pass's II growth) reuses them. A zero Workspace is ready to
 // use; it grows to the largest loop it has scheduled and is NOT safe for
-// concurrent use. ModuloSchedule pools workspaces for callers that bring
-// none (see wsPool). The remembered snapshot keeps its loop reachable, so
-// each pooled workspace pins at most one loop.
+// concurrent use. The remembered snapshot keeps its loop reachable, so a
+// workspace kept across calls pins the last loop it ordered; an owner that
+// must not keep its callers' loops alive schedules copies it owns (as
+// perfcost's workers do).
 type Workspace struct {
 	ints      []int    // rank + lastForced + stamp, one 3n slab
 	unplaced  []uint64 // unplaced-set words, one bit per rank
@@ -252,12 +228,6 @@ type Workspace struct {
 
 // NewWorkspace returns an empty scheduling workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
-
-// wsPool serves ModuloSchedule calls that bring no workspace of their
-// own, so one-shot callers (the spill probes, the exact solver's
-// baseline, tests) get the warm-arena allocation profile for free. Safe
-// to recycle because the returned Schedule never aliases the workspace.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // fillTables fills the latency and occupancy tables with those of l's
 // operations under the model.
@@ -299,8 +269,7 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	}
 	ws := o.Workspace
 	if ws == nil {
-		ws = wsPool.Get().(*Workspace)
-		defer wsPool.Put(ws)
+		ws = NewWorkspace()
 	}
 	buses, fpus := m.Slots()
 	model := m.Model
@@ -319,10 +288,7 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 		mii = o.MinII
 	}
 	asap := a.ASAP(model)
-	maxII := o.MaxII
-	if maxII == 0 {
-		maxII = safeMaxII(mii, asap, ws.lat, ws.occ)
-	}
+	maxII := safeMaxII(mii, asap, ws.lat, ws.occ)
 
 	// One scratch arena serves the whole II search: the placement state
 	// (times, reservations, unplaced set, reservation table, owner index)
@@ -449,7 +415,7 @@ func newPlacer(l *ddg.Loop, order []int,
 	p.victims = p.victims[:0]
 
 	// time and res belong to the destination schedule, never to the
-	// workspace, so the returned Schedule does not alias pooled scratch.
+	// workspace, so the returned Schedule does not alias the workspace.
 	// Every reservation starts with its operation's class and a one-span
 	// slot carved from the schedule's slab: the common case (occupancy <=
 	// II) fills it in place, so placement allocates no spans at all.

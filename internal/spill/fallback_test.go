@@ -59,7 +59,7 @@ func TestGrowIIFineSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := growII(l, m, nil, 10, base.II, base.II*8+16, newScratch()); g != nil {
+	if g := NewScratch().growII(l, m, 10, base.II, base.II*8+16); g != nil {
 		if got := regalloc.MinRegs(lifetimes.Compute(g), regalloc.EndFit); got > 10 {
 			t.Errorf("growII returned %d regs for a 10-register file", got)
 		}
@@ -78,7 +78,7 @@ func TestGrowIIFineSteps(t *testing.T) {
 // all.
 func TestSteadyStateAllocsGrowII(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
+		t.Skip("allocation bounds are pinned without the race detector")
 	}
 	l := carriedLoop(8)
 	m := machine.New(machine.Config{Buses: 1, Width: 1}, 4, machine.FourCycle)
@@ -86,14 +86,14 @@ func TestSteadyStateAllocsGrowII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, scr := sched.NewWorkspace(), newScratch()
-	fit := growII(l, m, ws, 4, base.II+1, base.II*8+16, scr)
+	scr := NewScratch()
+	fit := scr.growII(l, m, 4, base.II+1, base.II*8+16)
 	if fit == nil || fit.II < base.II+4 {
 		t.Fatalf("premise broken: want a fit well above the base II %d, got %v", base.II, fit)
 	}
 	fitII := fit.II
 	allocs := testing.AllocsPerRun(10, func() {
-		if growII(l, m, ws, 4, base.II+1, fitII-1, scr) != nil {
+		if scr.growII(l, m, 4, base.II+1, fitII-1) != nil {
 			t.Fatal("a walk below the first fitting II fits")
 		}
 	})

@@ -16,19 +16,18 @@
 // does not fit is reported as unschedulable — exactly what the paper
 // observes for the 8w1 configuration with a 32-register file.
 //
-// The pass works in pooled scratch: spill code goes into a working loop
-// that is copied from the base loop (ddg.Loop.CopyFrom) in the scratch's
-// own storage, and every reschedule writes into one schedule buffer.
-// ScheduleFrom, the batch entry point, reports the outcome and copies
-// nothing out; Schedule returns private copies of the accepted schedule
-// and loop.
+// The pass works in a Scratch: spill code goes into a working loop that is
+// copied from the base loop (ddg.Loop.CopyFrom) in the scratch's own
+// storage, and every reschedule writes into one schedule buffer with the
+// scratch's scheduling workspace. (*Scratch).ScheduleFrom, the batch entry
+// point, reports the outcome and copies nothing out; Schedule runs on a
+// fresh Scratch and returns its accepted schedule and loop.
 package spill
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/ddg"
 	"repro/internal/lifetimes"
@@ -42,10 +41,9 @@ const maxRounds = 24
 
 // Options tunes the spill pass.
 type Options struct {
-	// Workspace, when set, serves every reschedule's ordering and
-	// placement scratch from one reusable arena (see sched.Workspace).
-	// Not safe for concurrent use. When nil, each reschedule draws one
-	// from the scheduler's own pool.
+	// Workspace, when set, serves every schedule of a Schedule call from
+	// one reusable arena (see sched.Workspace). Not safe for concurrent
+	// use. When nil, the call schedules in a fresh one.
 	Workspace *sched.Workspace
 }
 
@@ -55,13 +53,13 @@ type Result struct {
 	// file even with spill code and II growth.
 	OK bool
 	// Sched is the final schedule from Schedule (nil when !OK): the base
-	// schedule itself when it already fits, otherwise a private copy.
-	// ScheduleFrom leaves it nil.
+	// schedule itself when it already fits, otherwise the call's own
+	// reschedule. ScheduleFrom leaves it nil.
 	Sched *sched.Schedule
 	// Loop is the final loop including spill code: Sched.Loop, and nil
 	// when Sched is. It is the base schedule's loop when no spill code was
-	// kept (the base fits, or the pass grew the pristine loop's II), a
-	// private clone otherwise.
+	// kept (the base fits, or the pass grew the pristine loop's II), the
+	// call's own working loop otherwise.
 	Loop *ddg.Loop
 	// BaseII is the II of the unconstrained schedule (before spilling).
 	BaseII int
@@ -82,76 +80,53 @@ func (r Result) accept(s *sched.Schedule) Result {
 	return r
 }
 
-// scratch is the working state of one pass: a lifetime set with a search
+// Scratch is the working state of the spill pass: the scheduling
+// workspace every reschedule runs in, a lifetime set with a search
 // permanently bound to it, the schedule every reschedule writes into, the
 // candidate list each round ranks, and the working loop spill code goes
-// into. Pooling it removes the per-call allocations of a warm engine's
-// spill probes.
-type scratch struct {
+// into. A Scratch grows to the largest loop it has worked on, so a caller
+// that keeps one across calls allocates nothing per call proportional to
+// the loop's size. It is NOT safe for concurrent use, and it keeps the
+// last loops it scheduled reachable (see sched.Workspace).
+type Scratch struct {
+	ws     *sched.Workspace
 	ls     lifetimes.Set
 	search *regalloc.Search
 	buf    sched.Schedule
 	cands  []candidate
 	loop   ddg.Loop
-	// copied records that loop holds a copy made during this call.
-	copied bool
 }
 
-func newScratch() *scratch {
-	s := &scratch{}
+// NewScratch returns an empty spill scratch with its own scheduling
+// workspace.
+func NewScratch() *Scratch {
+	s := &Scratch{ws: sched.NewWorkspace()}
 	s.search = regalloc.NewSearch(&s.ls)
 	return s
 }
 
-var scratchPool = sync.Pool{New: func() any { return newScratch() }}
-
-// noLoop is the empty loop release copies into the working loop. Nothing
-// writes it.
-var noLoop ddg.Loop
-
-// working returns the working loop, made a copy of l.
-func (scr *scratch) working(l *ddg.Loop) *ddg.Loop {
-	scr.loop.CopyFrom(l)
-	scr.copied = true
-	return &scr.loop
-}
-
-// release returns the scratch to the pool without keeping the caller's
-// loops reachable: the buffer forgets its loop, and the working loop,
-// whose snapshot shares the base loop's recurrence-op map, is emptied
-// (keeping its storage for the next call).
-func (scr *scratch) release() {
-	scr.buf.Loop = nil
-	if scr.copied {
-		scr.loop.CopyFrom(&noLoop)
-		scr.copied = false
-	}
-	scratchPool.Put(scr)
-}
+// Workspace returns the scheduling workspace the scratch's reschedules run
+// in, for the caller's own schedules of the loops it hands the pass.
+func (scr *Scratch) Workspace() *sched.Workspace { return scr.ws }
 
 // Schedule software-pipelines the loop under the machine's register file
 // size, allocating registers end-fit. The loop must already be
 // width-transformed for the machine; it is never modified. Schedule runs
-// the pass of ScheduleFrom over a base schedule of a clone of l, and its
-// Result carries private copies of the accepted schedule and loop, which
-// later calls never touch.
+// the pass of ScheduleFrom on a fresh Scratch over a base schedule of a
+// clone of l, so the accepted schedule and loop its Result carries belong
+// to the call alone.
 func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
-	ws := workspace(opts)
-	base, err := sched.ModuloSchedule(l.Clone(), m, &sched.Options{Workspace: ws})
+	scr := NewScratch()
+	if opts != nil && opts.Workspace != nil {
+		scr.ws = opts.Workspace
+	}
+	base, err := sched.ModuloSchedule(l.Clone(), m, &sched.Options{Workspace: scr.ws})
 	if err != nil {
 		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
 	}
-	scr := scratchPool.Get().(*scratch)
-	defer scr.release()
-	res, s, err := scr.pass(base, m, ws)
+	res, s, err := scr.pass(base, m)
 	if err != nil || !res.OK {
 		return res, err
-	}
-	if s == &scr.buf {
-		s = s.Clone()
-	}
-	if s.Loop == &scr.loop {
-		s.Loop = scr.loop.Clone()
 	}
 	res.Sched, res.Loop = s, s.Loop
 	return res, nil
@@ -164,29 +139,19 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 // runs the pass once per file. The pass never modifies base or base.Loop.
 // ScheduleFrom reports the outcome only: OK, II, BaseII, the spill counts
 // and Rounds. Its Result carries no schedule or loop (Sched and Loop are
-// nil), because the accepted schedule lives in the pass's pooled scratch.
-// ScheduleFrom returns an error when m is invalid or base targets another
-// machine.
-func ScheduleFrom(base *sched.Schedule, m machine.Machine, opts *Options) (Result, error) {
-	scr := scratchPool.Get().(*scratch)
-	defer scr.release()
-	res, _, err := scr.pass(base, m, workspace(opts))
+// nil), because the accepted schedule lives in the scratch, which the next
+// call reuses. ScheduleFrom returns an error when m is invalid or base
+// targets another machine.
+func (scr *Scratch) ScheduleFrom(base *sched.Schedule, m machine.Machine) (Result, error) {
+	res, _, err := scr.pass(base, m)
 	return res, err
-}
-
-// workspace returns the scheduling workspace opts supplies, if any.
-func workspace(opts *Options) *sched.Workspace {
-	if opts == nil {
-		return nil
-	}
-	return opts.Workspace
 }
 
 // pass is the spill pass of both entry points, run in the scratch. It
 // returns the result, with Sched and Loop unset, and the accepted schedule
 // (nil when !OK): base itself, or the scratch's buffer, whose loop is
 // base.Loop or the working loop.
-func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Workspace) (Result, *sched.Schedule, error) {
+func (scr *Scratch) pass(base *sched.Schedule, m machine.Machine) (Result, *sched.Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return Result{}, nil, fmt.Errorf("spill: %w", err)
 	}
@@ -253,7 +218,8 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 				k = 16
 			}
 			if cur == l {
-				cur = scr.working(l)
+				scr.loop.CopyFrom(l)
+				cur = &scr.loop
 			}
 			for _, c := range cands[:k] {
 				st, lds := cur.Spill(c.op)
@@ -264,7 +230,7 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 			minII = s.II + s.II/4 + 1
 		}
 		var err error
-		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: ws, Into: &scr.buf})
+		s, err = sched.ModuloSchedule(cur, m, &sched.Options{MinII: minII, Workspace: scr.ws, Into: &scr.buf})
 		if err != nil {
 			return Result{}, nil, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
 		}
@@ -278,7 +244,7 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 	if alt := s.II * 2; alt > maxII {
 		maxII = alt
 	}
-	if g := growII(cur, m, ws, avail, s.II+1, maxII, scr); g != nil {
+	if g := scr.growII(cur, m, avail, s.II+1, maxII); g != nil {
 		return res.accept(g), g, nil
 	}
 
@@ -287,7 +253,7 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 	// up at any II; the pristine loop's pressure always falls with the II
 	// (only recurrence values resist), so this path rescues loops the
 	// spilling dug into a hole.
-	if g := growII(l, m, ws, avail, res.BaseII+1, capII, scr); g != nil {
+	if g := scr.growII(l, m, avail, res.BaseII+1, capII); g != nil {
 		res.SpillStores, res.SpillLoads = 0, 0
 		return res.accept(g), g, nil
 	}
@@ -299,7 +265,8 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 	// is dead, so the working loop becomes a fresh copy of l. Every value
 	// is picked off the graph before the first spill, which rewrites cur3
 	// and its analysis.
-	cur3 := scr.working(l)
+	scr.loop.CopyFrom(l)
+	cur3 := &scr.loop
 	rec := cur3.RecurrenceOps()
 	succs := cur3.Succs()
 	var carried []int
@@ -321,7 +288,7 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 		loads3 += lds
 	}
 	if stores3 > 0 {
-		if g := growII(cur3, m, ws, avail, res.BaseII+1, 2*capII, scr); g != nil {
+		if g := scr.growII(cur3, m, avail, res.BaseII+1, 2*capII); g != nil {
 			res.SpillStores, res.SpillLoads = stores3, loads3
 			return res.accept(g), g, nil
 		}
@@ -338,10 +305,10 @@ func (scr *scratch) pass(base *sched.Schedule, m machine.Machine, ws *sched.Work
 // reschedules); within two registers of fitting it steps by one, because
 // pressure is not locally monotone and a narrow fitting window is easy to
 // jump over.
-func growII(l *ddg.Loop, m machine.Machine, ws *sched.Workspace, avail, startII, maxII int, scr *scratch) *sched.Schedule {
+func (scr *Scratch) growII(l *ddg.Loop, m machine.Machine, avail, startII, maxII int) *sched.Schedule {
 	ls, search := &scr.ls, scr.search
 	for ii := startII; ii <= maxII; {
-		forced, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: ii, Workspace: ws, Into: &scr.buf})
+		forced, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: ii, Workspace: scr.ws, Into: &scr.buf})
 		if err != nil {
 			return nil
 		}

@@ -311,24 +311,12 @@ func sameSchedule(a, b *sched.Schedule) string {
 	return ""
 }
 
-// passFrom runs ScheduleFrom's pass from base and also returns a copy of
-// the schedule it accepted (nil when !OK), whose loop must not be read:
-// it may be the scratch's working loop.
-func passFrom(base *sched.Schedule, m machine.Machine) (Result, *sched.Schedule, error) {
-	scr := scratchPool.Get().(*scratch)
-	defer scr.release()
-	res, s, err := scr.pass(base, m, nil)
-	if s != nil {
-		s = s.Clone()
-	}
-	return res, s, err
-}
-
-// checkFrom runs ScheduleFrom from base and checks it against want, the
-// Schedule result for the same loop and machine: the same outcome, no
-// schedule or loop, and, through the pass, the same accepted schedule.
-func checkFrom(base *sched.Schedule, m machine.Machine, want Result) (Result, string) {
-	got, err := ScheduleFrom(base, m, nil)
+// checkFrom runs ScheduleFrom from base in scr, a scratch the caller
+// reuses across calls, and checks it against want, the Schedule result for
+// the same loop and machine: the same outcome, no schedule or loop, and,
+// through the pass, the same accepted schedule.
+func checkFrom(scr *Scratch, base *sched.Schedule, m machine.Machine, want Result) (Result, string) {
+	got, err := scr.ScheduleFrom(base, m)
 	if err != nil {
 		return got, err.Error()
 	}
@@ -338,7 +326,7 @@ func checkFrom(base *sched.Schedule, m machine.Machine, want Result) (Result, st
 	if got.Sched != nil || got.Loop != nil {
 		return got, "ScheduleFrom returned a schedule or a loop"
 	}
-	res, s, err := passFrom(base, m)
+	res, s, err := scr.pass(base, m)
 	if err != nil {
 		return got, err.Error()
 	}
@@ -358,6 +346,7 @@ func checkFrom(base *sched.Schedule, m machine.Machine, want Result) (Result, st
 // schedule.
 func TestSpillRandomProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
+	scr := NewScratch()
 	for trial := 0; trial < 60; trial++ {
 		b := ddg.NewBuilder("rand", 100)
 		var results []int
@@ -392,7 +381,7 @@ func TestSpillRandomProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if _, d := checkFrom(base, m, r); d != "" {
+		if _, d := checkFrom(scr, base, m, r); d != "" {
 			t.Fatalf("trial %d: %s", trial, d)
 		}
 		if !r.OK {
@@ -434,10 +423,11 @@ func sharedBases(t *testing.T, n int, cfg machine.Config) []*sched.Schedule {
 
 // TestScheduleFromSharedBase runs the pass the way a batch does: one base
 // schedule per loop of a default-workbench slice widened for 4w2, reused
-// for every register file size. Each result equals Schedule's, and base
-// and its loop are never modified.
+// for every register file size, and one scratch reused for every call.
+// Each result equals Schedule's, and base and its loop are never modified.
 func TestScheduleFromSharedBase(t *testing.T) {
 	cfg := machine.Config{Buses: 4, Width: 2}
+	scr := NewScratch()
 	spilled := 0
 	for _, base := range sharedBases(t, 30, cfg) {
 		l := base.Loop
@@ -448,7 +438,7 @@ func TestScheduleFromSharedBase(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", l.Name, regs, err)
 			}
-			got, d := checkFrom(base, m, want)
+			got, d := checkFrom(scr, base, m, want)
 			if d != "" {
 				t.Fatalf("%s/%d: %s", l.Name, regs, d)
 			}
@@ -466,9 +456,8 @@ func TestScheduleFromSharedBase(t *testing.T) {
 }
 
 // TestScheduleResultsOutliveScratch: Schedule's results are private. Every
-// result kept across the later calls on other loops (which reuse the
-// pass's pooled scratch) still validates, is unchanged, and holds a loop
-// that is not the scratch's working loop.
+// result kept across the later calls on other loops still validates, is
+// unchanged, and holds its schedule's loop.
 func TestScheduleResultsOutliveScratch(t *testing.T) {
 	w, err := workload.Build("default", 30, 0)
 	if err != nil {
@@ -502,12 +491,10 @@ func TestScheduleResultsOutliveScratch(t *testing.T) {
 	if spilled == 0 {
 		t.Fatal("premise broken: no kept result carries spill code")
 	}
-	scr := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(scr)
 	for _, k := range results {
 		name := k.r.Loop.Name
-		if k.r.Loop == &scr.loop || k.r.Sched.Loop != k.r.Loop {
-			t.Fatalf("%s: a result holds the scratch's working loop or another loop than its schedule's", name)
+		if k.r.Sched.Loop != k.r.Loop {
+			t.Fatalf("%s: a result holds another loop than its schedule's", name)
 		}
 		if err := k.r.Sched.Validate(); err != nil {
 			t.Errorf("%s: a returned schedule no longer validates: %v", name, err)
@@ -518,40 +505,18 @@ func TestScheduleResultsOutliveScratch(t *testing.T) {
 	}
 }
 
-// TestScratchReleasesLoops: a call that spilled returns its scratch to the
-// pool holding neither the caller's loop nor a copy of it: the buffer has
-// no loop, and the working loop, whose snapshot shared the base loop's
-// recurrence-op map, is empty.
-func TestScratchReleasesLoops(t *testing.T) {
-	l := carriedLoop(12)
-	m := machine.New(machine.Config{Buses: 2, Width: 1}, 12, machine.FourCycle)
-	base, err := sched.ModuloSchedule(l, m, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := ScheduleFrom(base, m, nil)
-	if err != nil || r.SpillStores == 0 {
-		t.Fatalf("premise broken: ScheduleFrom = %+v, %v; want spill code", r, err)
-	}
-	scr := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(scr)
-	if scr.buf.Loop != nil || scr.copied || scr.loop.Name != "" || len(scr.loop.Ops) != 0 || len(scr.loop.Edges) != 0 {
-		t.Fatalf("the pooled scratch keeps a loop: buffer loop %v, working loop %q with %d ops",
-			scr.buf.Loop != nil, scr.loop.Name, len(scr.loop.Ops))
-	}
-}
-
 // TestScheduleFromConcurrent: goroutines running ScheduleFrom over shared
-// base schedules, each with its own pooled scratch, report exactly what a
+// base schedules, each with its own scratch, report exactly what a
 // sequential run reports.
 func TestScheduleFromConcurrent(t *testing.T) {
 	cfg := machine.Config{Buses: 4, Width: 2}
 	bases := sharedBases(t, 20, cfg)
 	regs := []int{32, 64}
 	want := make([]Result, len(bases)*len(regs))
+	scr := NewScratch()
 	for i, base := range bases {
 		for k, r := range regs {
-			res, err := ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle), nil)
+			res, err := scr.ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -566,10 +531,11 @@ func TestScheduleFromConcurrent(t *testing.T) {
 			defer wg.Done()
 			// Each worker starts at another cell, so the calls overlap on
 			// different bases as well as on the same ones.
+			scr := NewScratch()
 			for j := range want {
 				c := (j + g*len(want)/workers) % len(want)
 				base, r := bases[c/len(regs)], regs[c%len(regs)]
-				got, err := ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle), nil)
+				got, err := scr.ScheduleFrom(base, machine.New(cfg, r, machine.FourCycle))
 				if err != nil {
 					t.Errorf("worker %d: %s/%d: %v", g, base.Loop.Name, r, err)
 					return
@@ -599,33 +565,35 @@ func TestScheduleFromRejectsOtherMachine(t *testing.T) {
 		mach("4w1", 32),
 		machine.New(c, 0, machine.FourCycle),
 	} {
-		if _, err := ScheduleFrom(base, m, nil); err == nil {
+		if _, err := NewScratch().ScheduleFrom(base, m); err == nil {
 			t.Errorf("ScheduleFrom accepted a 2w1 4-cycle base schedule for %s z=%d", m, m.Model.Z)
 		}
 	}
-	if _, err := ScheduleFrom(base, mach("2w1", 32), nil); err != nil {
+	if _, err := NewScratch().ScheduleFrom(base, mach("2w1", 32)); err != nil {
 		t.Errorf("matching machine: %v", err)
 	}
 }
 
 // TestSteadyStateAllocsScheduleFromBytes bounds the bytes a warm
 // ScheduleFrom allocates per inserted spill operation, over the loops of
-// the 40-loop default slice that spill at 2w4 with 32 registers. The pass
-// copies the base loop into its pooled working loop and copies no schedule
-// out, so what remains is each spill's new operation names, its derived
-// snapshot and that snapshot's small edge slab. A fresh loop clone with a
-// rebuilt analysis per call and a copied-out schedule cost 1605 bytes per
-// spill operation; the pooled pass measures 206.
+// the 40-loop default slice that spill at 2w4 with 32 registers, in one
+// scratch. The pass copies the base loop into the scratch's working loop
+// and copies no schedule out, so what remains is each spill's new
+// operation names, its derived snapshot and that snapshot's small edge
+// slab. A fresh loop clone with a rebuilt analysis per call and a
+// copied-out schedule cost 1605 bytes per spill operation; the scratch's
+// pass measures 200.
 func TestSteadyStateAllocsScheduleFromBytes(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
+		t.Skip("allocation bounds are pinned without the race detector")
 	}
 	cfg := machine.Config{Buses: 2, Width: 4}
 	m := machine.New(cfg, 32, machine.FourCycle)
+	scr := NewScratch()
 	var spilling []*sched.Schedule
 	spillOps := 0
 	for _, base := range sharedBases(t, 40, cfg) {
-		r, err := ScheduleFrom(base, m, nil)
+		r, err := scr.ScheduleFrom(base, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,26 +607,21 @@ func TestSteadyStateAllocsScheduleFromBytes(t *testing.T) {
 	}
 	run := func() {
 		for _, base := range spilling {
-			if _, err := ScheduleFrom(base, m, nil); err != nil {
+			if _, err := scr.ScheduleFrom(base, m); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	run() // warm the pooled scratch for the largest loop
-	// The least of three runs: a run that happens to meet a collection of
-	// the pools pays for refilling them.
-	var best uint64 = 1<<64 - 1
+	// The scratch has met every loop above, so the run is warm.
 	var before, after runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
-	}
-	perOp := float64(best) / float64(spillOps)
-	t.Logf("%.0f bytes per spill operation (%d bytes, %d operations over %d loops)", perOp, best, spillOps, len(spilling))
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	perOp := float64(bytes) / float64(spillOps)
+	t.Logf("%.0f bytes per spill operation (%d bytes, %d operations over %d loops)", perOp, bytes, spillOps, len(spilling))
 	if perOp > 256 {
 		t.Errorf("a warm ScheduleFrom allocates %.0f bytes per spill operation (%d bytes, %d operations over %d loops), want <= 256",
-			perOp, best, spillOps, len(spilling))
+			perOp, bytes, spillOps, len(spilling))
 	}
 }
