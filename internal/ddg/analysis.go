@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -9,11 +10,12 @@ import (
 )
 
 // Analysis memoizes the scheduling analyses of one Loop: edge lists,
-// strongly connected components, ASAP/ALAP times, recurrence bounds and
-// resource bounds. One ModuloSchedule call needs most of these several
-// times (the ordering phase and the MII bound share SCCs and ASAP), and
-// the spill pass re-schedules the same loop at every II retry; the cache
-// makes every analysis a compute-once lookup for the loop's lifetime.
+// strongly connected components, ASAP/ALAP times, recurrence bounds,
+// resource bounds, each operation's latency and occupancy, and the HRMS
+// node order. One ModuloSchedule call needs most of these several times
+// (the ordering phase and the MII bound share SCCs and ASAP), and the
+// spill pass re-schedules the same loop at every II retry; the cache makes
+// every analysis a compute-once lookup for the loop's lifetime.
 //
 // An Analysis snapshot is keyed to the loop's shape (operation and edge
 // counts). Loop.Analysis revalidates the snapshot on every call, so
@@ -51,8 +53,8 @@ type Analysis struct {
 	recOps       map[int]bool
 
 	// cnt is the shared counting scratch of the slab builders below
-	// (count-then-fill construction) and of the topological sort's
-	// in-degrees; it only lives under mu.
+	// (count-then-fill construction), of the topological sort's in-degrees
+	// and of the HRMS ordering's arrays; it only lives under mu.
 	cnt []int
 
 	models map[machine.CycleModel]*modelAnalysis
@@ -103,14 +105,23 @@ func (el *edgeLists) copyFrom(src [][]Edge, m int) {
 	el.lists, el.slab = heads, slab
 }
 
-// modelAnalysis holds the analyses that depend on the cycle model.
+// modelAnalysis holds the analyses that depend on the cycle model. The
+// per-operation arrays (latency, occupancy, ASAP, ALAP and the HRMS order)
+// are carved from one slab when the tables are filled; every other array
+// depends on the tables, so none of them is computed then.
 type modelAnalysis struct {
-	asap, alap []int
-	recPrio    []int // per-node component RecMII (0 outside recurrences)
-	recMII     int
-	haveASAP   bool
-	haveALAP   bool
-	haveRec    bool
+	slab                        []int
+	lat, occ, asap, alap, order []int
+	recPrio                     []int // per-node component RecMII (0 outside recurrences)
+	recMII                      int
+
+	haveTables, haveASAP, haveALAP, haveOrder, haveRec bool
+}
+
+// dropArrays marks the slab's arrays not computed, keeping its storage
+// for the next snapshot's loop.
+func (ma *modelAnalysis) dropArrays() {
+	ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder = false, false, false, false
 }
 
 type resMIIKey struct {
@@ -149,7 +160,8 @@ func (a *Analysis) handDown(next *Analysis) {
 	next.topoZero, next.cnt = a.topoZero, a.cnt
 	next.models, next.resMII = a.models, a.resMII
 	for _, ma := range next.models {
-		ma.haveASAP, ma.haveALAP, ma.haveRec = false, false, false
+		ma.dropArrays()
+		ma.haveRec = false
 	}
 	clear(next.resMII)
 	a.giveUpLocked()
@@ -191,9 +203,9 @@ func (a *Analysis) copyTo(next *Analysis) {
 	}
 }
 
-// Validate memoizes Loop.Validate for the snapshot's shape. The
-// distance-0 acyclicity check shares the cached topological order with
-// ASAP/ALAP instead of re-sorting the subgraph.
+// Validate runs the checks Loop.Validate documents, once per snapshot.
+// The distance-0 acyclicity check shares the cached topological order
+// with ASAP/ALAP instead of re-sorting the subgraph.
 func (a *Analysis) Validate() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -351,6 +363,31 @@ func (a *Analysis) modelLocked(model machine.CycleModel) *modelAnalysis {
 	return ma
 }
 
+// Tables returns each operation's latency and occupancy under the model,
+// the tables the scheduler places by.
+func (a *Analysis) Tables(model machine.CycleModel) (lat, occ []int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.tablesLocked(model)
+}
+
+func (a *Analysis) tablesLocked(model machine.CycleModel) (lat, occ []int) {
+	ma := a.modelLocked(model)
+	if !ma.haveTables {
+		n := len(a.loop.Ops)
+		ma.slab = slices.Grow(ma.slab[:0], 5*n)[:5*n]
+		s := ma.slab
+		ma.lat, ma.occ, ma.asap = s[:n:n], s[n:2*n:2*n], s[2*n:3*n:3*n]
+		ma.alap, ma.order = s[3*n:4*n:4*n], s[4*n:5*n:5*n]
+		for v, op := range a.loop.Ops {
+			ma.lat[v] = model.Latency(op.Kind)
+			ma.occ[v] = model.Occupancy(op.Kind)
+		}
+		ma.haveTables = true
+	}
+	return ma.lat, ma.occ
+}
+
 // ASAP returns each operation's earliest start time over distance-0
 // dependences.
 func (a *Analysis) ASAP(model machine.CycleModel) []int {
@@ -360,22 +397,22 @@ func (a *Analysis) ASAP(model machine.CycleModel) []int {
 }
 
 func (a *Analysis) asapLocked(model machine.CycleModel) []int {
-	ma := a.modelLocked(model)
+	lat, _ := a.tablesLocked(model)
+	ma := a.models[model]
 	if !ma.haveASAP {
-		l := a.loop
-		asap := zeroed(ma.asap, len(l.Ops))
+		asap := ma.asap
+		clear(asap)
 		preds := a.predsLocked()
 		for _, v := range a.topoZeroLocked() {
 			for _, e := range preds[v] {
 				if e.Dist != 0 {
 					continue
 				}
-				if t := asap[e.From] + model.Latency(l.Ops[e.From].Kind); t > asap[v] {
+				if t := asap[e.From] + lat[e.From]; t > asap[v] {
 					asap[v] = t
 				}
 			}
 		}
-		ma.asap = asap
 		ma.haveASAP = true
 	}
 	return ma.asap
@@ -387,17 +424,20 @@ func (a *Analysis) asapLocked(model machine.CycleModel) []int {
 func (a *Analysis) ALAP(model machine.CycleModel) []int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ma := a.modelLocked(model)
+	return a.alapLocked(model)
+}
+
+func (a *Analysis) alapLocked(model machine.CycleModel) []int {
+	asap := a.asapLocked(model)
+	ma := a.models[model]
 	if !ma.haveALAP {
-		l := a.loop
-		asap := a.asapLocked(model)
 		span := 0
 		for _, t := range asap {
 			if t > span {
 				span = t
 			}
 		}
-		alap := slices.Grow(ma.alap[:0], len(l.Ops))[:len(l.Ops)]
+		alap := ma.alap
 		for i := range alap {
 			alap[i] = span
 		}
@@ -409,12 +449,11 @@ func (a *Analysis) ALAP(model machine.CycleModel) []int {
 				if e.Dist != 0 {
 					continue
 				}
-				if t := alap[e.To] - model.Latency(l.Ops[v].Kind); t < alap[v] {
+				if t := alap[e.To] - ma.lat[v]; t < alap[v] {
 					alap[v] = t
 				}
 			}
 		}
-		ma.alap = alap
 		ma.haveALAP = true
 	}
 	return ma.alap
@@ -425,13 +464,161 @@ func (a *Analysis) CriticalPath(model machine.CycleModel) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	asap := a.asapLocked(model)
+	lat := a.models[model].lat
 	best := 0
 	for v, t := range asap {
-		if end := t + model.Latency(a.loop.Ops[v].Kind); end > best {
+		if end := t + lat[v]; end > best {
 			best = end
 		}
 	}
 	return best
+}
+
+// HRMSOrder returns the HRMS-family node order under the model, the
+// scheduler's ordering phase: recurrence components are seeded most
+// critical first (highest per-component RecMII), and every later
+// operation is chosen among the neighbours of the already ordered set,
+// most critical (least slack) first. When the placement phase schedules
+// an operation, its graph neighbours were just scheduled, so it lands
+// close to them and value lifetimes stay short — the register-pressure
+// sensitivity that HRMS (and its successor Swing Modulo Scheduling) brings
+// over plain top-down list ordering.
+func (a *Analysis) HRMSOrder(model machine.CycleModel) []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ma := a.modelLocked(model)
+	if !ma.haveOrder {
+		a.orderLocked(model, ma)
+	}
+	return ma.order
+}
+
+// orderLocked computes ma's HRMS order. The preference between two
+// operations is a fixed strict total order, so the operations are sorted
+// by it once and the walk works on ranks: the next seed is the first
+// unordered operation of the sorted list (a cursor that only moves
+// forward), and the frontier is a min-heap of ranks that each operation
+// enters once, when it first neighbours the ordered set. Every pick is the
+// operation a scan for the best candidate would choose. The slack, rank,
+// sorted-list, heap and seen arrays are the counting scratch, taken after
+// every analysis the walk reads is computed.
+func (a *Analysis) orderLocked(model machine.CycleModel, ma *modelAnalysis) {
+	n := len(a.loop.Ops)
+	asap, alap := a.asapLocked(model), a.alapLocked(model)
+	recPrio := a.recPrioLocked(model)
+	preds, succs := a.predsLocked(), a.succsLocked()
+	occ := ma.occ
+
+	tmp := a.countsLocked(5 * n)
+	slack, rank, sorted := tmp[:n:n], tmp[n:2*n:2*n], tmp[2*n:3*n:3*n]
+	frontier := minHeap(tmp[3*n : 3*n : 4*n])
+	// seen[v] is set once v is ordered or has joined the frontier. The
+	// frontier is empty whenever a seed is taken, so every operation seen
+	// then is ordered.
+	seen := tmp[4*n : 5*n : 5*n]
+	for v := range sorted {
+		slack[v] = alap[v] - asap[v]
+		sorted[v] = v
+	}
+	// Higher recurrence criticality first, then heavier reservations (a
+	// non-pipelined operation reserves many rows and fragments badly if
+	// placed late, so it goes as early as the frontier allows), then less
+	// slack, then earlier ASAP, then ID: 0 only when x == y.
+	slices.SortFunc(sorted, func(x, y int) int {
+		if c := cmp.Compare(recPrio[y], recPrio[x]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(occ[y], occ[x]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(slack[x], slack[y]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(asap[x], asap[y]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	for r, v := range sorted {
+		rank[v] = r
+	}
+
+	order := ma.order[:0]
+	seed := 0 // sorted[:seed] holds no unordered operation
+	for len(order) < n {
+		// The frontier holds exactly the unordered operations adjacent to
+		// the ordered set: an operation leaves it only when popped.
+		var v int
+		if len(frontier) > 0 {
+			v = sorted[frontier.pop()]
+		} else {
+			for seen[sorted[seed]] != 0 {
+				seed++
+			}
+			v = sorted[seed]
+			seen[v] = 1
+		}
+		order = append(order, v)
+		// Each unseen neighbour joins the frontier once (a self edge finds
+		// v seen). Ranks are unique, so the order of the pushes does not
+		// change the order of the pops.
+		for _, e := range preds[v] {
+			if w := e.From; seen[w] == 0 {
+				seen[w] = 1
+				frontier.push(rank[w])
+			}
+		}
+		for _, e := range succs[v] {
+			if w := e.To; seen[w] == 0 {
+				seen[w] = 1
+				frontier.push(rank[w])
+			}
+		}
+	}
+	ma.order, ma.haveOrder = order, true
+}
+
+// minHeap is a binary min-heap of ints. The ordering phase keeps the
+// ranks of its frontier in one, so a pop yields the best-ranked
+// operation.
+type minHeap []int
+
+func (h *minHeap) push(x int) {
+	q := append(*h, x)
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if q[parent] <= q[i] {
+			break
+		}
+		q[parent], q[i] = q[i], q[parent]
+		i = parent
+	}
+	*h = q
+}
+
+func (h *minHeap) pop() int {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(q) {
+			break
+		}
+		small := l
+		if r := l + 1; r < len(q) && q[r] < q[l] {
+			small = r
+		}
+		if q[i] <= q[small] {
+			break
+		}
+		q[i], q[small] = q[small], q[i]
+		i = small
+	}
+	return top
 }
 
 // RecPrio returns, per operation, the RecMII of its recurrence component
@@ -587,41 +774,6 @@ func tarjanSCCs(n int, succs [][]Edge) [][]int {
 		}
 	}
 	return out
-}
-
-// topoOrderZeroDist returns a topological order of the distance-0
-// subgraph, or nil when it has a cycle.
-func topoOrderZeroDist(n int, edges []Edge) []int {
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	for _, e := range edges {
-		if e.Dist == 0 {
-			adj[e.From] = append(adj[e.From], e.To)
-			indeg[e.To]++
-		}
-	}
-	queue := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil
-	}
-	return order
 }
 
 // computeResMII is the uncached ResMII computation (see Loop.ResMII).

@@ -1,6 +1,7 @@
 package ddg
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -96,10 +97,17 @@ func TestAnalysisCloneDoesNotShare(t *testing.T) {
 
 // TestAnalysisConcurrent hammers one loop's analyses from many goroutines
 // (meaningful under -race): the perfcost engine analyses shared widened
-// loops concurrently.
+// loops concurrently, and schedules and exact solves order them. The
+// goroutines also read the HRMS order at two cycle models, so the first to
+// ask for one computes it while the others wait or read it.
 func TestAnalysisConcurrent(t *testing.T) {
 	l := analysisTestLoop()
 	want := l.MII(machine.FourCycle, 1, 2)
+	models := []machine.CycleModel{machine.TwoCycle, machine.OneCycle}
+	var wantOrder [2][]int
+	for i, model := range models {
+		wantOrder[i] = slices.Clone(l.Clone().Analysis().HRMSOrder(model))
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -108,6 +116,11 @@ func TestAnalysisConcurrent(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				if got := l.MII(machine.FourCycle, 1, 2); got != want {
 					t.Errorf("MII = %d, want %d", got, want)
+					return
+				}
+				k := (g + i) % 2
+				if got := l.Analysis().HRMSOrder(models[k]); !slices.Equal(got, wantOrder[k]) {
+					t.Errorf("HRMSOrder(%v) = %v, want %v", models[k], got, wantOrder[k])
 					return
 				}
 				l.ASAP(machine.TwoCycle)

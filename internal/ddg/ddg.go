@@ -13,9 +13,11 @@
 // The package provides the standard modulo-scheduling analyses: strongly
 // connected components, the recurrence-constrained lower bound on the
 // initiation interval (RecMII), the resource-constrained bound (ResMII),
-// and ASAP/ALAP times used by the scheduler's ordering phase. Loop.Spill
-// is the spill pass's rewrite: it routes a value through memory and
-// derives the loop's next analysis snapshot from the current one.
+// ASAP/ALAP times, and the scheduler's HRMS node order with the
+// per-operation latency and occupancy tables it places by, all memoized
+// per loop shape and cycle model (see Analysis). Loop.Spill is the spill
+// pass's rewrite: it routes a value through memory and derives the loop's
+// next analysis snapshot from the current one.
 // Loop.CopyFrom makes an owned loop a copy of another in its own storage,
 // starting its snapshot from the source's, so the spill pass reuses one
 // working loop across calls.
@@ -89,20 +91,16 @@ func (l *Loop) NumOps() int { return len(l.Ops) }
 // non-negative distances, valid operation kinds, positive lanes, and
 // acyclicity of the distance-0 subgraph (an intra-iteration dependence
 // cycle is not executable).
+//
+// It runs the checks of Analysis.Validate on a snapshot it does not keep,
+// so validating a loop leaves no analysis cached on it.
 func (l *Loop) Validate() error {
-	if err := l.validateShape(); err != nil {
-		return err
-	}
-	// The distance-0 subgraph must be a DAG for the loop body to be
-	// executable.
-	if topoOrderZeroDist(len(l.Ops), l.Edges) == nil {
-		return fmt.Errorf("ddg: loop %q: distance-0 subgraph has a cycle", l.Name)
-	}
-	return nil
+	a := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
+	return a.Validate()
 }
 
 // validateShape runs every Validate check except distance-0 acyclicity
-// (Analysis.Validate supplies that one from its cached topological order).
+// (Analysis.Validate supplies that one from its topological order).
 func (l *Loop) validateShape() error {
 	if l.Trips < 1 {
 		return fmt.Errorf("ddg: loop %q: trips must be >= 1, got %d", l.Name, l.Trips)
@@ -155,9 +153,9 @@ func (l *Loop) Clone() *Loop {
 // successor lists and RecurrenceOps computed, the new snapshot starts from
 // it: copies of the edge lists, src's recurrence-op map shared read-only,
 // and each computed cycle model's RecPrio and RecMII, so a following Spill
-// derives instead of rebuilding. Validation, the topological order,
-// ASAP/ALAP and ResMII are recomputed on demand. Otherwise the snapshot
-// starts empty.
+// derives instead of rebuilding. Validation, the topological order, the
+// latency and occupancy tables, ASAP/ALAP, the HRMS order and ResMII are
+// recomputed on demand. Otherwise the snapshot starts empty.
 //
 // A loop that is copied into again and again (the spill pass's working
 // loop) thus stops allocating storage proportional to its size once it

@@ -28,9 +28,9 @@ import (
 //     self edges and no recurrence component changes: RecurrenceOps is
 //     the same map, and RecMII and RecPrio (zero for the new operations)
 //     keep their values.
-//   - Validation, the topological order and ASAP/ALAP are recomputed on
-//     demand into the old storage; the SCC list and the ResMII memo are
-//     dropped.
+//   - Validation, the topological order, the latency and occupancy
+//     tables, ASAP/ALAP and the HRMS order are recomputed on demand into
+//     the old storage; the SCC list and the ResMII memo are dropped.
 //
 // The derived snapshot is a new *Analysis (a memo keyed by snapshot
 // identity sees a new loop shape), and the old one gives up its storage.
@@ -180,7 +180,7 @@ func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
 	next.succs.lists = succs
 
 	for _, ma := range next.models {
-		ma.haveASAP, ma.haveALAP = false, false
+		ma.dropArrays()
 		if ma.haveRec {
 			ma.recPrio = append(ma.recPrio, make([]int, n-n0)...)
 		}

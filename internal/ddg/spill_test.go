@@ -17,13 +17,15 @@ import (
 var slots = [][2]int{{1, 2}, {2, 4}, {4, 8}}
 
 // warm reads every analysis a reschedule reads, under every cycle model,
-// so a following Spill has a snapshot to derive from.
+// so a following Spill has a snapshot to derive from, and a computed HRMS
+// order and tables it must drop.
 func warm(l *ddg.Loop) {
 	a := l.Analysis()
 	a.Validate()
 	a.Preds()
 	for _, model := range machine.CycleModels() {
 		a.ALAP(model)
+		a.HRMSOrder(model)
 		a.RecPrio(model)
 		a.CriticalPath(model)
 		for _, s := range slots {
@@ -70,6 +72,14 @@ func checkAnalysis(t *testing.T, l *ddg.Loop, step string) {
 		}
 		if g, w := got.RecMII(model), want.RecMII(model); g != w {
 			t.Fatalf("%s, %v: RecMII = %d, fresh %d", step, model, g, w)
+		}
+		gl, gocc := got.Tables(model)
+		wl, wocc := want.Tables(model)
+		if !slices.Equal(gl, wl) || !slices.Equal(gocc, wocc) {
+			t.Fatalf("%s, %v: Tables = %v %v, fresh %v %v", step, model, gl, gocc, wl, wocc)
+		}
+		if g, w := got.HRMSOrder(model), want.HRMSOrder(model); !slices.Equal(g, w) {
+			t.Fatalf("%s, %v: HRMSOrder = %v, fresh %v", step, model, g, w)
 		}
 		for _, s := range slots {
 			if g, w := got.MII(model, s[0], s[1]), want.MII(model, s[0], s[1]); g != w {

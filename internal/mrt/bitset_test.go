@@ -32,7 +32,7 @@ func newBoolTable(ii, buses, fpus int) *boolTable {
 }
 
 func (t *boolTable) fits(c Class, u, cycle, occ int) bool {
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	for i := 0; i < occ; i++ {
 		if t.busy[c][u][(start+i)%t.ii] {
 			return false
@@ -42,7 +42,7 @@ func (t *boolTable) fits(c Class, u, cycle, occ int) bool {
 }
 
 func (t *boolTable) reserve(c Class, u, cycle, occ int) {
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	for i := 0; i < occ; i++ {
 		t.busy[c][u][(start+i)%t.ii] = true
 	}
@@ -50,7 +50,7 @@ func (t *boolTable) reserve(c Class, u, cycle, occ int) {
 }
 
 func (t *boolTable) unreserve(c Class, u, cycle, occ int) {
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	for i := 0; i < occ; i++ {
 		t.busy[c][u][(start+i)%t.ii] = false
 	}

@@ -191,7 +191,7 @@ func clearBusy(bits []uint64, from, to int) {
 // at cycle mod ii. occ must be in [1, ii].
 func (t *Table) fits(c Class, u, cycle, occ int) bool {
 	ur := &t.units[c][u]
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	if occ == 1 {
 		return ur.bits[start>>6]&(1<<uint(start&63)) == 0
 	}
@@ -206,7 +206,7 @@ func (t *Table) fits(c Class, u, cycle, occ int) bool {
 
 func (t *Table) reserve(c Class, u, cycle, occ int) {
 	ur := &t.units[c][u]
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	if end := start + occ; end <= t.ii {
 		setBusy(ur.bits, start, end)
 	} else {
@@ -218,7 +218,7 @@ func (t *Table) reserve(c Class, u, cycle, occ int) {
 
 func (t *Table) unreserve(c Class, u, cycle, occ int) {
 	ur := &t.units[c][u]
-	start := mod(cycle, t.ii)
+	start := Row(cycle, t.ii)
 	if end := start + occ; end <= t.ii {
 		clearBusy(ur.bits, start, end)
 	} else {
@@ -352,7 +352,7 @@ func (t *Table) FirstFit(c Class, from, to, step, occ int) (int, bool) {
 		}
 		return 0, false
 	}
-	s := mod(from, t.ii)
+	s := Row(from, t.ii)
 	if step > 0 {
 		// Rows s, s+1, ..., wrapping from II-1 to 0.
 		if r := t.lowestFree(c, s, min(s+n, t.ii)); r >= 0 {
@@ -495,13 +495,17 @@ func (t *Table) RowFree(c Class, cycle, occ int) bool {
 	return free >= full && remOK
 }
 
-func mod(a, m int) int {
-	if uint(a) < uint(m) {
-		return a // nearly every placement cycle: no division
+// Row returns the row that cycle maps to in a table of initiation
+// interval ii: cycle mod ii, in [0, ii) for negative cycles too. The
+// scheduler numbers its row-owner index and validates reservations with
+// it, so they agree with the table's rows.
+func Row(cycle, ii int) int {
+	if uint(cycle) < uint(ii) {
+		return cycle // nearly every placement cycle: no division
 	}
-	r := a % m
+	r := cycle % ii
 	if r < 0 {
-		r += m
+		r += ii
 	}
 	return r
 }

@@ -182,10 +182,9 @@ func TestEvaluateManyMatchesSequential(t *testing.T) {
 // reachable once the engine is gone. A Figure 3 SpillStudy leaves workers
 // whose last tasks spilled; one cell that does not spill (2w1, 256
 // registers, 3-cycle model) then makes each worker's last schedule a base
-// schedule, whose memoized order would pin the loop it ordered if that
-// were not the worker's own copy. One collection after the engine is
-// dropped, the pool's victim cache still holds the workers, and every
-// workbench and widened loop must be gone.
+// schedule, the last loop its workspace placed. One collection after the
+// engine is dropped, the pool's victim cache still holds the workers, and
+// every workbench and widened loop must be gone.
 func TestWorkersKeepNoLoop(t *testing.T) {
 	loops := func() []weak.Pointer[ddg.Loop] {
 		e := testEngine(t, 24)

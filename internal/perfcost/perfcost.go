@@ -490,8 +490,9 @@ func (e *Engine) loadOrComputeSuites(model machine.CycleModel, keys []suiteKey) 
 // task copies its widened loop into, and the spill scratch, whose
 // scheduling workspace serves the base schedules too. A worker schedules
 // only its own loop and the spill scratch's working loop, so whatever it
-// keeps between tasks (the workspace's memoized order, the spill buffer's
-// loop) is its own storage, never a caller's loop.
+// keeps between tasks (the spill buffer's loop, the arrays of those
+// loops' analyses that the workspace's placer still reaches) is its own
+// storage, never a caller's loop.
 type worker struct {
 	loop  ddg.Loop
 	spill *spill.Scratch
@@ -507,10 +508,10 @@ var workerPool = sync.Pool{New: func() any { return &worker{spill: spill.NewScra
 // one width under model. One task per loop takes a worker and copies the
 // widened loop into the worker's loop, then computes the base schedule of
 // each machine (bus count) of the cells on that copy, back to back: the
-// machines share the copy's analysis, and the workspace's HRMS order,
-// which depends on the loop and cycle model only, can serve the next bus
-// count. It then runs the spill pass from each base for every register
-// file of its machine. The bases die with the task.
+// machines share the copy's analysis, whose HRMS order depends on the loop
+// and cycle model only and so serves every bus count. It then runs the
+// spill pass from each base for every register file of its machine. The
+// bases die with the task.
 func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []SuiteResult {
 	e.suiteComputes.Add(int64(len(keys)))
 	width := keys[0].width

@@ -509,7 +509,7 @@ func TestHRMSOrderMatchesReference(t *testing.T) {
 	}
 	check := func(l *ddg.Loop, model machine.CycleModel, what string) {
 		t.Helper()
-		got, want := sched.HRMSOrder(l, model), refHRMSOrder(l, model)
+		got, want := l.Analysis().HRMSOrder(model), refHRMSOrder(l, model)
 		if len(got) != len(want) {
 			t.Fatalf("%s %s: %d ops ordered, reference %d", what, model, len(got), len(want))
 		}
@@ -907,8 +907,7 @@ func TestDifferentialSchedulerMinII(t *testing.T) {
 // buses, a cycle model, up to six Loop.Spill calls on operations the seed
 // picks, and an offset of up to 127 cycles that raises the II floor above
 // the MII. Every run schedules through one Workspace shared across the
-// runs, so the per-operation tables and the memoized HRMS order meet
-// loops of every shape in turn.
+// runs, so the placer's slabs meet loops of every shape in turn.
 func FuzzScheduleMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(18), uint8(0), uint8(0), uint8(3), uint8(0), uint8(0))
 	f.Add(int64(20), uint8(18), uint8(4), uint8(0), uint8(2), uint8(6), uint8(0))

@@ -9,7 +9,9 @@
 //  1. an ordering phase that lists the operations so that every operation
 //     is scheduled as close as possible to its already-scheduled neighbours
 //     (recurrence components first, most critical first) — this is what
-//     keeps value lifetimes, and hence register pressure, low;
+//     keeps value lifetimes, and hence register pressure, low. The order
+//     depends on the loop and the cycle model only, so it comes from the
+//     loop's analysis (ddg.Analysis.HRMSOrder), which memoizes it;
 //  2. a placement phase that assigns each operation a cycle and a
 //     reservation in a modulo reservation table, scanning forward from its
 //     earliest start when predecessors are placed, backward from its latest
@@ -123,7 +125,7 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("sched: op %d reserves %d rows, needs %d",
 				v, occ, s.Model.Occupancy(op.Kind))
 		}
-		if len(res.Spans) == 0 || mod(res.Spans[0].Cycle, s.II) != s.Row(v) {
+		if len(res.Spans) == 0 || mrt.Row(res.Spans[0].Cycle, s.II) != s.Row(v) {
 			return fmt.Errorf("sched: op %d reservation does not start at its issue row", v)
 		}
 		if !table.PlaceExact(res) {
@@ -131,17 +133,6 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-func mod(a, m int) int {
-	if uint(a) < uint(m) {
-		return a // nearly every placement cycle: no division
-	}
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }
 
 func classOf(k machine.OpKind) mrt.Class {
@@ -182,9 +173,9 @@ type Options struct {
 	// spill pass uses it to trade cycles for register pressure when no
 	// spill candidate remains.
 	MinII int
-	// Workspace, when set, serves the call's ordering and placement
-	// scratch from the caller's arena; when nil, the call works in a fresh
-	// one. The returned Schedule never aliases the workspace.
+	// Workspace, when set, serves the call's placement scratch from the
+	// caller's arena; when nil, the call works in a fresh one. The
+	// returned Schedule never aliases the workspace.
 	Workspace *Workspace
 	// Into, when set, is the schedule ModuloSchedule writes into and
 	// returns: its Time, Res and span storage are reused when large
@@ -195,52 +186,36 @@ type Options struct {
 	Into *Schedule
 }
 
-// Workspace is a reusable scheduling scratch arena: the ordering and
-// placement state that does not escape into the returned Schedule
-// (ranks, victim stamps, the unplaced set, the modulo reservation table
-// and its row-owner index). It also remembers the last HRMS order, and
-// the per-operation latency and occupancy tables it was computed from,
-// with the loop analysis snapshot and cycle model they belong to, so a
-// call that reschedules the same loop at another II (every candidate of
-// the spill pass's II growth) reuses them. A zero Workspace is ready to
+// Workspace is a reusable placement scratch arena: the placement state
+// that does not escape into the returned Schedule (ranks, victim stamps,
+// the unplaced set, the modulo reservation table and its row-owner
+// index). The order and the per-operation tables it places by come from
+// the loop's analysis, which memoizes them. A zero Workspace is ready to
 // use; it grows to the largest loop it has scheduled and is NOT safe for
-// concurrent use. The remembered snapshot keeps its loop reachable, so a
-// workspace kept across calls pins the last loop it ordered; an owner that
-// must not keep its callers' loops alive schedules copies it owns (as
-// perfcost's workers do).
+// concurrent use. Between calls its placer still reaches the arrays of
+// the last analysis snapshot it placed from (order, tables, ASAP times and
+// edge lists), but not the loop itself.
 type Workspace struct {
-	ints      []int    // rank + lastForced + stamp, one 3n slab
-	unplaced  []uint64 // unplaced-set words, one bit per rank
-	placed    []bool   // placement marks
-	hrmsInts  []int    // HRMS slack + rank + sorted order + frontier heap, one 4n slab
-	hrmsBools []bool   // HRMS ordered + joined-frontier marks, one 2n slab
-	order     []int    // HRMS output, reused across calls
-	// lat and occ are each operation's latency and occupancy under
-	// orderModel, carved from the 2n slab tables.
-	tables   []int
-	lat, occ []int
-	// orderFor and orderModel identify the loop snapshot and cycle model
-	// order, lat and occ belong to; a nil orderFor memoizes nothing.
-	orderFor   *ddg.Analysis
-	orderModel machine.CycleModel
-	p          placer // placer header (holds the reservation table and owner index across calls)
+	ints     []int    // rank + lastForced + stamp, one 3n slab
+	unplaced []uint64 // unplaced-set words, one bit per rank
+	placed   []bool   // placement marks
+	p        placer   // placer header (holds the reservation table and owner index across calls)
 }
 
 // NewWorkspace returns an empty scheduling workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// fillTables fills the latency and occupancy tables with those of l's
-// operations under the model.
-func (ws *Workspace) fillTables(l *ddg.Loop, model machine.CycleModel) {
-	n := l.NumOps()
-	if cap(ws.tables) < 2*n {
-		ws.tables = make([]int, 2*n)
+// grow returns s resized to n, reusing its storage when it is large
+// enough and otherwise allocating a quarter more than n: the spill pass
+// reschedules a working loop that gains operations every round, and
+// slabs of exactly the loop's size would regrow at each. It allocates
+// with make, because slices.Grow of an empty slice allocates twice under
+// the race detector.
+func grow[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n, n+n/4)
 	}
-	ws.lat, ws.occ = ws.tables[0:n:n], ws.tables[n:2*n:2*n]
-	for v, op := range l.Ops {
-		ws.lat[v] = model.Latency(op.Kind)
-		ws.occ[v] = model.Occupancy(op.Kind)
-	}
+	return s[:n]
 }
 
 // ErrNoSchedule is returned when no II up to the cap admits a schedule.
@@ -250,11 +225,11 @@ var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
 // must already be width-transformed for the machine (see the widen
 // package); the scheduler treats wide operations as single operations.
 //
-// Every graph analysis the schedule needs (validation, ordering inputs,
-// the MII bound, ASAP times, edge lists) is served from the loop's
-// analysis cache, and the HRMS order from the workspace, so rescheduling
-// the same loop — the spill pass does it at every II retry — pays for the
-// traversals and the ordering once.
+// Every graph analysis the schedule needs (validation, the HRMS order, the
+// latency and occupancy tables, the MII bound, ASAP times, edge lists) is
+// served from the loop's analysis cache, so rescheduling the same loop —
+// the spill pass does it at every II retry — pays for the traversals and
+// the ordering once.
 func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -274,21 +249,10 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	buses, fpus := m.Slots()
 	model := m.Model
 
-	// The tables and the order depend on the loop and model, not the II:
-	// a reschedule of the same loop reuses them.
-	if ws.orderFor != a || ws.orderModel != model {
-		ws.fillTables(l, model)
-		ws.order = hrmsOrder(l, model, ws.occ, ws)
-		ws.orderFor, ws.orderModel = a, model
-	}
-	order := ws.order
-
 	mii := a.MII(model, buses, fpus)
 	if o.MinII > mii {
 		mii = o.MinII
 	}
-	asap := a.ASAP(model)
-	maxII := safeMaxII(mii, asap, ws.lat, ws.occ)
 
 	// One scratch arena serves the whole II search: the placement state
 	// (times, reservations, unplaced set, reservation table, owner index)
@@ -297,7 +261,8 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if dst == nil {
 		dst = &Schedule{}
 	}
-	sc := newPlacer(l, order, a.Preds(), a.Succs(), asap, ws, dst)
+	sc := newPlacer(l, a, model, ws, dst)
+	maxII := safeMaxII(mii, sc.asap, sc.lat, sc.occ)
 	for ii := mii; ii <= maxII; ii++ {
 		if sc.tryPlace(buses, fpus, ii) {
 			dst.Loop, dst.II, dst.Model = l, ii, model
@@ -338,10 +303,10 @@ type placer struct {
 	preds, succs [][]ddg.Edge
 	asap         []int
 
-	// lat and occ are the workspace's per-operation latency and
-	// occupancy tables, so a placement step reads no ddg.Op. An
-	// operation's resource class is the Class of its reservation slot,
-	// set by newPlacer; placing the operation rewrites the same class.
+	// lat and occ are the analysis's per-operation latency and occupancy
+	// tables, so a placement step reads no ddg.Op. An operation's resource
+	// class is the Class of its reservation slot, set by newPlacer;
+	// placing the operation rewrites the same class.
 	lat, occ []int
 
 	// rank[v] is v's position in the scheduling order; the next operation
@@ -380,34 +345,24 @@ type placer struct {
 	victims []int
 }
 
-// newPlacer prepares the workspace's placer for l, whose order and
-// per-operation tables the workspace holds, to place into dst.
-func newPlacer(l *ddg.Loop, order []int,
-	preds, succs [][]ddg.Edge, asap []int, ws *Workspace, dst *Schedule) *placer {
-
+// newPlacer prepares the workspace's placer to place l, whose analysis
+// snapshot is a, under the model into dst.
+func newPlacer(l *ddg.Loop, a *ddg.Analysis, model machine.CycleModel, ws *Workspace, dst *Schedule) *placer {
 	n := l.NumOps()
 	// Reuse the workspace's placer header (it carries the reservation
 	// table and owner index across calls) and its scratch slabs.
 	p := &ws.p
-	if cap(ws.ints) < 3*n {
-		ws.ints = make([]int, 3*n)
-	}
+	ws.ints = grow(ws.ints, 3*n)
+	ws.placed = grow(ws.placed, n)
+	ws.unplaced = grow(ws.unplaced, (n+63)>>6)
+	p.placed, p.unplaced = ws.placed, ws.unplaced
+	p.order = a.HRMSOrder(model)
+	p.lat, p.occ = a.Tables(model)
+	p.preds, p.succs, p.asap = a.Preds(), a.Succs(), a.ASAP(model)
 	ints := ws.ints
-	if cap(ws.placed) < n {
-		ws.placed = make([]bool, n)
-	}
-	words := (n + 63) >> 6
-	if cap(ws.unplaced) < words {
-		ws.unplaced = make([]uint64, words)
-	}
-	p.placed = ws.placed[:n]
-	p.unplaced = ws.unplaced[:words]
-	p.order = order
-	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
 	p.stamp = ints[2*n : 3*n : 3*n]
-	p.lat, p.occ = ws.lat, ws.occ
 	for v := range p.stamp {
 		p.stamp[v] = 0
 	}
@@ -419,21 +374,12 @@ func newPlacer(l *ddg.Loop, order []int,
 	// Every reservation starts with its operation's class and a one-span
 	// slot carved from the schedule's slab: the common case (occupancy <=
 	// II) fills it in place, so placement allocates no spans at all.
-	if cap(dst.Time) < n {
-		dst.Time = make([]int, n)
-	}
-	if cap(dst.Res) < n {
-		dst.Res = make([]mrt.Reservation, n)
-	}
-	if cap(dst.spans) < n {
-		dst.spans = make([]mrt.Span, n)
-	}
-	dst.Time, dst.Res, dst.spans = dst.Time[:n], dst.Res[:n], dst.spans[:n]
+	dst.Time, dst.Res, dst.spans = grow(dst.Time, n), grow(dst.Res, n), grow(dst.spans, n)
 	p.time, p.res = dst.Time, dst.Res
 	for v, op := range l.Ops {
 		p.res[v] = mrt.Reservation{Class: classOf(op.Kind), Spans: dst.spans[v : v : v+1]}
 	}
-	for i, v := range order {
+	for i, v := range p.order {
 		p.rank[v] = i
 	}
 	return p
@@ -470,49 +416,6 @@ func (p *placer) reset(buses, fpus, ii int) {
 	for i := range p.owners {
 		p.owners[i] = -1
 	}
-}
-
-// minHeap is a binary min-heap of ints. The ordering phase keeps the
-// ranks of its frontier in one, so a pop yields the best-ranked
-// operation.
-type minHeap []int
-
-func (h *minHeap) push(x int) {
-	q := append(*h, x)
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if q[parent] <= q[i] {
-			break
-		}
-		q[parent], q[i] = q[i], q[parent]
-		i = parent
-	}
-	*h = q
-}
-
-func (h *minHeap) pop() int {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= len(q) {
-			break
-		}
-		small := l
-		if r := l + 1; r < len(q) && q[r] < q[l] {
-			small = r
-		}
-		if q[i] <= q[small] {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	return top
 }
 
 // popUnplaced takes the unplaced operation with the smallest rank out of
@@ -560,7 +463,7 @@ func (p *placer) own(v int, owner int32) {
 	r := &p.res[v]
 	for _, sp := range r.Spans {
 		rows := p.unitOwners(r.Class, sp.Unit)
-		row := mod(sp.Cycle, p.ii)
+		row := mrt.Row(sp.Cycle, p.ii)
 		for i := 0; i < sp.Occ; i++ {
 			rows[row] = owner
 			if row++; row == p.ii {
@@ -714,7 +617,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			// Free one unit's conflicting rows: pick the unit of the class
 			// with the fewest conflicting reservations (the first unit with
 			// none ends the search).
-			row := mod(tf, ii)
+			row := mrt.Row(tf, ii)
 			bestUnit, bestCount := -1, inf
 			for u := 0; u < table.Units(class) && bestCount > 0; u++ {
 				if cnt := p.rowOwners(class, u, row, occ, false); cnt < bestCount {

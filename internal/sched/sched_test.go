@@ -394,7 +394,7 @@ func TestOrderingsArePermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
 		l := randomLoop(rng, 2+rng.Intn(30))
-		order := HRMSOrder(l, machine.FourCycle)
+		order := l.Analysis().HRMSOrder(machine.FourCycle)
 		if len(order) != l.NumOps() {
 			t.Fatalf("%d of %d ops", len(order), l.NumOps())
 		}
@@ -419,7 +419,7 @@ func TestHRMSOrderSeedsRecurrenceFirst(t *testing.T) {
 	b.Flow(a, c, 0)
 	b.Flow(c, a, 1) // RecMII 8 recurrence
 	l := b.Build()
-	order := HRMSOrder(l, machine.FourCycle)
+	order := l.Analysis().HRMSOrder(machine.FourCycle)
 	if order[0] != a && order[0] != c {
 		t.Errorf("order %v must start with the recurrence, not op %d", order, order[0])
 	}
@@ -477,9 +477,6 @@ func TestWarmWorkspaceAllocatesOnlySchedule(t *testing.T) {
 	})
 	if allocs != 4 {
 		t.Errorf("warm ModuloSchedule over a rising MinII allocates %v times per call, want 4 (the Schedule)", allocs)
-	}
-	if ws.orderFor != l.Analysis() || ws.orderModel != m.Model {
-		t.Error("the workspace does not hold the loop's HRMS order")
 	}
 
 	// Into a reused schedule, nothing is allocated at all.
@@ -555,9 +552,9 @@ func TestSteadyStateAllocsColdSchedule(t *testing.T) {
 }
 
 // TestWarmWorkspaceReordersWithoutAllocating alternates two loops on one
-// warm Workspace, so every call misses the memoized order and runs the
-// ordering phase again. The sort, the ranks and the frontier heap live in
-// the workspace, so each call still allocates only the returned Schedule.
+// warm Workspace, so every call re-sizes the placer for the other loop and
+// re-ranks its operations. Each loop's analysis keeps its own HRMS order,
+// so each call still allocates only the returned Schedule.
 func TestWarmWorkspaceReordersWithoutAllocating(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 8
@@ -583,9 +580,6 @@ func TestWarmWorkspaceReordersWithoutAllocating(t *testing.T) {
 		if _, err = ModuloSchedule(l, m, &Options{Workspace: ws}); err != nil {
 			t.Fatal(err)
 		}
-		if ws.orderFor != l.Analysis() {
-			t.Fatal("the workspace does not hold the order of the loop just scheduled")
-		}
 	})
 	if allocs != 4 {
 		t.Errorf("warm ModuloSchedule alternating two loops allocates %v times per call, want 4 (the Schedule)", allocs)
@@ -594,7 +588,7 @@ func TestWarmWorkspaceReordersWithoutAllocating(t *testing.T) {
 
 // TestWorkspaceOrderFollowsLoop: a workspace that alternates between loops
 // and cycle models schedules each exactly as a fresh workspace does, so
-// the memoized order is never served to the wrong loop or model.
+// no placement state of one loop or model leaks into the next.
 func TestWorkspaceOrderFollowsLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var loops []*ddg.Loop

@@ -86,8 +86,9 @@ func (r Result) accept(s *sched.Schedule) Result {
 // candidate list each round ranks, and the working loop spill code goes
 // into. A Scratch grows to the largest loop it has worked on, so a caller
 // that keeps one across calls allocates nothing per call proportional to
-// the loop's size. It is NOT safe for concurrent use, and it keeps the
-// last loops it scheduled reachable (see sched.Workspace).
+// the loop's size. It is NOT safe for concurrent use, and its schedule
+// buffer keeps the last loop it rescheduled reachable: the working loop,
+// or the base schedule's loop when the pass grew that loop's II.
 type Scratch struct {
 	ws     *sched.Workspace
 	ls     lifetimes.Set
