@@ -24,13 +24,13 @@ import (
 // must call Loop.InvalidateAnalysis.
 //
 // Two mutations of an owned loop install their own snapshot instead, and
-// hand it the old snapshot's storage, so its analyses are recomputed into
-// that storage rather than into fresh allocations:
+// hand it the old snapshot's storage, so its analyses, edge lists
+// included, are recomputed into that storage rather than into fresh
+// allocations. Each also starts the new snapshot from recurrence analyses
+// that still hold:
 //   - Loop.Spill, when the loop holds a snapshot of its current shape and
-//     the spilled value is on no recurrence, derives the next snapshot from
-//     it, patching its edge lists and carrying its recurrence analyses over;
-//   - Loop.CopyFrom starts the copy's snapshot from the source's edge lists
-//     and recurrence analyses when the source holds them.
+//     the spilled value is on no recurrence, keeps that snapshot's;
+//   - Loop.CopyFrom takes the source's when the source holds them.
 //
 // Each installs a new *Analysis, so a memo keyed by snapshot identity sees
 // a new loop; the old snapshot gives up its fields. Slices and maps read
@@ -65,7 +65,7 @@ type Analysis struct {
 
 // edgeLists is one direction's per-node edge lists, carved from one slab.
 // They keep their storage while not built (see Analysis.havePreds), so a
-// snapshot handed an earlier snapshot's lists builds or copies into them.
+// snapshot handed an earlier snapshot's lists builds into them.
 type edgeLists struct {
 	lists [][]Edge
 	slab  []Edge
@@ -92,19 +92,6 @@ func (el *edgeLists) build(n int, edges []Edge, cnt []int, key func(Edge) int) {
 	el.lists, el.slab = heads, slab
 }
 
-// copyFrom makes the lists a copy of src, list by list in the same order,
-// carved from the slab; m is the number of edges src holds.
-func (el *edgeLists) copyFrom(src [][]Edge, m int) {
-	slab := slices.Grow(el.slab[:0], m)
-	heads := slices.Grow(el.lists[:0], len(src))
-	for _, in := range src {
-		start := len(slab)
-		slab = append(slab, in...)
-		heads = append(heads, slab[start:len(slab):len(slab)])
-	}
-	el.lists, el.slab = heads, slab
-}
-
 // modelAnalysis holds the analyses that depend on the cycle model. The
 // per-operation arrays (latency, occupancy, ASAP, ALAP and the HRMS order)
 // are carved from one slab when the tables are filled; every other array
@@ -116,12 +103,6 @@ type modelAnalysis struct {
 	recMII                      int
 
 	haveTables, haveASAP, haveALAP, haveOrder, haveRec bool
-}
-
-// dropArrays marks the slab's arrays not computed, keeping its storage
-// for the next snapshot's loop.
-func (ma *modelAnalysis) dropArrays() {
-	ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder = false, false, false, false
 }
 
 type resMIIKey struct {
@@ -150,48 +131,44 @@ func (l *Loop) Analysis() *Analysis {
 func (l *Loop) InvalidateAnalysis() { l.analysis.Store(nil) }
 
 // handDown gives a's storage to next, a new snapshot of a's loop (see
-// Loop.CopyFrom): the edge lists, the topological order, the counting
-// scratch and the per-model arrays, none of them marked computed, and the
-// emptied ResMII memo. a gives up its fields.
-func (a *Analysis) handDown(next *Analysis) {
+// Analysis): the edge lists, the topological order, the counting scratch
+// and the per-model arrays, none of them marked computed, and the emptied
+// ResMII memo. With keepRec, next also keeps a's recurrence analyses:
+// RecurrenceOps, and each model's RecMII and RecPrio, padded with zeros for
+// the operations the loop gained (Loop.Spill). a gives up its fields.
+func (a *Analysis) handDown(next *Analysis, keepRec bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	next.preds, next.succs = a.preds, a.succs
 	next.topoZero, next.cnt = a.topoZero, a.cnt
 	next.models, next.resMII = a.models, a.resMII
+	if keepRec {
+		next.recOps = a.recOps
+	}
 	for _, ma := range next.models {
-		ma.dropArrays()
-		ma.haveRec = false
+		ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder = false, false, false, false
+		if keepRec && ma.haveRec {
+			ma.recPrio = append(ma.recPrio, make([]int, next.nOps-a.nOps)...)
+		} else {
+			ma.haveRec = false
+		}
 	}
 	clear(next.resMII)
-	a.giveUpLocked()
-}
-
-// giveUpLocked drops a's fields once a successor snapshot took them over.
-func (a *Analysis) giveUpLocked() {
 	a.preds, a.succs, a.havePreds, a.haveSuccs = edgeLists{}, edgeLists{}, false, false
 	a.sccs, a.recOps, a.topoZero, a.haveTopo, a.cnt = nil, nil, nil, false, nil
 	a.models, a.resMII = nil, nil
 }
 
-// copyTo starts next, the new snapshot of a copy of a's loop, from a: when
-// a is a snapshot of its loop's current shape with successor lists and
-// RecurrenceOps computed, next gets copies of the successor lists and of
-// the predecessor lists if built, in next's storage and in the same
-// per-node order; it shares the recurrence-op map, which nothing writes
-// once computed; and it gets a copy of each computed model's RecPrio and
-// RecMII. Otherwise next stays empty.
+// copyTo starts next, the new snapshot of a copy of a's loop, from a's
+// recurrence analyses: when a is a snapshot of its loop's current shape
+// with RecurrenceOps computed, next shares the recurrence-op map, which
+// nothing writes once computed, and gets a copy of each computed model's
+// RecPrio and RecMII. Otherwise next stays as it is.
 func (a *Analysis) copyTo(next *Analysis) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.nOps != len(a.loop.Ops) || a.nEdges != len(a.loop.Edges) || !a.haveSuccs || a.recOps == nil {
+	if a.nOps != len(a.loop.Ops) || a.nEdges != len(a.loop.Edges) || a.recOps == nil {
 		return
-	}
-	next.succs.copyFrom(a.succs.lists, a.nEdges)
-	next.haveSuccs = true
-	if a.havePreds {
-		next.preds.copyFrom(a.preds.lists, a.nEdges)
-		next.havePreds = true
 	}
 	next.recOps = a.recOps
 	for model, ma := range a.models {

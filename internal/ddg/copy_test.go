@@ -11,8 +11,9 @@ import (
 )
 
 // copyAndCheck makes w a copy of src and checks it: the same loop, a new
-// snapshot that started from src's exactly when src held one with its
-// successor lists and recurrence ops, and analyses equal to a fresh build.
+// snapshot that started from src's recurrence analyses exactly when src
+// held a snapshot with its recurrence ops, and analyses equal to a fresh
+// build.
 func copyAndCheck(t *testing.T, w, src *ddg.Loop, step string) {
 	t.Helper()
 	from := ddg.StartedFromSource(src) && ddg.HoldsSnapshot(src)
@@ -90,10 +91,10 @@ func TestCopyFromMatchesFreshBuild(t *testing.T) {
 }
 
 // TestCopyFromSources covers the sources a copy cannot start from, or
-// starts from only in part, on a working loop that already holds a
-// larger loop's storage: a loop without a snapshot, one whose snapshot
-// holds successor lists and recurrence ops but no predecessor lists, and a
-// zero-trip loop that fails Validate.
+// starts from with few analyses computed, on a working loop that already
+// holds a larger loop's storage: a loop without a snapshot, one whose
+// snapshot holds recurrence ops but no predecessor lists, and a zero-trip
+// loop that fails Validate.
 func TestCopyFromSources(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 6
@@ -106,8 +107,8 @@ func TestCopyFromSources(t *testing.T) {
 	big.RecurrenceOps()
 
 	noSnapshot := loops[1].Clone()
-	succsOnly := loops[2].Clone()
-	succsOnly.RecurrenceOps() // builds the successor lists, not the predecessor lists
+	recOnly := loops[2].Clone()
+	recOnly.RecurrenceOps() // builds the successor lists, not the predecessor lists
 	zeroTrip, ld, _ := recurrentLoop()
 	zeroTrip.Trips = 0
 	warm(zeroTrip)
@@ -119,7 +120,7 @@ func TestCopyFromSources(t *testing.T) {
 		def  int
 	}{
 		{"no snapshot", noSnapshot, firstSpillable(noSnapshot)},
-		{"successor lists only", succsOnly, firstSpillable(succsOnly)},
+		{"recurrence ops without predecessor lists", recOnly, firstSpillable(recOnly)},
 		{"zero trips", zeroTrip, ld},
 	} {
 		var w ddg.Loop

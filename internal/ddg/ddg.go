@@ -16,11 +16,12 @@
 // ASAP/ALAP times, and the scheduler's HRMS node order with the
 // per-operation latency and occupancy tables it places by, all memoized
 // per loop shape and cycle model (see Analysis). Loop.Spill is the spill
-// pass's rewrite: it routes a value through memory and derives the loop's
-// next analysis snapshot from the current one.
-// Loop.CopyFrom makes an owned loop a copy of another in its own storage,
-// starting its snapshot from the source's, so the spill pass reuses one
-// working loop across calls.
+// pass's rewrite: it routes a value through memory and starts the loop's
+// next analysis snapshot in the current one's storage, keeping its
+// recurrence analyses. Loop.CopyFrom makes an owned loop a copy of another
+// in its own storage, starting its snapshot from the source's recurrence
+// analyses, so the spill pass reuses one working loop across calls. Every
+// other analysis, edge lists included, is built on first read.
 package ddg
 
 import (
@@ -149,13 +150,12 @@ func (l *Loop) Clone() *Loop {
 // CopyFrom makes l a copy of src in l's own storage: src's name, trip
 // count, operations and edges, reusing l's slices. It installs a new
 // analysis snapshot that takes over the storage of l's old one (see
-// Analysis). When src holds a snapshot of its current shape with
-// successor lists and RecurrenceOps computed, the new snapshot starts from
-// it: copies of the edge lists, src's recurrence-op map shared read-only,
-// and each computed cycle model's RecPrio and RecMII, so a following Spill
-// derives instead of rebuilding. Validation, the topological order, the
-// latency and occupancy tables, ASAP/ALAP, the HRMS order and ResMII are
-// recomputed on demand. Otherwise the snapshot starts empty.
+// Analysis), edge lists included. When src holds a snapshot of its current
+// shape with RecurrenceOps computed, the new snapshot starts from src's
+// recurrence analyses: the recurrence-op map, shared read-only, and each
+// computed cycle model's RecPrio and RecMII, so a following Spill keeps
+// them instead of leaving a rebuild. Every other analysis is recomputed on
+// demand.
 //
 // A loop that is copied into again and again (the spill pass's working
 // loop) thus stops allocating storage proportional to its size once it
@@ -168,7 +168,7 @@ func (l *Loop) CopyFrom(src *Loop) {
 	l.Edges = append(l.Edges[:0], src.Edges...)
 	next := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
 	if old := l.analysis.Load(); old != nil {
-		old.handDown(next)
+		old.handDown(next, false)
 	}
 	if a := src.analysis.Load(); a != nil {
 		a.copyTo(next)

@@ -8,9 +8,9 @@ func HoldsSnapshot(l *Loop) bool {
 	return a != nil && a.nOps == len(l.Ops) && a.nEdges == len(l.Edges)
 }
 
-// StartedFromSource reports whether l's snapshot holds successor lists and
-// RecurrenceOps, without computing them: after a CopyFrom it tells a
-// snapshot started from the source's from an empty one.
+// StartedFromSource reports whether l's snapshot holds RecurrenceOps,
+// without computing them: after a CopyFrom it tells a snapshot started
+// from the source's recurrence analyses from one started without them.
 func StartedFromSource(l *Loop) bool {
 	a := l.analysis.Load()
 	if a == nil {
@@ -18,5 +18,5 @@ func StartedFromSource(l *Loop) bool {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.haveSuccs && a.recOps != nil
+	return a.recOps != nil
 }

@@ -18,24 +18,20 @@ import (
 // consumer to reroute.
 //
 // When the loop holds an analysis snapshot of its current shape and def
-// is on no recurrence, Spill derives the next snapshot from it instead of
-// leaving the next Loop.Analysis call to rebuild every analysis:
-//   - The edge lists are patched in place. Each rerouted edge keeps its
-//     index in Edges and both lists stay in edge-index order, so the
-//     result equals a fresh build.
+// is on no recurrence, Spill installs the next snapshot itself instead of
+// leaving the next Loop.Analysis call to build one from nothing:
 //   - The recurrence analyses carry over. No consumer of def reaches back
 //     to def, so the store and reloads are singleton components without
 //     self edges and no recurrence component changes: RecurrenceOps is
 //     the same map, and RecMII and RecPrio (zero for the new operations)
 //     keep their values.
-//   - Validation, the topological order, the latency and occupancy
-//     tables, ASAP/ALAP and the HRMS order are recomputed on demand into
-//     the old storage; the SCC list and the ResMII memo are dropped.
+//   - Every other analysis, the edge lists included, is recomputed on
+//     demand into the old snapshot's storage, as a fresh snapshot computes
+//     it; the SCC list and the ResMII memo are dropped.
 //
-// The derived snapshot is a new *Analysis (a memo keyed by snapshot
-// identity sees a new loop shape), and the old one gives up its storage.
-// Otherwise Spill only rewrites the loop, and the next Analysis call
-// rebuilds.
+// The next snapshot is a new *Analysis (a memo keyed by snapshot identity
+// sees a new loop shape), and the old one gives up its storage. Otherwise
+// Spill only rewrites the loop, and the next Analysis call rebuilds.
 //
 // Spill mutates the loop and its snapshot, so the caller must own the
 // loop: nothing else may read it or its analyses concurrently. Slices and
@@ -54,7 +50,7 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 		return 0, 0
 	}
 	a := l.derivable(def)
-	n0, m0 := len(l.Ops), len(l.Edges)
+	m0 := len(l.Edges)
 
 	defOp := l.Ops[def]
 	newOp := func(kind machine.OpKind, name string) int {
@@ -70,8 +66,8 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 		return id
 	}
 
-	// Op n0 is the store, fed by edge m0; each later op n0+i is a reload,
-	// fed by edge m0+i from the store.
+	// The store is the first new op, fed by edge m0; each later new op is a
+	// reload, fed from the store by one of the edges after m0.
 	st := newOp(machine.Store, fmt.Sprintf("spst%d", def))
 	l.Edges = append(l.Edges, Edge{From: def, To: st, Dist: 0})
 	for _, ei := range reroute {
@@ -91,102 +87,20 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 		l.Edges[ei] = Edge{From: ld, To: e.To, Dist: 0}
 	}
 	if a != nil {
-		l.analysis.Store(a.derive(def, n0, m0, reroute))
+		next := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
+		a.handDown(next, true)
+		l.analysis.Store(next)
 	}
 	return 1, loads
 }
 
-// derivable returns the snapshot Spill(def) can derive the next one from:
-// the loop's snapshot when it matches the loop's shape and def is on no
-// recurrence, nil otherwise.
+// derivable returns the snapshot Spill(def) can hand down to the next one
+// with its recurrence analyses: the loop's snapshot when it matches the
+// loop's shape and def is on no recurrence, nil otherwise.
 func (l *Loop) derivable(def int) *Analysis {
 	a := l.analysis.Load()
 	if a == nil || a.nOps != len(l.Ops) || a.nEdges != len(l.Edges) || a.RecurrenceOps()[def] {
 		return nil
 	}
 	return a
-}
-
-// derive returns the snapshot of the loop after Spill(def) rewrote it:
-// ops n0 and up and edges m0 and up are new, and the edges at the indices
-// in reroute now leave reloads. a gives its storage to the result.
-func (a *Analysis) derive(def, n0, m0 int, reroute []int) *Analysis {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	l := a.loop
-	n := len(l.Ops)
-	next := &Analysis{
-		loop: l, nOps: n, nEdges: len(l.Edges),
-		preds: a.preds, succs: a.succs, havePreds: a.havePreds, haveSuccs: true,
-		recOps: a.recOps, topoZero: a.topoZero, cnt: a.cnt,
-		models: a.models, resMII: a.resMII,
-	}
-
-	// Each new op has one predecessor, the edge that created it. The
-	// store's successors are the store->reload edges; each reload's are
-	// the rerouted edges it now feeds. All of them come from one slab.
-	// The successor lists exist (derivable found the recurrence ops, which
-	// are computed from them); the predecessor lists may not.
-	size := n - n0 - 1 + len(reroute)
-	if a.havePreds {
-		size += n - n0
-	}
-	slab := make([]Edge, 0, size)
-	// carve returns the edges appended to slab since start as one list.
-	carve := func(start int) []Edge { return slab[start:len(slab):len(slab)] }
-
-	if a.havePreds {
-		preds := a.preds.lists
-		// A consumer's k-th entry from def is its k-th rerouted edge.
-		for _, ei := range reroute {
-			e := l.Edges[ei]
-			in := preds[e.To]
-			for j := range in {
-				if in[j].From == def {
-					in[j] = e
-					break
-				}
-			}
-		}
-		for _, e := range l.Edges[m0:] {
-			slab = append(slab, e)
-			preds = append(preds, carve(len(slab)-1))
-		}
-		next.preds.lists = preds
-	}
-
-	// def keeps its edges into spill ops, and the edge to its store has
-	// the largest index.
-	succs := a.succs.lists
-	kept := succs[def][:0]
-	for _, e := range succs[def] {
-		if l.Ops[e.To].Spill {
-			kept = append(kept, e)
-		}
-	}
-	succs[def] = append(kept, l.Edges[m0])
-	start := len(slab)
-	slab = append(slab, l.Edges[m0+1:]...)
-	succs = append(succs, carve(start))
-	for ld := n0 + 1; ld < n; ld++ {
-		start := len(slab)
-		for _, ei := range reroute {
-			if e := l.Edges[ei]; e.From == ld {
-				slab = append(slab, e)
-			}
-		}
-		succs = append(succs, carve(start))
-	}
-	next.succs.lists = succs
-
-	for _, ma := range next.models {
-		ma.dropArrays()
-		if ma.haveRec {
-			ma.recPrio = append(ma.recPrio, make([]int, n-n0)...)
-		}
-	}
-	clear(next.resMII)
-
-	a.giveUpLocked()
-	return next
 }

@@ -70,14 +70,15 @@ func TestSteadyStateAllocsWarmEval(t *testing.T) {
 
 // TestSteadyStateAllocsSpillStudy bounds what a cold SpillStudy of
 // Figure 3's nine configurations allocates on the 40-loop test workbench.
-// Each loop task copies its widened loop into its worker's loop and
-// analyses the copy, and the spill pass copies each base loop into the
-// worker's working loop and copies no schedule out. Grouping by machine,
-// with a fresh clone and analysis per spilling call and a copied-out
-// schedule, allocated 34 MB; the workers measure 11 to 15. Each worker
-// warms its own scratch, and each P's share of the pool keeps its own
-// workers, so the bound holds for two Ps and two workers whatever the
-// host's CPU count (at one it reads 9.6, at eight up to 17).
+// Each loop task copies its widened loop into its worker's loop, analyses
+// the copy and writes its base schedules into the worker's buffers, and
+// the spill pass copies each base loop into the worker's working loop and
+// copies no schedule out. Grouping by machine, with a fresh clone and
+// analysis per spilling call and a copied-out schedule, allocated 34 MB;
+// the workers measure 8.5 to 11. Each worker warms its own scratch, and
+// each P's share of the pool keeps its own workers, so the bound holds
+// for two Ps and two workers whatever the host's CPU count (at one it
+// reads 7.1, at eight up to 13).
 func TestSteadyStateAllocsSpillStudy(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are pinned without the race detector")

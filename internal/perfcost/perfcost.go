@@ -25,9 +25,9 @@
 // (SpillStudy, EvaluateMany) groups its cells by (width, cycle model): one
 // task per loop copies the widened loop into its worker's own loop,
 // computes the base schedule of every machine of the group on that copy,
-// and runs the spill pass from each base for every register file of its
-// machine; the bases die with the task. A loop that cannot be pipelined is
-// charged its base schedule's flat length.
+// into the worker's own schedule buffers, and runs the spill pass from
+// each base for every register file of its machine. A loop that cannot be
+// pipelined is charged its base schedule's flat length.
 package perfcost
 
 import (
@@ -487,14 +487,16 @@ func (e *Engine) loadOrComputeSuites(model machine.CycleModel, keys []suiteKey) 
 }
 
 // worker is the scratch of one loop task of computeSuites: the loop the
-// task copies its widened loop into, and the spill scratch, whose
-// scheduling workspace serves the base schedules too. A worker schedules
-// only its own loop and the spill scratch's working loop, so whatever it
-// keeps between tasks (the spill buffer's loop, the arrays of those
+// task copies its widened loop into, the buffers its base schedules are
+// written into, one per bus count, and the spill scratch, whose scheduling
+// workspace serves the base schedules too. A worker schedules only its own
+// loop and the spill scratch's working loop, so whatever it keeps between
+// tasks (the loop of the base and spill buffers, the arrays of those
 // loops' analyses that the workspace's placer still reaches) is its own
 // storage, never a caller's loop.
 type worker struct {
 	loop  ddg.Loop
+	bases []sched.Schedule
 	spill *spill.Scratch
 }
 
@@ -507,11 +509,11 @@ var workerPool = sync.Pool{New: func() any { return &worker{spill: spill.NewScra
 // computeSuites schedules the workbench for each cell of keys, cells of
 // one width under model. One task per loop takes a worker and copies the
 // widened loop into the worker's loop, then computes the base schedule of
-// each machine (bus count) of the cells on that copy, back to back: the
-// machines share the copy's analysis, whose HRMS order depends on the loop
-// and cycle model only and so serves every bus count. It then runs the
-// spill pass from each base for every register file of its machine. The
-// bases die with the task.
+// each machine (bus count) of the cells on that copy, back to back, into
+// the worker's buffers: the machines share the copy's analysis, whose HRMS
+// order depends on the loop and cycle model only and so serves every bus
+// count. It then runs the spill pass from each base for every register
+// file of its machine.
 func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []SuiteResult {
 	e.suiteComputes.Add(int64(len(keys)))
 	width := keys[0].width
@@ -543,12 +545,16 @@ func (e *Engine) computeSuites(model machine.CycleModel, keys []suiteKey) []Suit
 		defer workerPool.Put(w)
 		w.loop.CopyFrom(loops[i])
 		l := &w.loop
+		if n := len(buses) - len(w.bases); n > 0 {
+			w.bases = append(w.bases, make([]sched.Schedule, n)...)
+		}
 		// The base schedule ignores the register file; any valid size
 		// will do. A machine without one fails every cell at no cost.
 		bases := make([]*sched.Schedule, len(buses))
 		opts := sched.Options{Workspace: w.spill.Workspace()}
 		for j, b := range buses {
 			unbounded := machine.New(machine.Config{Buses: b, Width: width}, 1<<20, model)
+			opts.Into = &w.bases[j]
 			bases[j], _ = sched.ModuloSchedule(l, unbounded, &opts)
 		}
 		trips := float64(e.loops[i].Trips)
