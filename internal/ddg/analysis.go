@@ -23,17 +23,16 @@ import (
 // a fresh snapshot. Code that mutates a loop without changing either count
 // must call Loop.InvalidateAnalysis.
 //
-// Two mutations of an owned loop install their own snapshot instead, and
-// hand it the old snapshot's storage, so its analyses, edge lists
-// included, are recomputed into that storage rather than into fresh
-// allocations. Each also starts the new snapshot from recurrence analyses
-// that still hold:
-//   - Loop.Spill, when the loop holds a snapshot of its current shape and
-//     the spilled value is on no recurrence, keeps that snapshot's;
+// The two mutations of an owned loop, Loop.Spill and Loop.CopyFrom, reset
+// the loop's snapshot in place instead: it takes the loop's new shape and
+// marks every analysis not computed, so each is recomputed on demand into
+// the storage it already holds, edge lists included. Each mutation starts
+// the snapshot from recurrence analyses that still hold:
+//   - Loop.Spill, when the snapshot matched the loop's shape and the
+//     spilled value is on no recurrence, keeps the snapshot's own;
 //   - Loop.CopyFrom takes the source's when the source holds them.
 //
-// Each installs a new *Analysis, so a memo keyed by snapshot identity sees
-// a new loop; the old snapshot gives up its fields. Slices and maps read
+// An owned loop thus keeps one snapshot for life. Slices and maps read
 // from a snapshot before a Spill or a CopyFrom are stale after it.
 //
 // All methods are safe for concurrent use; the perfcost engine analyses
@@ -65,7 +64,7 @@ type Analysis struct {
 
 // edgeLists is one direction's per-node edge lists, carved from one slab.
 // They keep their storage while not built (see Analysis.havePreds), so a
-// snapshot handed an earlier snapshot's lists builds into them.
+// reset snapshot builds into them.
 type edgeLists struct {
 	lists [][]Edge
 	slab  []Edge
@@ -130,40 +129,40 @@ func (l *Loop) Analysis() *Analysis {
 // appends are detected by Analysis itself.
 func (l *Loop) InvalidateAnalysis() { l.analysis.Store(nil) }
 
-// handDown gives a's storage to next, a new snapshot of a's loop (see
-// Analysis): the edge lists, the topological order, the counting scratch
-// and the per-model arrays, none of them marked computed, and the emptied
-// ResMII memo. With keepRec, next also keeps a's recurrence analyses:
-// RecurrenceOps, and each model's RecMII and RecPrio, padded with zeros for
-// the operations the loop gained (Loop.Spill). a gives up its fields.
-func (a *Analysis) handDown(next *Analysis, keepRec bool) {
+// reset makes a a snapshot of its loop's current shape with no analysis
+// computed, keeping the storage of the edge lists, the topological order,
+// the counting scratch, the per-model arrays and the ResMII memo (see
+// Analysis). With keepRec, a keeps its recurrence analyses: RecurrenceOps,
+// and each model's RecMII and RecPrio, padded with zeros for the operations
+// the loop gained (Loop.Spill). The recurrence-op map may be shared with
+// another loop's snapshot (copyTo), so it is dropped, never cleared.
+func (a *Analysis) reset(keepRec bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	next.preds, next.succs = a.preds, a.succs
-	next.topoZero, next.cnt = a.topoZero, a.cnt
-	next.models, next.resMII = a.models, a.resMII
-	if keepRec {
-		next.recOps = a.recOps
+	grown := len(a.loop.Ops) - a.nOps
+	a.nOps, a.nEdges = len(a.loop.Ops), len(a.loop.Edges)
+	a.validated, a.validErr = false, nil
+	a.havePreds, a.haveSuccs, a.haveTopo, a.sccs = false, false, false, nil
+	if !keepRec {
+		a.recOps = nil
 	}
-	for _, ma := range next.models {
+	for _, ma := range a.models {
 		ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder = false, false, false, false
 		if keepRec && ma.haveRec {
-			ma.recPrio = append(ma.recPrio, make([]int, next.nOps-a.nOps)...)
+			ma.recPrio = append(ma.recPrio, make([]int, grown)...)
 		} else {
 			ma.haveRec = false
 		}
 	}
-	clear(next.resMII)
-	a.preds, a.succs, a.havePreds, a.haveSuccs = edgeLists{}, edgeLists{}, false, false
-	a.sccs, a.recOps, a.topoZero, a.haveTopo, a.cnt = nil, nil, nil, false, nil
-	a.models, a.resMII = nil, nil
+	clear(a.resMII)
 }
 
-// copyTo starts next, the new snapshot of a copy of a's loop, from a's
-// recurrence analyses: when a is a snapshot of its loop's current shape
-// with RecurrenceOps computed, next shares the recurrence-op map, which
-// nothing writes once computed, and gets a copy of each computed model's
-// RecPrio and RecMII. Otherwise next stays as it is.
+// copyTo starts next, the just-reset snapshot of a copy of a's loop, from
+// a's recurrence analyses: when a is a snapshot of its loop's current
+// shape with RecurrenceOps computed, next shares the recurrence-op map,
+// which nothing writes once computed, and gets a copy of each computed
+// model's RecPrio and RecMII into its own storage. Otherwise next stays as
+// it is.
 func (a *Analysis) copyTo(next *Analysis) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -211,8 +210,8 @@ func (a *Analysis) countsLocked(n int) []int {
 }
 
 // zeroed returns s resized to n zeroed ints. It reuses s's storage when it
-// is large enough and grows it geometrically otherwise, so a snapshot
-// handed its predecessor's storage recomputes into it.
+// is large enough and grows it geometrically otherwise, so a reset
+// snapshot recomputes into it.
 func zeroed(s []int, n int) []int {
 	s = slices.Grow(s[:0], n)[:n]
 	clear(s)

@@ -44,16 +44,16 @@ func TestAnalysisMemoizes(t *testing.T) {
 }
 
 // TestAnalysisInvalidatesOnAppend asserts an append-style mutation —
-// new ops and edges, with no Spill to derive the next snapshot — is
-// picked up without an explicit invalidate.
+// new ops and edges, with no Spill to reset the snapshot — is picked up
+// without an explicit invalidate.
 func TestAnalysisInvalidatesOnAppend(t *testing.T) {
 	l := analysisTestLoop()
 	before := l.RecMII(machine.FourCycle)
 	a := l.Analysis()
 
 	// Lengthen the recurrence by hand: a new op on the a2 -> a1 carried
-	// edge, which Loop.Spill would leave to a rebuild too (a2 is on the
-	// recurrence).
+	// edge (a2 is on the recurrence, so a Loop.Spill of it would not keep
+	// the recurrence analyses either).
 	id := len(l.Ops)
 	l.Ops = append(l.Ops, Op{ID: id, Kind: machine.Add, Lanes: 1, Name: "x"})
 	for i, e := range l.Edges {

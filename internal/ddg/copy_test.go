@@ -10,20 +10,21 @@ import (
 	"repro/internal/widen"
 )
 
-// copyAndCheck makes w a copy of src and checks it: the same loop, a new
-// snapshot that started from src's recurrence analyses exactly when src
-// held a snapshot with its recurrence ops, and analyses equal to a fresh
-// build.
+// copyAndCheck makes w a copy of src and checks it: the same loop, a
+// snapshot of its shape that is w's old one when w held one, started from
+// src's recurrence analyses exactly when src held a current snapshot with
+// its recurrence ops, and analyses equal to a fresh build.
 func copyAndCheck(t *testing.T, w, src *ddg.Loop, step string) {
 	t.Helper()
-	from := ddg.StartedFromSource(src) && ddg.HoldsSnapshot(src)
-	old := w.Analysis()
+	_, srcCurrent := ddg.Snapshot(src)
+	from := ddg.StartedFromSource(src) && srcCurrent
+	old, _ := ddg.Snapshot(w)
 	w.CopyFrom(src)
 	if w.Name != src.Name || w.Trips != src.Trips || !slices.Equal(w.Ops, src.Ops) || !slices.Equal(w.Edges, src.Edges) {
 		t.Fatalf("%s: the copy differs from its source", step)
 	}
-	if !ddg.HoldsSnapshot(w) || w.Analysis() == old {
-		t.Fatalf("%s: CopyFrom installed no new snapshot", step)
+	if a, current := ddg.Snapshot(w); !current || (old != nil && a != old) {
+		t.Fatalf("%s: CopyFrom did not reset the loop's own snapshot to the copy", step)
 	}
 	if got := ddg.StartedFromSource(w); got != from {
 		t.Fatalf("%s: snapshot started from the source's = %v, want %v", step, got, from)
@@ -51,7 +52,9 @@ func sizeAlternating(loops []*ddg.Loop) []*ddg.Loop {
 // default slice widened for every factor of the paper's configurations,
 // alternating larger and smaller loops. After each CopyFrom, and after
 // each Spill of a chain of values on the copy, the copy's analyses must
-// equal a fresh build. The source is warmed and never changes.
+// equal a fresh build. The sources are warmed and never change: each is
+// compared with a fresh build after its copy spills and after every later
+// copy.
 func TestCopyFromMatchesFreshBuild(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 40
@@ -79,7 +82,7 @@ func TestCopyFromMatchesFreshBuild(t *testing.T) {
 				continue
 			}
 			if !spillAndCheck(t, &w, v) {
-				t.Fatalf("%s: spilling op %d of the copy did not derive", src.Name, v)
+				t.Fatalf("%s: spilling op %d of the copy did not keep its recurrence analyses", src.Name, v)
 			}
 			spilled++
 		}
@@ -87,6 +90,11 @@ func TestCopyFromMatchesFreshBuild(t *testing.T) {
 			t.Fatalf("%s: spilling the copy changed the source", src.Name)
 		}
 		checkAnalysis(t, src, src.Name+" after its copy spilled")
+	}
+	// A copy shares its source's recurrence-op map until the next copy
+	// resets the working loop's snapshot, which must leave the map alone.
+	for _, src := range srcs {
+		checkAnalysis(t, src, src.Name+" after later copies")
 	}
 }
 
@@ -127,7 +135,7 @@ func TestCopyFromSources(t *testing.T) {
 		copyAndCheck(t, &w, big, tc.name+": the large loop")
 		copyAndCheck(t, &w, tc.src, tc.name)
 		if !spillAndCheck(t, &w, tc.def) {
-			t.Fatalf("%s: spilling op %d of the copy did not derive", tc.name, tc.def)
+			t.Fatalf("%s: spilling op %d of the copy did not keep its recurrence analyses", tc.name, tc.def)
 		}
 	}
 	if zeroTrip.Analysis().Validate() == nil {

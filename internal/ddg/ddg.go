@@ -16,12 +16,13 @@
 // ASAP/ALAP times, and the scheduler's HRMS node order with the
 // per-operation latency and occupancy tables it places by, all memoized
 // per loop shape and cycle model (see Analysis). Loop.Spill is the spill
-// pass's rewrite: it routes a value through memory and starts the loop's
-// next analysis snapshot in the current one's storage, keeping its
-// recurrence analyses. Loop.CopyFrom makes an owned loop a copy of another
-// in its own storage, starting its snapshot from the source's recurrence
-// analyses, so the spill pass reuses one working loop across calls. Every
-// other analysis, edge lists included, is built on first read.
+// pass's rewrite: it routes a value through memory and resets the loop's
+// analysis snapshot in place, keeping its recurrence analyses.
+// Loop.CopyFrom makes an owned loop a copy of another in its own storage,
+// resetting its snapshot and starting it from the source's recurrence
+// analyses, so the spill pass reuses one working loop, and one snapshot,
+// across calls. Every other analysis, edge lists included, is built on
+// first read.
 package ddg
 
 import (
@@ -148,13 +149,13 @@ func (l *Loop) Clone() *Loop {
 }
 
 // CopyFrom makes l a copy of src in l's own storage: src's name, trip
-// count, operations and edges, reusing l's slices. It installs a new
-// analysis snapshot that takes over the storage of l's old one (see
-// Analysis), edge lists included. When src holds a snapshot of its current
-// shape with RecurrenceOps computed, the new snapshot starts from src's
-// recurrence analyses: the recurrence-op map, shared read-only, and each
-// computed cycle model's RecPrio and RecMII, so a following Spill keeps
-// them instead of leaving a rebuild. Every other analysis is recomputed on
+// count, operations and edges, reusing l's slices. It resets l's analysis
+// snapshot in place (see Analysis), edge lists included, and makes one
+// only when l has none. When src holds a snapshot of its current shape
+// with RecurrenceOps computed, l's snapshot starts from src's recurrence
+// analyses: the recurrence-op map, shared read-only, and each computed
+// cycle model's RecPrio and RecMII, so a following Spill keeps them
+// instead of leaving a rebuild. Every other analysis is recomputed on
 // demand.
 //
 // A loop that is copied into again and again (the spill pass's working
@@ -166,14 +167,15 @@ func (l *Loop) CopyFrom(src *Loop) {
 	l.Name, l.Trips = src.Name, src.Trips
 	l.Ops = append(l.Ops[:0], src.Ops...)
 	l.Edges = append(l.Edges[:0], src.Edges...)
-	next := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
-	if old := l.analysis.Load(); old != nil {
-		old.handDown(next, false)
+	a := l.analysis.Load()
+	if a == nil {
+		a = &Analysis{loop: l}
+		l.analysis.Store(a)
 	}
-	if a := src.analysis.Load(); a != nil {
-		a.copyTo(next)
+	a.reset(false)
+	if sa := src.analysis.Load(); sa != nil {
+		sa.copyTo(a)
 	}
-	l.analysis.Store(next)
 }
 
 // Preds returns, for each operation, the list of incoming edges. The

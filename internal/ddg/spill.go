@@ -17,21 +17,17 @@ import (
 // added; it adds none, and leaves the loop unchanged, when def has no
 // consumer to reroute.
 //
-// When the loop holds an analysis snapshot of its current shape and def
-// is on no recurrence, Spill installs the next snapshot itself instead of
-// leaving the next Loop.Analysis call to build one from nothing:
-//   - The recurrence analyses carry over. No consumer of def reaches back
-//     to def, so the store and reloads are singleton components without
-//     self edges and no recurrence component changes: RecurrenceOps is
-//     the same map, and RecMII and RecPrio (zero for the new operations)
-//     keep their values.
-//   - Every other analysis, the edge lists included, is recomputed on
-//     demand into the old snapshot's storage, as a fresh snapshot computes
-//     it; the SCC list and the ResMII memo are dropped.
-//
-// The next snapshot is a new *Analysis (a memo keyed by snapshot identity
-// sees a new loop shape), and the old one gives up its storage. Otherwise
-// Spill only rewrites the loop, and the next Analysis call rebuilds.
+// When the loop holds an analysis snapshot, Spill resets it in place to
+// the rewritten loop (see Analysis) instead of leaving the next
+// Loop.Analysis call to build one from nothing. Every analysis, the edge
+// lists included, is recomputed on demand into the snapshot's storage, as
+// a fresh snapshot computes it, except the recurrence analyses when the
+// snapshot matched the loop's shape and def is on no recurrence: no
+// consumer of def reaches back to def, so the store and reloads are
+// singleton components without self edges and no recurrence component
+// changes. RecurrenceOps is then the same map, and RecMII and RecPrio
+// (zero for the new operations) keep their values. A loop without a
+// snapshot is only rewritten.
 //
 // Spill mutates the loop and its snapshot, so the caller must own the
 // loop: nothing else may read it or its analyses concurrently. Slices and
@@ -49,7 +45,8 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 	if len(reroute) == 0 {
 		return 0, 0
 	}
-	a := l.derivable(def)
+	a := l.analysis.Load()
+	keepRec := a != nil && a.nOps == len(l.Ops) && a.nEdges == len(l.Edges) && !a.RecurrenceOps()[def]
 	m0 := len(l.Edges)
 
 	defOp := l.Ops[def]
@@ -87,20 +84,7 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 		l.Edges[ei] = Edge{From: ld, To: e.To, Dist: 0}
 	}
 	if a != nil {
-		next := &Analysis{loop: l, nOps: len(l.Ops), nEdges: len(l.Edges)}
-		a.handDown(next, true)
-		l.analysis.Store(next)
+		a.reset(keepRec)
 	}
 	return 1, loads
-}
-
-// derivable returns the snapshot Spill(def) can hand down to the next one
-// with its recurrence analyses: the loop's snapshot when it matches the
-// loop's shape and def is on no recurrence, nil otherwise.
-func (l *Loop) derivable(def int) *Analysis {
-	a := l.analysis.Load()
-	if a == nil || a.nOps != len(l.Ops) || a.nEdges != len(l.Edges) || a.RecurrenceOps()[def] {
-		return nil
-	}
-	return a
 }

@@ -17,8 +17,8 @@ import (
 var slots = [][2]int{{1, 2}, {2, 4}, {4, 8}}
 
 // warm reads every analysis a reschedule reads, under every cycle model,
-// so a following Spill has a snapshot to derive from, and a computed HRMS
-// order and tables it must drop.
+// so a following Spill has a snapshot to reset, recurrence analyses to
+// keep, and a computed HRMS order and tables it must drop.
 func warm(l *ddg.Loop) {
 	a := l.Analysis()
 	a.Validate()
@@ -101,25 +101,31 @@ func checkAnalysis(t *testing.T, l *ddg.Loop, step string) {
 }
 
 // spillAndCheck spills def and checks the loop's analyses against a fresh
-// build. When def is on no recurrence and Spill rewrote the loop, the
-// snapshot must have been derived rather than left for a rebuild.
-func spillAndCheck(t *testing.T, l *ddg.Loop, def int) (derived bool) {
+// build. When Spill rewrote the loop, a loop that held a snapshot must
+// still hold the same one, reset to the loop's shape, and it must have
+// kept its recurrence analyses exactly when the snapshot was current and
+// def is on no recurrence.
+func spillAndCheck(t *testing.T, l *ddg.Loop, def int) (keptRec bool) {
 	t.Helper()
-	wasCurrent := ddg.HoldsSnapshot(l)
+	old, wasCurrent := ddg.Snapshot(l)
 	recurrent := wasCurrent && l.RecurrenceOps()[def]
-	stores, _ := l.Spill(def)
-	derived = ddg.HoldsSnapshot(l) && stores > 0
-	if stores > 0 && derived != (wasCurrent && !recurrent) {
-		t.Fatalf("spill of op %d in %s (snapshot %v, recurrent %v): derived = %v",
-			def, l.Name, wasCurrent, recurrent, derived)
+	if stores, _ := l.Spill(def); stores > 0 {
+		if a, current := ddg.Snapshot(l); a != old || (old != nil && !current) {
+			t.Fatalf("spill of op %d in %s: the loop's snapshot was not reset in place", def, l.Name)
+		}
+		keptRec = ddg.StartedFromSource(l)
+		if keptRec != (wasCurrent && !recurrent) {
+			t.Fatalf("spill of op %d in %s (snapshot %v, recurrent %v): kept recurrence analyses = %v",
+				def, l.Name, wasCurrent, recurrent, keptRec)
+		}
 	}
 	checkAnalysis(t, l, fmt.Sprintf("%s after spilling op %d", l.Name, def))
-	return derived
+	return keptRec
 }
 
 // TestSpillDerivesAnalysis spills chains of values on the 40-loop default
 // slice, widened for every factor of the paper's configurations, and after
-// every Spill compares the derived snapshot with a fresh build.
+// every Spill compares the reset snapshot with a fresh build.
 func TestSpillDerivesAnalysis(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 40
@@ -127,7 +133,7 @@ func TestSpillDerivesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived := 0
+	kept := 0
 	for _, width := range []int{1, 2, 4, 8} {
 		for _, src := range loops {
 			wl, _ := widen.Transform(src, width)
@@ -140,14 +146,14 @@ func TestSpillDerivesAnalysis(t *testing.T) {
 					continue
 				}
 				if spillAndCheck(t, l, v) {
-					derived++
+					kept++
 				}
 				spilled++
 			}
 		}
 	}
-	if derived == 0 {
-		t.Fatal("no Spill derived its snapshot")
+	if kept == 0 {
+		t.Fatal("no Spill kept its recurrence analyses")
 	}
 }
 
@@ -166,26 +172,28 @@ func recurrentLoop() (l *ddg.Loop, ld, acc int) {
 	return b.Build(), ld, acc
 }
 
-// TestSpillRecurrentRebuilds: spilling a recurrence value leaves the
-// snapshot to be rebuilt, and the rebuild matches a fresh build.
+// TestSpillRecurrentRebuilds: spilling a recurrence value resets the
+// snapshot without its recurrence analyses, and their rebuild matches a
+// fresh build.
 func TestSpillRecurrentRebuilds(t *testing.T) {
 	l, _, acc := recurrentLoop()
 	warm(l)
 	if spillAndCheck(t, l, acc) {
-		t.Fatal("a recurrent spill derived its snapshot")
+		t.Fatal("a recurrent spill kept its recurrence analyses")
 	}
 }
 
 // TestSpillWithoutSnapshot: a loop that never built an analysis is only
-// rewritten, and a later spill derives from the snapshot built after it.
+// rewritten, and a later spill keeps the recurrence analyses of the
+// snapshot built after it.
 func TestSpillWithoutSnapshot(t *testing.T) {
 	l, ld, acc := recurrentLoop()
 	if spillAndCheck(t, l, ld) {
-		t.Fatal("a loop without a snapshot derived one")
+		t.Fatal("a loop without a snapshot kept recurrence analyses")
 	}
 	warm(l)
 	if !spillAndCheck(t, l, acc+1) { // use, which feeds the store
-		t.Fatal("a spill of a non-recurrent value did not derive")
+		t.Fatal("a spill of a non-recurrent value did not keep its recurrence analyses")
 	}
 }
 
@@ -206,17 +214,17 @@ func TestSpillConsumedBySpillOps(t *testing.T) {
 	}
 }
 
-// TestSpillKeepsValidating: a derived snapshot validates the loop again,
-// so a shape error reported before a spill is still reported after it.
+// TestSpillKeepsValidating: a reset snapshot validates the loop again, so
+// a shape error reported before a spill is still reported after it.
 func TestSpillKeepsValidating(t *testing.T) {
 	l, ld, _ := recurrentLoop()
 	l.Trips = 0
 	warm(l)
 	if !spillAndCheck(t, l, ld) {
-		t.Fatal("a spill of a non-recurrent value did not derive")
+		t.Fatal("a spill of a non-recurrent value did not keep its recurrence analyses")
 	}
 	if l.Analysis().Validate() == nil {
-		t.Fatal("the derived snapshot accepts a loop with no trips")
+		t.Fatal("the reset snapshot accepts a loop with no trips")
 	}
 }
 
@@ -330,10 +338,10 @@ func FuzzSpillDerivesAnalysis(f *testing.F) {
 // TestSteadyStateAllocsSpill bounds one Spill plus the analyses the
 // reschedule after it reads, over chains of up to eight spills on each
 // loop of the 40-loop default slice. Rebuilding the analysis after every
-// spill cost 27 allocations per step; handing the snapshot down measures
-// 4: the new ops' names, the new snapshot, and the amortized growth of the
-// loop's and the snapshot's slices. The edge lists are built into the
-// handed-down slabs, so no step allocates an edge slab of its own.
+// spill cost 27 allocations per step; resetting the snapshot in place
+// measures 3: the new ops' names and the amortized growth of the loop's
+// and the snapshot's slices. The edge lists are rebuilt in the snapshot's
+// own slabs, so no step allocates an edge slab of its own.
 func TestSteadyStateAllocsSpill(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are pinned without the race detector")
@@ -380,5 +388,47 @@ func TestSteadyStateAllocsSpill(t *testing.T) {
 	})
 	if allocs > 10 {
 		t.Errorf("Spill plus a reschedule's analyses allocates %.1f times, want <= 10", allocs)
+	}
+}
+
+// TestSteadyStateAllocsCopyFrom bounds one CopyFrom into a warm working
+// loop plus the HRMS order of the copy, over the 40-loop default slice
+// widened for factor 2, whose loops hold RecurrenceOps and an HRMS order.
+// The copy resets the working loop's own snapshot and copies the source's
+// RecPrio into it, so the order computes no SCCs, and every array it
+// writes has grown to the largest loop: a step allocates nothing.
+func TestSteadyStateAllocsCopyFrom(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are pinned without the race detector")
+	}
+	p := loopgen.Defaults()
+	p.Loops = 40
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := machine.FourCycle
+	var srcs []*ddg.Loop
+	for _, l := range loops {
+		wl, _ := widen.Transform(l, 2)
+		wl.RecurrenceOps()
+		wl.Analysis().HRMSOrder(model)
+		srcs = append(srcs, wl)
+	}
+	var w ddg.Loop
+	step := func(src *ddg.Loop) {
+		w.CopyFrom(src)
+		w.Analysis().HRMSOrder(model)
+	}
+	for _, src := range srcs {
+		step(src)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(srcs)-1, func() {
+		step(srcs[next%len(srcs)])
+		next++
+	})
+	if allocs > 0 {
+		t.Errorf("CopyFrom plus the copy's HRMS order allocates %.2f times, want 0", allocs)
 	}
 }

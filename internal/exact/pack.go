@@ -104,7 +104,7 @@ func (p *packer) dfs(d, regs int) fitOutcome {
 	if d == 0 {
 		maxK = 1
 	}
-	start := pmod(v.Start, p.circ)
+	start := regalloc.Mod(v.Start, p.circ)
 	for k := 0; k < maxK; k++ {
 		if !p.b.spend() {
 			return fitBudget
@@ -156,12 +156,4 @@ func (p *packer) mark(start, length int, on bool) {
 			p.words[r>>6] &^= 1 << uint(r&63)
 		}
 	}
-}
-
-func pmod(a, m int) int {
-	r := a % m
-	if r < 0 {
-		r += m
-	}
-	return r
 }

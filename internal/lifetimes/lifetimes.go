@@ -86,13 +86,16 @@ func (s *Set) Pressure() []int {
 }
 
 // PressureInto is Pressure writing into dst (grown when too small) so
-// repeated pressure queries over reused sets do not allocate.
+// repeated pressure queries over reused sets do not allocate. A grown
+// buffer gets a quarter more room than the II: a regalloc.Search reuses
+// one buffer across the spill pass's II search, which rises a step at a
+// time, and a buffer of exactly the II would regrow at each step.
 func (s *Set) PressureInto(dst []int) []int {
 	if s.II <= cap(dst) {
 		dst = dst[:s.II]
 		clear(dst)
 	} else {
-		dst = make([]int, s.II)
+		dst = make([]int, s.II, s.II+s.II/4)
 	}
 	s.fillPressure(dst)
 	return dst

@@ -76,7 +76,7 @@ func refTryAllocateOrdered(set *lifetimes.Set, regs int, strat Strategy, longest
 		v := set.Values[i]
 		bestK, bestScore := -1, circ+1
 		for k := 0; k < regs; k++ {
-			cand := arc{start: mod(v.Start+k*set.II, circ), len: v.Len}
+			cand := arc{start: Mod(v.Start+k*set.II, circ), len: v.Len}
 			conflict := false
 			for _, a := range placedArcs {
 				if overlaps(cand, a, circ) {
@@ -100,7 +100,7 @@ func refTryAllocateOrdered(set *lifetimes.Set, regs int, strat Strategy, longest
 			return nil, false
 		}
 		offsets[i] = bestK
-		placedArcs = append(placedArcs, arc{start: mod(v.Start+bestK*set.II, circ), len: v.Len})
+		placedArcs = append(placedArcs, arc{start: Mod(v.Start+bestK*set.II, circ), len: v.Len})
 	}
 	return &Allocation{Regs: regs, II: set.II, Offset: offsets}, true
 }
@@ -108,8 +108,8 @@ func refTryAllocateOrdered(set *lifetimes.Set, regs int, strat Strategy, longest
 func refGapBefore(cand arc, placed []arc, circ int) int {
 	best := circ
 	for _, a := range placed {
-		end := mod(a.start+a.len, circ)
-		if d := mod(cand.start-end, circ); d < best {
+		end := Mod(a.start+a.len, circ)
+		if d := Mod(cand.start-end, circ); d < best {
 			best = d
 		}
 	}
@@ -156,7 +156,7 @@ func refValidate(a *Allocation, set *lifetimes.Set) error {
 		if a.Offset[i] < 0 || a.Offset[i] >= a.Regs {
 			return errMismatch
 		}
-		arcs[i] = arc{start: mod(v.Start+a.Offset[i]*a.II, circ), len: v.Len}
+		arcs[i] = arc{start: Mod(v.Start+a.Offset[i]*a.II, circ), len: v.Len}
 	}
 	for i := range arcs {
 		for j := i + 1; j < len(arcs); j++ {

@@ -82,15 +82,17 @@ type arc struct {
 
 func overlaps(a, b arc, circ int) bool {
 	// Two arcs on a circle overlap iff either starts within the other.
-	d1 := mod(b.start-a.start, circ)
+	d1 := Mod(b.start-a.start, circ)
 	if d1 < a.len {
 		return true
 	}
-	d2 := mod(a.start-b.start, circ)
+	d2 := Mod(a.start-b.start, circ)
 	return d2 < b.len
 }
 
-func mod(a, m int) int {
+// Mod reduces a to its offset on a torus of circumference m > 0, in
+// [0, m), whatever a's sign: a register-torus position of a lifetime.
+func Mod(a, m int) int {
 	r := a % m
 	if r < 0 {
 		r += m
@@ -276,12 +278,12 @@ func (s *Search) place(regs int, strat Strategy, longestFirst bool) bool {
 
 	for _, i := range order {
 		v := set.Values[i]
-		k := occ.fit(mod(v.Start, circ), v.Len, ii, regs, strat)
+		k := occ.fit(Mod(v.Start, circ), v.Len, ii, regs, strat)
 		if k < 0 {
 			return false
 		}
 		s.offsets[i] = k
-		occ.set(mod(v.Start+k*ii, circ), v.Len)
+		occ.set(Mod(v.Start+k*ii, circ), v.Len)
 	}
 	return true
 }
@@ -557,7 +559,7 @@ func (a *Allocation) Validate(set *lifetimes.Set) error {
 		if v.Len > circ {
 			return fmt.Errorf("regalloc: value %d of length %d overflows the torus (%d)", i, v.Len, circ)
 		}
-		start := mod(v.Start+a.Offset[i]*a.II, circ)
+		start := Mod(v.Start+a.Offset[i]*a.II, circ)
 		if end := start + v.Len; end <= circ {
 			evs = append(evs,
 				valEvent{pos: start, delta: 1, idx: int32(i)},

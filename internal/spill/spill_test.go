@@ -577,12 +577,12 @@ func TestScheduleFromRejectsOtherMachine(t *testing.T) {
 // TestSteadyStateAllocsScheduleFromBytes bounds the bytes a warm
 // ScheduleFrom allocates per inserted spill operation, over the loops of
 // the 40-loop default slice that spill at 2w4 with 32 registers, in one
-// scratch. The pass copies the base loop into the scratch's working loop
-// and copies no schedule out, so what remains is each spill's new
-// operation names, its derived snapshot and that snapshot's small edge
-// slab. A fresh loop clone with a rebuilt analysis per call and a
+// scratch. The pass copies the base loop into the scratch's working loop,
+// whose one analysis snapshot every copy and spill resets in place, and
+// copies no schedule out, so what remains is each spill's new operation
+// names. A fresh loop clone with a rebuilt analysis per call and a
 // copied-out schedule cost 1605 bytes per spill operation; the scratch's
-// pass measures 200.
+// pass measures 8.
 func TestSteadyStateAllocsScheduleFromBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are pinned without the race detector")
