@@ -26,14 +26,10 @@ import (
 // The two mutations of an owned loop, Loop.Spill and Loop.CopyFrom, reset
 // the loop's snapshot in place instead: it takes the loop's new shape and
 // marks every analysis not computed, so each is recomputed on demand into
-// the storage it already holds, edge lists included. Each mutation starts
-// the snapshot from recurrence analyses that still hold:
-//   - Loop.Spill, when the snapshot matched the loop's shape and the
-//     spilled value is on no recurrence, keeps the snapshot's own;
-//   - Loop.CopyFrom takes the source's when the source holds them.
-//
-// An owned loop thus keeps one snapshot for life. Slices and maps read
-// from a snapshot before a Spill or a CopyFrom are stale after it.
+// the storage it already holds, edge lists, SCCs and the recurrence-op map
+// included. A snapshot's analyses thus depend only on its own loop, and an
+// owned loop keeps one snapshot for life. Slices and maps read from a
+// snapshot before a Spill or a CopyFrom are stale after it.
 //
 // All methods are safe for concurrent use; the perfcost engine analyses
 // shared widened loops from many goroutines. Returned slices and maps are
@@ -47,19 +43,22 @@ type Analysis struct {
 	validErr error
 
 	preds, succs edgeLists
-	topoZero     []int // topological order of the distance-0 subgraph
-	sccs         [][]int
+	topoZero     []int     // topological order of the distance-0 subgraph
+	sccs         [][]int   // components, carved from sccBuf
+	sccBuf       []int     // every operation, component by component
+	recEdges     []recEdge // one component's edges (recMIIOfComponent)
 	recOps       map[int]bool
 
 	// cnt is the shared counting scratch of the slab builders below
-	// (count-then-fill construction), of the topological sort's in-degrees
-	// and of the HRMS ordering's arrays; it only lives under mu.
+	// (count-then-fill construction), of the topological sort's in-degrees,
+	// of Tarjan's algorithm, of the RecMII search and of the HRMS ordering's
+	// arrays; it only lives under mu.
 	cnt []int
 
 	models map[machine.CycleModel]*modelAnalysis
 	resMII map[resMIIKey]int
 
-	validated, haveTopo, havePreds, haveSuccs bool
+	validated, haveTopo, havePreds, haveSuccs, haveSCCs, haveRecOps bool
 }
 
 // edgeLists is one direction's per-node edge lists, carved from one slab.
@@ -130,53 +129,18 @@ func (l *Loop) Analysis() *Analysis {
 func (l *Loop) InvalidateAnalysis() { l.analysis.Store(nil) }
 
 // reset makes a a snapshot of its loop's current shape with no analysis
-// computed, keeping the storage of the edge lists, the topological order,
-// the counting scratch, the per-model arrays and the ResMII memo (see
-// Analysis). With keepRec, a keeps its recurrence analyses: RecurrenceOps,
-// and each model's RecMII and RecPrio, padded with zeros for the operations
-// the loop gained (Loop.Spill). The recurrence-op map may be shared with
-// another loop's snapshot (copyTo), so it is dropped, never cleared.
-func (a *Analysis) reset(keepRec bool) {
+// computed, keeping the storage of every analysis and of the counting
+// scratch (see Analysis); the ResMII memo is emptied.
+func (a *Analysis) reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	grown := len(a.loop.Ops) - a.nOps
 	a.nOps, a.nEdges = len(a.loop.Ops), len(a.loop.Edges)
 	a.validated, a.validErr = false, nil
-	a.havePreds, a.haveSuccs, a.haveTopo, a.sccs = false, false, false, nil
-	if !keepRec {
-		a.recOps = nil
-	}
+	a.havePreds, a.haveSuccs, a.haveTopo, a.haveSCCs, a.haveRecOps = false, false, false, false, false
 	for _, ma := range a.models {
-		ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder = false, false, false, false
-		if keepRec && ma.haveRec {
-			ma.recPrio = append(ma.recPrio, make([]int, grown)...)
-		} else {
-			ma.haveRec = false
-		}
+		ma.haveTables, ma.haveASAP, ma.haveALAP, ma.haveOrder, ma.haveRec = false, false, false, false, false
 	}
 	clear(a.resMII)
-}
-
-// copyTo starts next, the just-reset snapshot of a copy of a's loop, from
-// a's recurrence analyses: when a is a snapshot of its loop's current
-// shape with RecurrenceOps computed, next shares the recurrence-op map,
-// which nothing writes once computed, and gets a copy of each computed
-// model's RecPrio and RecMII into its own storage. Otherwise next stays as
-// it is.
-func (a *Analysis) copyTo(next *Analysis) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.nOps != len(a.loop.Ops) || a.nEdges != len(a.loop.Edges) || a.recOps == nil {
-		return
-	}
-	next.recOps = a.recOps
-	for model, ma := range a.models {
-		if ma.haveRec {
-			nm := next.modelLocked(model)
-			nm.recPrio = append(nm.recPrio[:0], ma.recPrio...)
-			nm.recMII, nm.haveRec = ma.recMII, true
-		}
-	}
 }
 
 // Validate runs the checks Loop.Validate documents, once per snapshot.
@@ -251,14 +215,22 @@ func (a *Analysis) SCCs() [][]int {
 	return a.sccsLocked()
 }
 
+// sccsLocked runs Tarjan's algorithm in the counting scratch, taken after
+// the successor lists are built because building them uses it too.
 func (a *Analysis) sccsLocked() [][]int {
-	if a.sccs == nil {
-		a.sccs = tarjanSCCs(len(a.loop.Ops), a.succsLocked())
+	if !a.haveSCCs {
+		succs := a.succsLocked()
+		n := len(succs)
+		a.sccBuf = slices.Grow(a.sccBuf[:0], n)
+		a.sccs = tarjanSCCs(succs, a.countsLocked(6*n), slices.Grow(a.sccs[:0], n), a.sccBuf)
+		a.haveSCCs = true
 	}
 	return a.sccs
 }
 
-// RecurrenceOps returns the set of operations on dependence cycles.
+// RecurrenceOps returns the set of operations on dependence cycles. The
+// map is the snapshot's own: a reset snapshot clears and refills it, which
+// is safe only because no other snapshot can hold it.
 func (a *Analysis) RecurrenceOps() map[int]bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -266,8 +238,12 @@ func (a *Analysis) RecurrenceOps() map[int]bool {
 }
 
 func (a *Analysis) recOpsLocked() map[int]bool {
-	if a.recOps == nil {
-		rec := make(map[int]bool)
+	if !a.haveRecOps {
+		if a.recOps == nil {
+			a.recOps = make(map[int]bool)
+		}
+		rec := a.recOps
+		clear(rec)
 		for _, comp := range a.sccsLocked() {
 			if len(comp) > 1 {
 				for _, v := range comp {
@@ -280,7 +256,7 @@ func (a *Analysis) recOpsLocked() map[int]bool {
 				rec[e.From] = true
 			}
 		}
-		a.recOps = rec
+		a.haveRecOps = true
 	}
 	return a.recOps
 }
@@ -606,17 +582,23 @@ func (a *Analysis) RecPrio(model machine.CycleModel) []int {
 	return a.recPrioLocked(model)
 }
 
+// recPrioLocked computes ma's RecPrio and RecMII. The RecMII search's
+// membership and distance arrays are the counting scratch, taken after the
+// SCC list exists because Tarjan's algorithm uses it too.
 func (a *Analysis) recPrioLocked(model machine.CycleModel) []int {
 	ma := a.modelLocked(model)
 	if !ma.haveRec {
-		l := a.loop
-		prio := zeroed(ma.recPrio, len(l.Ops))
+		n := len(a.loop.Ops)
+		sccs := a.sccsLocked()
+		tmp := a.countsLocked(2 * n)
+		member, dist := tmp[:n:n], tmp[n:]
+		prio := zeroed(ma.recPrio, n)
 		recMII := 1
-		for _, comp := range a.sccsLocked() {
+		for c, comp := range sccs {
 			if len(comp) == 1 && !a.hasSelfEdgeLocked(comp[0]) {
 				continue
 			}
-			sub := l.recMIIOfComponent(comp, model)
+			sub := a.recMIIOfComponent(comp, c+1, model, member, dist)
 			for _, v := range comp {
 				prio[v] = sub
 			}
@@ -676,62 +658,50 @@ func (a *Analysis) MII(model machine.CycleModel, buses, fpus int) int {
 
 // tarjanSCCs is Tarjan's algorithm, iterative, over precomputed successor
 // lists. Components come out in reverse topological order of the
-// condensation.
-func tarjanSCCs(n int, succs [][]Edge) [][]int {
-	const unvisited = -1
-	il := make([]int, 2*n) // index and low as one slab
-	index, low := il[:n:n], il[n:]
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var counter int
-	stack := make([]int, 0, n)
-	out := make([][]int, 0, n)
-	// Every vertex lands in exactly one component, so all components are
-	// carved from one shared n-int buffer.
-	buf := make([]int, 0, n)
-
-	type frame struct {
-		v    int
-		edge int
-	}
-	call := make([]frame, 0, n)
+// condensation, appended to out. tmp is 6n zeroed ints of scratch: index
+// (0 for unvisited, so indices count from 1), low, on-stack flags, the
+// stack, and call frames as (vertex, next edge) pairs. Every vertex lands
+// in exactly one component, so all components are carved from buf, which
+// must have capacity n: no append moves a component.
+func tarjanSCCs(succs [][]Edge, tmp []int, out [][]int, buf []int) [][]int {
+	n := len(succs)
+	index, low, onStack := tmp[:n:n], tmp[n:2*n:2*n], tmp[2*n:3*n:3*n]
+	stack, call := tmp[3*n:3*n:4*n], tmp[4*n:4*n:6*n]
+	counter := 1
 	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
+		if index[root] != 0 {
 			continue
 		}
-		call = append(call[:0], frame{v: root})
+		call = append(call[:0], root, 0)
 		index[root] = counter
 		low[root] = counter
 		counter++
 		stack = append(stack, root)
-		onStack[root] = true
+		onStack[root] = 1
 
 		for len(call) > 0 {
-			f := &call[len(call)-1]
-			if f.edge < len(succs[f.v]) {
-				w := succs[f.v][f.edge].To
-				f.edge++
-				if index[w] == unvisited {
+			top := len(call) - 2
+			v, edge := call[top], call[top+1]
+			if edge < len(succs[v]) {
+				w := succs[v][edge].To
+				call[top+1]++
+				if index[w] == 0 {
 					index[w] = counter
 					low[w] = counter
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
-					call = append(call, frame{v: w})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
+					onStack[w] = 1
+					call = append(call, w, 0)
+				} else if onStack[w] != 0 && index[w] < low[v] {
+					low[v] = index[w]
 				}
 				continue
 			}
-			// Post-order: pop f.v.
-			v := f.v
-			call = call[:len(call)-1]
+			// Post-order: pop v.
+			call = call[:top]
 			if len(call) > 0 {
-				parent := &call[len(call)-1]
-				if low[v] < low[parent.v] {
-					low[parent.v] = low[v]
+				if parent := call[len(call)-2]; low[v] < low[parent] {
+					low[parent] = low[v]
 				}
 			}
 			if low[v] == index[v] {
@@ -739,7 +709,7 @@ func tarjanSCCs(n int, succs [][]Edge) [][]int {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
+					onStack[w] = 0
 					buf = append(buf, w)
 					if w == v {
 						break

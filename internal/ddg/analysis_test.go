@@ -52,8 +52,7 @@ func TestAnalysisInvalidatesOnAppend(t *testing.T) {
 	a := l.Analysis()
 
 	// Lengthen the recurrence by hand: a new op on the a2 -> a1 carried
-	// edge (a2 is on the recurrence, so a Loop.Spill of it would not keep
-	// the recurrence analyses either).
+	// edge, appended without a Loop.Spill, so nothing resets the snapshot.
 	id := len(l.Ops)
 	l.Ops = append(l.Ops, Op{ID: id, Kind: machine.Add, Lanes: 1, Name: "x"})
 	for i, e := range l.Edges {

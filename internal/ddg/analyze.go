@@ -26,25 +26,31 @@ func (l *Loop) SCCs() [][]int { return l.Analysis().SCCs() }
 // feasible iff no cycle has total latency > II * total distance).
 func (l *Loop) RecMII(model machine.CycleModel) int { return l.Analysis().RecMII(model) }
 
+// recEdge is an edge of a recurrence component with its producer's latency.
+type recEdge struct {
+	from, to, lat, dist int
+}
+
 // recMIIOfComponent binary-searches the smallest II for which the component
-// has no positive cycle under weights lat(from) - II*dist.
-func (l *Loop) recMIIOfComponent(comp []int, model machine.CycleModel) int {
-	inComp := make(map[int]bool, len(comp))
+// has no positive cycle under weights lat(from) - II*dist. member and dist
+// are n-int scratch arrays; member[v] == id marks comp's operations, so
+// each component of one pass over the SCCs needs a distinct id and no
+// clearing. The component's edges go in the snapshot's recEdges slab.
+func (a *Analysis) recMIIOfComponent(comp []int, id int, model machine.CycleModel, member, dist []int) int {
+	l := a.loop
 	for _, v := range comp {
-		inComp[v] = true
+		member[v] = id
 	}
-	type wedge struct {
-		from, to, lat, dist int
-	}
-	var edges []wedge
+	edges := a.recEdges[:0]
 	hi := 1
 	for _, e := range l.Edges {
-		if inComp[e.From] && inComp[e.To] {
+		if member[e.From] == id && member[e.To] == id {
 			lat := model.Latency(l.Ops[e.From].Kind)
-			edges = append(edges, wedge{e.From, e.To, lat, e.Dist})
+			edges = append(edges, recEdge{e.From, e.To, lat, e.Dist})
 			hi += lat
 		}
 	}
+	a.recEdges = edges
 	if len(edges) == 0 {
 		return 1
 	}
@@ -53,7 +59,6 @@ func (l *Loop) recMIIOfComponent(comp []int, model machine.CycleModel) int {
 	// Bellman-Ford longest-path from an arbitrary component node; with all
 	// nodes initialized to 0 (super-source), a relaxation succeeding on the
 	// n-th pass betrays a positive cycle.
-	dist := make(map[int]int, len(comp))
 	feasible := func(ii int) bool {
 		for _, v := range comp {
 			dist[v] = 0

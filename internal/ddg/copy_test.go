@@ -2,6 +2,8 @@ package ddg_test
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -10,26 +12,24 @@ import (
 	"repro/internal/widen"
 )
 
-// copyAndCheck makes w a copy of src and checks it: the same loop, a
-// snapshot of its shape that is w's old one when w held one, started from
-// src's recurrence analyses exactly when src held a current snapshot with
-// its recurrence ops, and analyses equal to a fresh build.
+// copyAndCheck makes w a copy of src and checks it: the same loop, w's
+// old snapshot reset to the copy's shape (none when w held none), analyses
+// equal to a fresh build, and a recurrence-op map that is not src's.
 func copyAndCheck(t *testing.T, w, src *ddg.Loop, step string) {
 	t.Helper()
-	_, srcCurrent := ddg.Snapshot(src)
-	from := ddg.StartedFromSource(src) && srcCurrent
 	old, _ := ddg.Snapshot(w)
 	w.CopyFrom(src)
 	if w.Name != src.Name || w.Trips != src.Trips || !slices.Equal(w.Ops, src.Ops) || !slices.Equal(w.Edges, src.Edges) {
 		t.Fatalf("%s: the copy differs from its source", step)
 	}
-	if a, current := ddg.Snapshot(w); !current || (old != nil && a != old) {
+	if a, current := ddg.Snapshot(w); a != old || (old != nil && !current) {
 		t.Fatalf("%s: CopyFrom did not reset the loop's own snapshot to the copy", step)
 	}
-	if got := ddg.StartedFromSource(w); got != from {
-		t.Fatalf("%s: snapshot started from the source's = %v, want %v", step, got, from)
-	}
 	checkAnalysis(t, w, step)
+	if sa, _ := ddg.Snapshot(src); sa != nil &&
+		reflect.ValueOf(w.RecurrenceOps()).UnsafePointer() == reflect.ValueOf(sa.RecurrenceOps()).UnsafePointer() {
+		t.Fatalf("%s: the copy shares its source's recurrence-op map", step)
+	}
 }
 
 // sizeAlternating returns loops ordered largest, smallest, second largest,
@@ -54,7 +54,7 @@ func sizeAlternating(loops []*ddg.Loop) []*ddg.Loop {
 // each Spill of a chain of values on the copy, the copy's analyses must
 // equal a fresh build. The sources are warmed and never change: each is
 // compared with a fresh build after its copy spills and after every later
-// copy.
+// copy, so no copy writes its source's analyses.
 func TestCopyFromMatchesFreshBuild(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 40
@@ -75,15 +75,13 @@ func TestCopyFromMatchesFreshBuild(t *testing.T) {
 	for _, src := range sizeAlternating(srcs) {
 		ops, edges := slices.Clone(src.Ops), slices.Clone(src.Edges)
 		copyAndCheck(t, &w, src, src.Name+" copied")
-		rec := w.RecurrenceOps()
+		rec := maps.Clone(w.RecurrenceOps()) // each check refills the map
 		spilled := 0
 		for v := 0; v < len(src.Ops) && spilled < 8; v++ {
 			if rec[v] || !w.Ops[v].Kind.HasResult() || len(w.Succs()[v]) == 0 {
 				continue
 			}
-			if !spillAndCheck(t, &w, v) {
-				t.Fatalf("%s: spilling op %d of the copy did not keep its recurrence analyses", src.Name, v)
-			}
+			spillAndCheck(t, &w, v)
 			spilled++
 		}
 		if !slices.Equal(src.Ops, ops) || !slices.Equal(src.Edges, edges) {
@@ -91,18 +89,17 @@ func TestCopyFromMatchesFreshBuild(t *testing.T) {
 		}
 		checkAnalysis(t, src, src.Name+" after its copy spilled")
 	}
-	// A copy shares its source's recurrence-op map until the next copy
-	// resets the working loop's snapshot, which must leave the map alone.
 	for _, src := range srcs {
 		checkAnalysis(t, src, src.Name+" after later copies")
 	}
 }
 
-// TestCopyFromSources covers the sources a copy cannot start from, or
-// starts from with few analyses computed, on a working loop that already
-// holds a larger loop's storage: a loop without a snapshot, one whose
-// snapshot holds recurrence ops but no predecessor lists, and a zero-trip
-// loop that fails Validate.
+// TestCopyFromSources copies sources whose snapshots hold few analyses or
+// none, on a working loop that already holds a larger loop's storage: a
+// loop without a snapshot, one whose snapshot holds recurrence ops but no
+// predecessor lists, and a zero-trip loop that fails Validate. The copy
+// reads nothing of a source's snapshot, so each must match a fresh build
+// all the same.
 func TestCopyFromSources(t *testing.T) {
 	p := loopgen.Defaults()
 	p.Loops = 6
@@ -134,9 +131,7 @@ func TestCopyFromSources(t *testing.T) {
 		var w ddg.Loop
 		copyAndCheck(t, &w, big, tc.name+": the large loop")
 		copyAndCheck(t, &w, tc.src, tc.name)
-		if !spillAndCheck(t, &w, tc.def) {
-			t.Fatalf("%s: spilling op %d of the copy did not keep its recurrence analyses", tc.name, tc.def)
-		}
+		spillAndCheck(t, &w, tc.def)
 	}
 	if zeroTrip.Analysis().Validate() == nil {
 		t.Fatal("premise broken: the zero-trip loop validates")

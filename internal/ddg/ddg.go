@@ -17,12 +17,11 @@
 // per-operation latency and occupancy tables it places by, all memoized
 // per loop shape and cycle model (see Analysis). Loop.Spill is the spill
 // pass's rewrite: it routes a value through memory and resets the loop's
-// analysis snapshot in place, keeping its recurrence analyses.
-// Loop.CopyFrom makes an owned loop a copy of another in its own storage,
-// resetting its snapshot and starting it from the source's recurrence
-// analyses, so the spill pass reuses one working loop, and one snapshot,
-// across calls. Every other analysis, edge lists included, is built on
-// first read.
+// analysis snapshot in place. Loop.CopyFrom makes an owned loop a copy of
+// another in its own storage and resets its snapshot the same way, so the
+// spill pass reuses one working loop, and one snapshot, across calls. A
+// reset snapshot recomputes every analysis, edge lists and SCCs included,
+// on first read into the storage it already holds.
 package ddg
 
 import (
@@ -149,32 +148,22 @@ func (l *Loop) Clone() *Loop {
 }
 
 // CopyFrom makes l a copy of src in l's own storage: src's name, trip
-// count, operations and edges, reusing l's slices. It resets l's analysis
-// snapshot in place (see Analysis), edge lists included, and makes one
-// only when l has none. When src holds a snapshot of its current shape
-// with RecurrenceOps computed, l's snapshot starts from src's recurrence
-// analyses: the recurrence-op map, shared read-only, and each computed
-// cycle model's RecPrio and RecMII, so a following Spill keeps them
-// instead of leaving a rebuild. Every other analysis is recomputed on
-// demand.
+// count, operations and edges, reusing l's slices. When l holds an
+// analysis snapshot, CopyFrom resets it in place (see Analysis), so every
+// analysis is recomputed on demand into its storage; src's snapshot is
+// not read.
 //
 // A loop that is copied into again and again (the spill pass's working
 // loop) thus stops allocating storage proportional to its size once it
-// has grown to the largest loop it holds. src's snapshot is read under its
-// lock, so src may be shared; l must be owned by the caller, and slices
-// and maps read from l's snapshot before the copy are stale after it.
+// has grown to the largest loop it holds. src may be shared; l must be
+// owned by the caller, and slices and maps read from l's snapshot before
+// the copy are stale after it.
 func (l *Loop) CopyFrom(src *Loop) {
 	l.Name, l.Trips = src.Name, src.Trips
 	l.Ops = append(l.Ops[:0], src.Ops...)
 	l.Edges = append(l.Edges[:0], src.Edges...)
-	a := l.analysis.Load()
-	if a == nil {
-		a = &Analysis{loop: l}
-		l.analysis.Store(a)
-	}
-	a.reset(false)
-	if sa := src.analysis.Load(); sa != nil {
-		sa.copyTo(a)
+	if a := l.analysis.Load(); a != nil {
+		a.reset()
 	}
 }
 

@@ -20,14 +20,9 @@ import (
 // When the loop holds an analysis snapshot, Spill resets it in place to
 // the rewritten loop (see Analysis) instead of leaving the next
 // Loop.Analysis call to build one from nothing. Every analysis, the edge
-// lists included, is recomputed on demand into the snapshot's storage, as
-// a fresh snapshot computes it, except the recurrence analyses when the
-// snapshot matched the loop's shape and def is on no recurrence: no
-// consumer of def reaches back to def, so the store and reloads are
-// singleton components without self edges and no recurrence component
-// changes. RecurrenceOps is then the same map, and RecMII and RecPrio
-// (zero for the new operations) keep their values. A loop without a
-// snapshot is only rewritten.
+// lists and SCCs included, is recomputed on demand into the snapshot's
+// storage, as a fresh snapshot computes it. A loop without a snapshot is
+// only rewritten.
 //
 // Spill mutates the loop and its snapshot, so the caller must own the
 // loop: nothing else may read it or its analyses concurrently. Slices and
@@ -45,8 +40,6 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 	if len(reroute) == 0 {
 		return 0, 0
 	}
-	a := l.analysis.Load()
-	keepRec := a != nil && a.nOps == len(l.Ops) && a.nEdges == len(l.Edges) && !a.RecurrenceOps()[def]
 	m0 := len(l.Edges)
 
 	defOp := l.Ops[def]
@@ -83,8 +76,8 @@ func (l *Loop) Spill(def int) (stores, loads int) {
 		}
 		l.Edges[ei] = Edge{From: ld, To: e.To, Dist: 0}
 	}
-	if a != nil {
-		a.reset(keepRec)
+	if a := l.analysis.Load(); a != nil {
+		a.reset()
 	}
 	return 1, loads
 }

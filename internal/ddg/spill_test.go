@@ -17,8 +17,8 @@ import (
 var slots = [][2]int{{1, 2}, {2, 4}, {4, 8}}
 
 // warm reads every analysis a reschedule reads, under every cycle model,
-// so a following Spill has a snapshot to reset, recurrence analyses to
-// keep, and a computed HRMS order and tables it must drop.
+// so a following Spill or CopyFrom has a snapshot to reset with every
+// analysis computed, each of which the reset must drop.
 func warm(l *ddg.Loop) {
 	a := l.Analysis()
 	a.Validate()
@@ -65,6 +65,9 @@ func checkAnalysis(t *testing.T, l *ddg.Loop, step string) {
 	if !sameLists(got.Succs(), want.Succs()) {
 		t.Fatalf("%s: Succs = %v, fresh %v", step, got.Succs(), want.Succs())
 	}
+	if !slices.EqualFunc(got.SCCs(), want.SCCs(), slices.Equal) {
+		t.Fatalf("%s: SCCs = %v, fresh %v", step, got.SCCs(), want.SCCs())
+	}
 	if !maps.Equal(got.RecurrenceOps(), want.RecurrenceOps()) {
 		t.Fatalf("%s: RecurrenceOps = %v, fresh %v", step, got.RecurrenceOps(), want.RecurrenceOps())
 	}
@@ -102,25 +105,17 @@ func checkAnalysis(t *testing.T, l *ddg.Loop, step string) {
 
 // spillAndCheck spills def and checks the loop's analyses against a fresh
 // build. When Spill rewrote the loop, a loop that held a snapshot must
-// still hold the same one, reset to the loop's shape, and it must have
-// kept its recurrence analyses exactly when the snapshot was current and
-// def is on no recurrence.
-func spillAndCheck(t *testing.T, l *ddg.Loop, def int) (keptRec bool) {
+// still hold the same one, reset to the loop's shape, and a loop that held
+// none must still hold none.
+func spillAndCheck(t *testing.T, l *ddg.Loop, def int) {
 	t.Helper()
-	old, wasCurrent := ddg.Snapshot(l)
-	recurrent := wasCurrent && l.RecurrenceOps()[def]
+	old, _ := ddg.Snapshot(l)
 	if stores, _ := l.Spill(def); stores > 0 {
 		if a, current := ddg.Snapshot(l); a != old || (old != nil && !current) {
 			t.Fatalf("spill of op %d in %s: the loop's snapshot was not reset in place", def, l.Name)
 		}
-		keptRec = ddg.StartedFromSource(l)
-		if keptRec != (wasCurrent && !recurrent) {
-			t.Fatalf("spill of op %d in %s (snapshot %v, recurrent %v): kept recurrence analyses = %v",
-				def, l.Name, wasCurrent, recurrent, keptRec)
-		}
 	}
 	checkAnalysis(t, l, fmt.Sprintf("%s after spilling op %d", l.Name, def))
-	return keptRec
 }
 
 // TestSpillDerivesAnalysis spills chains of values on the 40-loop default
@@ -133,27 +128,21 @@ func TestSpillDerivesAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := 0
 	for _, width := range []int{1, 2, 4, 8} {
 		for _, src := range loops {
 			wl, _ := widen.Transform(src, width)
 			l := wl.Clone()
 			warm(l)
-			rec := l.RecurrenceOps()
+			rec := maps.Clone(l.RecurrenceOps()) // each check refills the map
 			spilled := 0
 			for v := 0; v < len(l.Ops) && spilled < 8; v++ {
 				if rec[v] || !l.Ops[v].Kind.HasResult() || l.Ops[v].Spill {
 					continue
 				}
-				if spillAndCheck(t, l, v) {
-					kept++
-				}
+				spillAndCheck(t, l, v)
 				spilled++
 			}
 		}
-	}
-	if kept == 0 {
-		t.Fatal("no Spill kept its recurrence analyses")
 	}
 }
 
@@ -173,28 +162,21 @@ func recurrentLoop() (l *ddg.Loop, ld, acc int) {
 }
 
 // TestSpillRecurrentRebuilds: spilling a recurrence value resets the
-// snapshot without its recurrence analyses, and their rebuild matches a
-// fresh build.
+// snapshot, and the rebuild of its recurrence analyses matches a fresh
+// build.
 func TestSpillRecurrentRebuilds(t *testing.T) {
 	l, _, acc := recurrentLoop()
 	warm(l)
-	if spillAndCheck(t, l, acc) {
-		t.Fatal("a recurrent spill kept its recurrence analyses")
-	}
+	spillAndCheck(t, l, acc)
 }
 
 // TestSpillWithoutSnapshot: a loop that never built an analysis is only
-// rewritten, and a later spill keeps the recurrence analyses of the
-// snapshot built after it.
+// rewritten, and a later spill resets the snapshot built after it.
 func TestSpillWithoutSnapshot(t *testing.T) {
 	l, ld, acc := recurrentLoop()
-	if spillAndCheck(t, l, ld) {
-		t.Fatal("a loop without a snapshot kept recurrence analyses")
-	}
+	spillAndCheck(t, l, ld)
 	warm(l)
-	if !spillAndCheck(t, l, acc+1) { // use, which feeds the store
-		t.Fatal("a spill of a non-recurrent value did not keep its recurrence analyses")
-	}
+	spillAndCheck(t, l, acc+1) // use, which feeds the store
 }
 
 // TestSpillConsumedBySpillOps: a value whose consumers are all spill ops
@@ -220,9 +202,7 @@ func TestSpillKeepsValidating(t *testing.T) {
 	l, ld, _ := recurrentLoop()
 	l.Trips = 0
 	warm(l)
-	if !spillAndCheck(t, l, ld) {
-		t.Fatal("a spill of a non-recurrent value did not keep its recurrence analyses")
-	}
+	spillAndCheck(t, l, ld)
 	if l.Analysis().Validate() == nil {
 		t.Fatal("the reset snapshot accepts a loop with no trips")
 	}
@@ -393,10 +373,10 @@ func TestSteadyStateAllocsSpill(t *testing.T) {
 
 // TestSteadyStateAllocsCopyFrom bounds one CopyFrom into a warm working
 // loop plus the HRMS order of the copy, over the 40-loop default slice
-// widened for factor 2, whose loops hold RecurrenceOps and an HRMS order.
-// The copy resets the working loop's own snapshot and copies the source's
-// RecPrio into it, so the order computes no SCCs, and every array it
-// writes has grown to the largest loop: a step allocates nothing.
+// widened for factor 2. The copy resets the working loop's own snapshot,
+// and the order recomputes the edge lists, SCCs and RecPrio into it; once
+// every array, slab and the counting scratch have grown to the largest
+// loop, a step allocates nothing.
 func TestSteadyStateAllocsCopyFrom(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation bounds are pinned without the race detector")
@@ -411,8 +391,6 @@ func TestSteadyStateAllocsCopyFrom(t *testing.T) {
 	var srcs []*ddg.Loop
 	for _, l := range loops {
 		wl, _ := widen.Transform(l, 2)
-		wl.RecurrenceOps()
-		wl.Analysis().HRMSOrder(model)
 		srcs = append(srcs, wl)
 	}
 	var w ddg.Loop

@@ -398,7 +398,7 @@ func TestWorkbenchDifferential(t *testing.T) {
 
 // TestSteadyStateAllocsSolve bounds one warm Solve at NodeBudget 20 000 on
 // reduce0001, the first loop of the 40-loop default slice within the
-// exact search size (11 ops): measured 86 allocations. Across every such
+// exact search size (11 ops): measured 82 allocations. Across every such
 // loop of the slice the mean is 7563 allocations per Solve, a target to
 // cut rather than a bound.
 func TestSteadyStateAllocsSolve(t *testing.T) {
