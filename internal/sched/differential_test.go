@@ -929,19 +929,119 @@ func FuzzScheduleMatchesReference(f *testing.F) {
 		}
 		m := machine.New(cfg, 256, machine.CycleModels()[model%4])
 		buses, fpus := m.Slots()
-		floor := l.MII(m.Model, buses, fpus) + int(minII)%128
-		what := fmt.Sprintf("%s (%d ops) %s %s MinII %d", l.Name, len(l.Ops), cfg, m.Model, floor)
+		matchReference(t, l, m, l.MII(m.Model, buses, fpus)+int(minII)%128, ws)
+	})
+}
 
-		want, ok := refModuloSchedule(l, m, floor)
-		got, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: floor, Workspace: ws})
-		if !ok || err != nil {
-			if ok || !errors.Is(err, sched.ErrNoSchedule) {
-				t.Fatalf("%s: reference ok=%v, scheduler err=%v", what, ok, err)
-			}
-			return
+// matchReference schedules l on m from the II floor with the scheduler,
+// in ws, and with the reference path, and requires both to fail or both
+// to return the same II and start cycles.
+func matchReference(t *testing.T, l *ddg.Loop, m machine.Machine, floor int, ws *sched.Workspace) {
+	t.Helper()
+	what := fmt.Sprintf("%s (%d ops) %s %s MinII %d", l.Name, len(l.Ops), m.Config, m.Model, floor)
+	want, ok := refModuloSchedule(l, m, floor)
+	got, err := sched.ModuloSchedule(l, m, &sched.Options{MinII: floor, Workspace: ws})
+	if !ok || err != nil {
+		if ok || !errors.Is(err, sched.ErrNoSchedule) {
+			t.Fatalf("%s: reference ok=%v, scheduler err=%v", what, ok, err)
 		}
-		if got.II != want.ii || !slices.Equal(got.Time, want.time) {
-			t.Fatalf("%s: II %d times %v, reference II %d times %v", what, got.II, got.Time, want.ii, want.time)
+		return
+	}
+	if got.II != want.ii || !slices.Equal(got.Time, want.time) {
+		t.Fatalf("%s: II %d times %v, reference II %d times %v", what, got.II, got.Time, want.ii, want.time)
+	}
+}
+
+// spillHeavyInput builds an input of FuzzEarlyStopMatchesReference: the
+// loopgen body of the seed at the default sizes, widened to 1-16, after up
+// to 40 Loop.Spill calls on operations the seed picks, for 1-2 buses under
+// a cycle model, with an II floor up to 63 cycles above the MII. Wide,
+// heavily spilled loops on one bus are where placement fails at the floor
+// without reading the II.
+func spillHeavyInput(tb testing.TB, seed int64, width, busCount, model, spills, minII uint8) (*ddg.Loop, machine.Machine, int) {
+	p := loopgen.Defaults()
+	p.Loops, p.Seed = 1, seed
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := machine.Config{Buses: 1 + int(busCount)%2, Width: 1 + int(width)%16}
+	l, _ := widen.Transform(loops[0], cfg.Width)
+	rng := rand.New(rand.NewSource(seed))
+	for i := int(spills) % 41; i > 0; i-- {
+		l.Spill(rng.Intn(len(l.Ops)))
+	}
+	m := machine.New(cfg, 256, machine.CycleModels()[model%4])
+	buses, fpus := m.Slots()
+	return l, m, l.MII(m.Model, buses, fpus) + int(minII)%64
+}
+
+// earlyStopSeeds are inputs of FuzzEarlyStopMatchesReference whose
+// placement at the II floor fails without reading the II, so the
+// scheduler's search ends after one attempt.
+var earlyStopSeeds = []struct {
+	seed                                  int64
+	width, busCount, model, spills, minII uint8
+}{
+	{47375, 207, 110, 15, 37, 246},  // stream0000/w16, 91 ops, 1w16, 1-cycle, floor 106
+	{151445, 238, 62, 190, 45, 4},   // scalar0000/w15, 95 ops, 1w15, 2-cycle, floor 41
+	{572471, 95, 40, 157, 51, 150},  // scalar0000/w16, 108 ops, 1w16, 3-cycle, floor 65
+	{17850, 189, 188, 6, 211, 237},  // scalar0000/w14, 112 ops, 1w14, 2-cycle, floor 87
+	{735358, 174, 146, 75, 246, 11}, // scalar0000/w15, 124 ops, 1w15, 1-cycle, floor 66
+}
+
+// TestEarlyStopSeedsStop pins the premise of the early-stop seeds and the
+// claim the stop rests on: the attempt at each seed's II floor fails
+// II-invariantly, and larger IIs replay it (checkReplay).
+func TestEarlyStopSeedsStop(t *testing.T) {
+	for _, s := range earlyStopSeeds {
+		l, m, floor := spillHeavyInput(t, s.seed, s.width, s.busCount, s.model, s.spills, s.minII)
+		if !checkReplay(t, l, m, floor) {
+			t.Errorf("%s (%d ops) %s %s: the attempt at the floor %d is not an II-invariant failure",
+				l.Name, len(l.Ops), m.Config, m.Model, floor)
+		}
+	}
+}
+
+// checkReplay reports whether the attempt at the II floor fails
+// II-invariantly, and then requires the attempts at the next II and at
+// twice the floor to fail II-invariantly too, leaving the same operations
+// placed at the same cycles: every decision of the attempt was the same
+// at the larger II.
+func checkReplay(t *testing.T, l *ddg.Loop, m machine.Machine, floor int) bool {
+	t.Helper()
+	placed, invariant, want := sched.Attempt(l, m, floor)
+	if placed || !invariant {
+		return false
+	}
+	for _, ii := range []int{floor + 1, 2 * floor} {
+		if placed, invariant, got := sched.Attempt(l, m, ii); placed || !invariant || !slices.Equal(got, want) {
+			t.Fatalf("%s (%d ops) %s %s: the attempt at II %d (placed=%v invariant=%v) does not replay the II-invariant failure at %d",
+				l.Name, len(l.Ops), m.Config, m.Model, ii, placed, invariant, floor)
+		}
+	}
+	return true
+}
+
+// FuzzEarlyStopMatchesReference pins the scheduler's early stop, which
+// ends the II search at an attempt that failed without reading the II,
+// against the reference path, which walks every II up to the cap: on
+// spill-heavy loops (spillHeavyInput) both fail, or both return the same
+// II and start cycles. An II-invariant failure at the floor must also
+// replay at larger IIs (checkReplay). Small random loops almost never
+// fail that way, so the target draws wide, heavily spilled ones. Every
+// run schedules through one Workspace shared across the runs; under
+// -short the reference's walk is skipped.
+func FuzzEarlyStopMatchesReference(f *testing.F) {
+	for _, s := range earlyStopSeeds {
+		f.Add(s.seed, s.width, s.busCount, s.model, s.spills, s.minII)
+	}
+	ws := sched.NewWorkspace()
+	f.Fuzz(func(t *testing.T, seed int64, width, busCount, model, spills, minII uint8) {
+		l, m, floor := spillHeavyInput(t, seed, width, busCount, model, spills, minII)
+		checkReplay(t, l, m, floor)
+		if !testing.Short() { // the reference walks hundreds of IIs per input
+			matchReference(t, l, m, floor, ws)
 		}
 	})
 }

@@ -19,7 +19,9 @@
 //     the phase falls back to the forced placement with eviction of Rau's
 //     iterative modulo scheduling (the paper's reference [20]). The II
 //     starts at MII = max(ResMII, RecMII) and increases until the loop
-//     fits.
+//     fits, or until an attempt fails without its decisions depending on
+//     the II: every larger II would replay that attempt and fail the same
+//     way, so the search ends there.
 //
 // The result is a flat schedule: an absolute start cycle per operation; row
 // (cycle mod II) and stage (cycle div II) derive from it.
@@ -264,10 +266,14 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	sc := newPlacer(l, a, model, ws, dst)
 	maxII := safeMaxII(mii, sc.asap, sc.lat, sc.occ)
 	for ii := mii; ii <= maxII; ii++ {
-		if sc.tryPlace(buses, fpus, ii) {
+		placed, invariant := sc.tryPlace(buses, fpus, ii)
+		if placed {
 			dst.Loop, dst.II, dst.Model = l, ii, model
 			dst.Buses, dst.FPUs = buses, fpus
 			return dst, nil
+		}
+		if invariant {
+			break // every II up to the cap fails as this one did
 		}
 	}
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
@@ -282,7 +288,8 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 // when its eviction budget runs out, and on some loops it does so at
 // every II up to the cap (loop scalar0020 of the 30-loop default
 // workbench, widened for 1w16 with 32 registers under the 3-cycle model,
-// fails its spill reschedule this way at MII=378, cap=1263).
+// fails its spill reschedule this way at MII=378, cap=1263; its attempt
+// at 378 does not depend on the II, so the search ends after it).
 func safeMaxII(mii int, asap, lat, occ []int) int {
 	crit, totalOcc, maxOcc := 0, 0, 1
 	for v, o := range occ {
@@ -496,8 +503,28 @@ func (p *placer) rowOwners(c mrt.Class, u, row, occ int, collect bool) int {
 }
 
 // tryPlace attempts a schedule at a fixed II following the placer's order,
-// leaving it in the destination's time and reservation arrays.
-func (p *placer) tryPlace(buses, fpus, ii int) bool {
+// leaving it in the destination's time and reservation arrays. It reports
+// whether every operation was placed and, when not, whether the failure is
+// II-invariant: every decision the attempt made would be the same at every
+// larger II, so an attempt there replays this one step for step and runs
+// out of its budget too. The order, the ranks, ASAP times, the budget,
+// lastForced and the frontier do not read the II; the attempt reads it
+// only where these conditions look, and it is II-invariant when all hold:
+//
+//  1. no loop-carried edge strictly sets estart or lstart: its term moves
+//     by its distance at each II step, and a tying distance-0 term does not;
+//  2. the frontier-II+1 clamp never raises a window's base: the clamp
+//     only falls as the II grows;
+//  3. no first-fit scan fails over a window as long as the II: the window
+//     lengthens with the II and may then reach a free row;
+//  4. no forced placement evicts a successor through a loop-carried edge:
+//     that edge's test turns false as the II grows;
+//  5. no reservation takes the multi-unit path (occupancy > II): at a
+//     larger II it takes the one-unit path;
+//  6. every cycle placed at, forced at or scanned, with its occupancy's
+//     rows, lies in a span shorter than the II: then each row conflict met
+//     is a conflict at the same cycle, at this II and at every larger one.
+func (p *placer) tryPlace(buses, fpus, ii int) (bool, bool) {
 	p.reset(buses, fpus, ii)
 	time, res, placed, lastForced := p.time, p.res, p.placed, p.lastForced
 	lat := p.lat
@@ -505,23 +532,28 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 
 	budget := 8*len(p.order) + 64
 	frontier := 0 // latest placed start time: seeds new components nearby
+	invariant := true
+	lo, hi := inf, -inf // the span of condition 6; eviction never shrinks it
 	for p.remaining > 0 {
 		if budget--; budget < 0 {
-			return false
+			return false, invariant && hi-lo < ii
 		}
 		// Pick the unplaced op with the best (smallest) rank.
 		v := p.popUnplaced()
 		occ, class := p.occ[v], res[v].Class
 
-		estart, lstart := -inf, inf
+		// estart0 and lstart0 are the bounds of the distance-0 edges alone.
+		estart, lstart, estart0, lstart0 := -inf, inf, -inf, inf
 		hasPred, hasSucc := false, false
 		for _, e := range p.preds[v] {
 			if e.From == v || !placed[e.From] {
 				continue
 			}
 			hasPred = true
-			if t := time[e.From] + lat[e.From] - ii*e.Dist; t > estart {
-				estart = t
+			t := time[e.From] + lat[e.From] - ii*e.Dist
+			estart = max(estart, t)
+			if e.Dist == 0 {
+				estart0 = max(estart0, t)
 			}
 		}
 		for _, e := range p.succs[v] {
@@ -529,9 +561,14 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 				continue
 			}
 			hasSucc = true
-			if t := time[e.To] - lat[v] + ii*e.Dist; t < lstart {
-				lstart = t
+			t := time[e.To] - lat[v] + ii*e.Dist
+			lstart = min(lstart, t)
+			if e.Dist == 0 {
+				lstart0 = min(lstart0, t)
 			}
+		}
+		if estart != estart0 || lstart != lstart0 {
+			invariant = false // condition 1
 		}
 		// Self edges (dist >= 1) constrain II, not the start time, and MII
 		// already accounts for them.
@@ -549,6 +586,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			base := estart
 			if fb := frontier - ii + 1; fb > base {
 				base = fb
+				invariant = false // condition 2
 			}
 			from, to, step = base, base+ii-1, 1
 		case !hasPred && hasSucc:
@@ -575,11 +613,17 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		}
 
 		if t, ok := table.FirstFit(class, from, to, step, occ); ok && table.PlaceInto(&res[v], class, t, occ) {
+			lo, hi = min(lo, from, t), max(hi, from+occ-1, t+occ-1)
 			p.place(v, t)
 			if t > frontier {
 				frontier = t
 			}
 			continue
+		}
+		if n := (to-from)*step + 1; n >= ii {
+			invariant = false // condition 3
+		} else if n > 0 {
+			lo, hi = min(lo, from, to), max(hi, from+occ-1, to+occ-1)
 		}
 
 		// Forced placement with eviction. Choose a forcing time that makes
@@ -600,6 +644,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			tf = lastForced[v] + 1
 		}
 		lastForced[v] = tf
+		lo, hi = min(lo, tf), max(hi, tf+occ-1)
 
 		// Dependence victims: placed successors whose constraint against
 		// time[v] = tf no longer holds. No placed predecessor can be one:
@@ -607,6 +652,9 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		for _, e := range p.succs[v] {
 			if e.To != v && placed[e.To] && time[e.To] < tf+lat[v]-ii*e.Dist {
 				p.evict(e.To)
+				if e.Dist > 0 {
+					invariant = false // condition 4
+				}
 			}
 		}
 
@@ -628,6 +676,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 		} else {
 			// Multi-unit reservation: evict every operation of the class
 			// (rare: a non-pipelined op at an II below its occupancy).
+			invariant = false // condition 5
 			for w, ok := range placed {
 				if ok && res[w].Class == class {
 					p.victims = append(p.victims, w)
@@ -638,7 +687,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			p.evict(w)
 		}
 		if !table.PlaceInto(&res[v], class, tf, occ) {
-			return false // class too small for the reservation at this II
+			return false, false // class too small for the reservation at this II
 		}
 		p.place(v, tf)
 		if tf > frontier {
@@ -663,5 +712,5 @@ func (p *placer) tryPlace(buses, fpus, ii int) bool {
 			}
 		}
 	}
-	return true
+	return true, false
 }

@@ -155,10 +155,13 @@ func TestCandidatesExclusions(t *testing.T) {
 
 // TestRescheduleExhaustsIIBudget pins the slowest cell of Figure 9: loop
 // scalar0020 of the 30-loop default workbench, widened for 1w16 with 32
-// registers under the 3-cycle model. Its eighth spill reschedule walks
-// every II from MII to the sched.safeMaxII cap and fails, so the cap is a
-// search budget, not a proof that placement succeeds; the cell then takes
-// the flat fallback, whose schedule must exist.
+// registers under the 3-cycle model. Its eighth spill reschedule fails at
+// every II from MII to the sched.safeMaxII cap, so the cap is a search
+// budget, not a proof that placement succeeds; the cell then takes the
+// flat fallback, whose schedule must exist. The reschedule's attempt at
+// MII does not depend on the II, so it ends the search; the ground truth
+// below makes the attempt at each II of the range on its own, and each
+// must fail.
 func TestRescheduleExhaustsIIBudget(t *testing.T) {
 	w, err := workload.Build("default", 30, 0)
 	if err != nil {
@@ -166,12 +169,29 @@ func TestRescheduleExhaustsIIBudget(t *testing.T) {
 	}
 	cfg := machine.Config{Buses: 1, Width: 16}
 	l, _ := widen.Transform(w.Loops[20], cfg.Width)
-	_, err = Schedule(l, machine.New(cfg, 32, machine.ThreeCycle), nil)
+	m := machine.New(cfg, 32, machine.ThreeCycle)
+	// The pass runs in a scratch, whose working loop keeps the loop of the
+	// failing round.
+	scr := NewScratch()
+	base, err := sched.ModuloSchedule(l.Clone(), m, &sched.Options{Workspace: scr.Workspace()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = scr.ScheduleFrom(base, m)
 	want := `spill: reschedule round 8: sched: no feasible schedule within II budget (MII=378, cap=1263, loop "scalar0020/w16")`
 	if err == nil || err.Error() != want || !errors.Is(err, sched.ErrNoSchedule) {
 		t.Fatalf("err = %v, want %s", err, want)
 	}
 	if _, err := sched.ModuloSchedule(l, machine.New(cfg, 1<<20, machine.ThreeCycle), nil); err != nil {
 		t.Fatalf("flat fallback: %v", err)
+	}
+	if testing.Short() && raceEnabled {
+		return // the walk below takes seconds under the race detector
+	}
+	for ii := 378; ii <= 1263; ii++ {
+		_, err := sched.ModuloSchedule(&scr.loop, m, &sched.Options{MinII: ii, Workspace: scr.Workspace()})
+		if !errors.Is(err, sched.ErrNoSchedule) {
+			t.Fatalf("MinII %d: err = %v, want %v", ii, err, sched.ErrNoSchedule)
+		}
 	}
 }
